@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from cascaudit.errors import (
@@ -228,16 +227,6 @@ def cmd_detect(args) -> int:
 # ---- eval -------------------------------------------------------------------------
 
 
-def _eval_one(index, trace, model, shared_graph, policy, args):
-    stream = subsample(trace, args.rho, derive_seed(args.seed, index, 2))
-    graph = shared_graph if shared_graph is not None else trace.implied_graph()
-    outcome, belief = run_detection(
-        model, graph, stream, policy, cfg=_enum_cfg(args),
-        on_unreachable=args.on_unreachable, prior=args.prior,
-    )
-    return index, trace.label, outcome, belief
-
-
 def cmd_eval(args) -> int:
     model, _ = _load_model_arg(args)
     traces = read_traces(args.traces)
@@ -251,18 +240,15 @@ def cmd_eval(args) -> int:
     if policy is None:
         return code
 
-    tasks = list(enumerate(traces))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda task: _eval_one(task[0], task[1], model, shared_graph, policy, args),
-                    tasks,
-                )
-            )
-    else:
-        rows = [_eval_one(i, t, model, shared_graph, policy, args) for i, t in tasks]
-    rows.sort(key=lambda r: r[0])
+    rows = []
+    for index, trace in enumerate(traces):
+        stream = subsample(trace, args.rho, derive_seed(args.seed, index, 2))
+        graph = shared_graph if shared_graph is not None else trace.implied_graph()
+        outcome, belief = run_detection(
+            model, graph, stream, policy, cfg=_enum_cfg(args),
+            on_unreachable=args.on_unreachable, prior=args.prior,
+        )
+        rows.append((index, trace.label, outcome, belief))
 
     n = len(rows)
     n_fake = sum(1 for _, label, _, _ in rows if label == FAKE)
@@ -430,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shared edge-list TSV (default: per-trace implied graphs)")
     ev.add_argument("--rho", type=float, default=0.5, help="observation keep fraction")
     ev.add_argument("--seed", type=int, required=True)
-    ev.add_argument("--jobs", type=int, default=1)
     ev.add_argument("--prior", type=float, default=None)
     ev.add_argument("--out", required=True, help="output directory")
     _add_policy_flags(ev)

@@ -1,8 +1,9 @@
 """Directed social graph and bounded source-to-edge path enumeration.
 
 The graph stores followee -> follower edges plus a per-node feature vector.
-Node ids may be ints or strings (any sortable hashable); they are interned to
-dense integer indices at ingestion, and every query speaks original ids.
+Node ids may be ints or strings, mixed freely; they are interned to dense
+integer indices at ingestion, and every query speaks original ids.  Ids sort
+with ints before strings, each in natural order.
 
 The one non-trivial query is :func:`enumerate_paths`: all simple directed
 paths that start at a source node and end with a given target edge, with a
@@ -15,6 +16,7 @@ probability mass.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Hashable, Iterator, Optional, Sequence
 
@@ -24,6 +26,11 @@ from cascaudit.errors import GraphError
 
 NodeId = Hashable
 Edge = tuple  # (u, v) in original ids
+
+
+def _id_key(node_id: NodeId) -> tuple:
+    """Total-order sort key for node ids that may mix ints and strings."""
+    return (isinstance(node_id, str), node_id)
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,7 @@ class SocialGraph:
         if (u, v) in self._edges:
             return
         self._edges.add((u, v))
-        out = self._out[self._index[u]]
-        out.append(v)
-        out.sort()
+        bisect.insort(self._out[self._index[u]], v, key=_id_key)
         self._pred[v].append(u)
         self._path_cache.clear()
         self._dist_cache.clear()
@@ -184,10 +189,10 @@ class SocialGraph:
         return len(self._edges)
 
     def nodes(self) -> list:
-        return sorted(self._ids)
+        return sorted(self._ids, key=_id_key)
 
     def edges(self) -> list:
-        return sorted(self._edges)
+        return sorted(self._edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
 
     def validate_edge_classes(self, num_classes: int) -> None:
         for edge, cls in self.edge_classes.items():
@@ -258,7 +263,10 @@ def enumerate_paths(
             if truncated:
                 break
 
-    found.sort(key=lambda p: p.vertices)
+    try:
+        found.sort(key=lambda p: p.vertices)
+    except TypeError:  # ids mix ints and strings; the total-order key is slower
+        found.sort(key=lambda p: [_id_key(x) for x in p.vertices])
     result = PathEnumeration(paths=tuple(found), truncated=truncated)
     graph._path_cache[key] = result
     return result

@@ -33,7 +33,6 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from cascaudit.errors import (
     InvalidEvidenceError,
@@ -55,6 +54,25 @@ _NEG_INF = float("-inf")
 
 def _safe_log(x: float) -> float:
     return math.log(x) if x > 0.0 else _NEG_INF
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a nonempty 1-d array.
+
+    The maximum is shifted out and its ties are counted apart from the other
+    terms.  Keep this order of operations: recorded posteriors and verdicts
+    are reproduced bit for bit only with it.
+    """
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    at_max = a == a_max
+    m = np.count_nonzero(at_max)
+    s = np.exp(np.where(at_max, _NEG_INF, a) - a_max).sum()
+    if s != 0:
+        s /= m
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 # ---- belief state -------------------------------------------------------------
@@ -97,9 +115,6 @@ class BeliefState:
         """Posterior sequence: index 0 is the prior, index l the belief after
         observation l."""
         return [self.prior] + [rec.posterior for rec in self.history]
-
-    def log_lr_trajectory(self) -> list:
-        return [0.0] + [rec.log_lr for rec in self.history]
 
 
 def posterior_from_log_lr(log_lr: float, prior: float) -> float:
@@ -271,17 +286,22 @@ def _log_arrival(tables: ChainTables, hyp: int, ctx: PathContext, cls: int) -> f
     return tables.log_gap(hyp, depth - last.position, last.cls, cls)
 
 
-def _log_a_from_contexts(tables, hyp, contexts, cls, anchor) -> float:
+def _log_path_weights(tables, hyp, contexts, anchor) -> tuple:
+    """Chain log-weights of the candidate paths and their log normalizer."""
     log_nums = np.array([_log_chain(tables, hyp, ctx, anchor) for ctx in contexts])
+    return log_nums, _logsumexp(log_nums)
+
+
+def _log_a_from_contexts(tables, hyp, contexts, cls, anchor) -> float:
+    log_nums, log_denom = _log_path_weights(tables, hyp, contexts, anchor)
     log_arrivals = np.array([_log_arrival(tables, hyp, ctx, cls) for ctx in contexts])
-    log_denom = logsumexp(log_nums)
     if log_denom == _NEG_INF:
         logger.warning(
             "all %d candidate paths have zero score; falling back to a uniform mixture",
             len(contexts),
         )
-        return float(logsumexp(log_arrivals) - math.log(len(contexts)))
-    return float(logsumexp(log_nums + log_arrivals) - log_denom)
+        return _logsumexp(log_arrivals) - math.log(len(contexts))
+    return _logsumexp(log_nums + log_arrivals) - log_denom
 
 
 # ---- public one-shot operations -------------------------------------------------
@@ -302,9 +322,7 @@ def path_score(
     """
     if not contexts:
         raise ModelError("path_score needs at least one candidate path")
-    tables = ChainTables(model)
-    log_nums = np.array([_log_chain(tables, hyp, ctx, anchor) for ctx in contexts])
-    log_denom = logsumexp(log_nums)
+    log_nums, log_denom = _log_path_weights(ChainTables(model), hyp, contexts, anchor)
     if log_denom == _NEG_INF:
         logger.warning("all %d path scores are zero; returning uniform weights", len(contexts))
         return np.full(len(contexts), 1.0 / len(contexts))
@@ -328,16 +346,9 @@ def conditional_obs_prob(
     Raises :class:`UnreachableObservationError` when no directed source path
     reaches the observed edge within the enumeration bounds.
     """
-    tables = ChainTables(model)
-    if new_obs.u == source:
-        return float(model.initial_probs[hyp][new_obs.cls])
-    if not graph.has_edge(new_obs.u, new_obs.v):
-        raise UnreachableObservationError(new_obs.edge, cfg.max_path_length)
-    enumeration = enumerate_paths(graph, source, new_obs.edge, cfg)
-    if not enumeration.paths:
-        raise UnreachableObservationError(new_obs.edge, cfg.max_path_length)
-    contexts = build_path_contexts(enumeration.paths, prefix)
-    return math.exp(_log_a_from_contexts(tables, hyp, contexts, new_obs.cls, anchor))
+    engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
+    engine.accepted = list(prefix)
+    return math.exp(engine.log_conditionals(new_obs)[hyp])
 
 
 # ---- the engine -----------------------------------------------------------------
@@ -368,6 +379,7 @@ class PosteriorEngine:
         self.anchor = anchor
         self.belief = BeliefState(prior=model.prior_fake if prior is None else prior)
         self.accepted: list = []
+        self.skipped: list = []  # stream indices dropped as unreachable
         self._tables = ChainTables(model) if tables is None else tables
 
     def log_conditionals(self, obs: Observation) -> tuple:
@@ -379,12 +391,12 @@ class PosteriorEngine:
                 _safe_log(float(self.model.initial_probs[GENUINE][obs.cls])),
                 _safe_log(float(self.model.initial_probs[FAKE][obs.cls])),
             )
-        if not self.graph.has_edge(obs.u, obs.v):
+        paths = ()
+        if self.graph.has_edge(obs.u, obs.v):
+            paths = enumerate_paths(self.graph, self.source, obs.edge, self.cfg).paths
+        if not paths:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
-        enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
-        if not enumeration.paths:
-            raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
-        contexts = build_path_contexts(enumeration.paths, self.accepted)
+        contexts = build_path_contexts(paths, self.accepted)
         return (
             _log_a_from_contexts(self._tables, GENUINE, contexts, obs.cls, self.anchor),
             _log_a_from_contexts(self._tables, FAKE, contexts, obs.cls, self.anchor),
@@ -396,6 +408,26 @@ class PosteriorEngine:
         self.belief = _update_from_logs(self.belief, log_a0, log_a1)
         self.accepted.append(obs)
         return self.belief
+
+    def beliefs(self, observations: Sequence[Observation], on_unreachable: str = "skip"):
+        """Yield the current belief, then the belief after each accepted observation.
+
+        ``on_unreachable`` is ``"skip"`` (drop the observation with a warning
+        and record its index in :attr:`skipped`, the robust default for
+        partial real-world data) or ``"fail"`` (raise).  The stream is read
+        lazily, so a consumer that stops early leaves the rest unprocessed.
+        """
+        if on_unreachable not in ("skip", "fail"):
+            raise ValueError(f"unknown unreachable policy {on_unreachable!r}")
+        yield self.belief
+        for idx, obs in enumerate(observations):
+            try:
+                yield self.observe(obs)
+            except UnreachableObservationError:
+                if on_unreachable == "fail":
+                    raise
+                self.skipped.append(idx)
+                logger.warning("skipping unreachable observation %d on edge %r", idx, obs.edge)
 
 
 @dataclass(frozen=True)
@@ -418,24 +450,12 @@ def run_posterior(
     anchor: bool = True,
     prior: Optional[float] = None,
 ) -> PosteriorRun:
-    """Posterior trajectory over a full observation stream.
-
-    ``on_unreachable`` is ``"skip"`` (drop the observation with a warning,
-    the robust default for partial real-world data) or ``"fail"`` (raise).
-    """
-    if on_unreachable not in ("skip", "fail"):
-        raise ValueError(f"unknown unreachable policy {on_unreachable!r}")
+    """Posterior trajectory over a full observation stream; see
+    :meth:`PosteriorEngine.beliefs` for ``on_unreachable``."""
     engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, prior=prior)
-    skipped = []
-    for idx, obs in enumerate(stream.observations):
-        try:
-            engine.observe(obs)
-        except UnreachableObservationError:
-            if on_unreachable == "fail":
-                raise
-            skipped.append(idx)
-            logger.warning("skipping unreachable observation %d on edge %r", idx, obs.edge)
-    return PosteriorRun(belief=engine.belief, skipped=tuple(skipped))
+    for _ in engine.beliefs(stream.observations, on_unreachable):
+        pass
+    return PosteriorRun(belief=engine.belief, skipped=tuple(engine.skipped))
 
 
 # ---- trajectory export -----------------------------------------------------------

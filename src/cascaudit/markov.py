@@ -120,7 +120,7 @@ class ModelDiagnostics:
 
 
 def validate_model(model) -> ModelDiagnostics:
-    """Check stochasticity of a model without raising.
+    """Check finiteness and stochasticity of a model without raising.
 
     Accepts a :class:`SpreadModel` or a mapping in the model-file schema
     (``Z``/``eta0``/``eta1``/``alpha0``/``alpha1``/``prior_fake``), so raw
@@ -145,6 +145,8 @@ def validate_model(model) -> ModelDiagnostics:
             f"transition probabilities have shape {alpha.shape}, "
             f"expected (2, {num_classes}, {num_classes})"
         )
+    if not issues and not (np.isfinite(eta).all() and np.isfinite(alpha).all()):
+        issues.append("initial and transition probabilities must be finite")
     if not issues:
         for hyp in (GENUINE, FAKE):
             for z in range(num_classes):
@@ -164,23 +166,6 @@ def validate_model(model) -> ModelDiagnostics:
     if not 0.0 <= prior <= 1.0:
         issues.append(f"prior_fake {prior} outside [0, 1]")
     return ModelDiagnostics(ok=not issues, issues=tuple(issues))
-
-
-def k_step_transition(transition: np.ndarray, k: int, frm: int, to: int) -> float:
-    """Probability that the class moves from ``frm`` to ``to`` in exactly ``k`` edges.
-
-    Equals the (frm, to) entry of the k-th matrix power, i.e. the sum over all
-    intermediate class sequences of length k-1 of the product of one-step
-    transitions.  Matrix powers via repeated squaring replace that exponential
-    sum exactly.
-    """
-    if k < 1:
-        raise ModelError("k must be >= 1")
-    transition = np.asarray(transition, dtype=float)
-    num = transition.shape[0]
-    if not (0 <= frm < num and 0 <= to < num):
-        raise ModelError(f"class out of range for a {num}-class chain")
-    return float(np.linalg.matrix_power(transition, k)[frm, to])
 
 
 # ---- reference parameters ----------------------------------------------------

@@ -212,10 +212,6 @@ def _infer_num_classes(corpus: TrainingCorpus) -> int:
     return max(observed) + 1 if observed else 4
 
 
-def classify_edge(classifier: EdgeClassifier, x_followee, x_follower) -> int:
-    return classifier.classify(x_followee, x_follower)
-
-
 def classify_graph_edges(classifier: EdgeClassifier, graph: SocialGraph) -> dict:
     """Class of every graph edge under the classifier."""
     return {

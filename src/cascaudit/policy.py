@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from cascaudit.errors import DegenerateDataError, ModelError, UnreachableObservationError
+from cascaudit.errors import DegenerateDataError, ModelError
 from cascaudit.graph import PathEnumConfig, SocialGraph
-from cascaudit.inference import (
-    BeliefState,
-    PosteriorEngine,
-    posterior_from_log_lr,
-)
+from cascaudit.inference import PosteriorEngine
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -65,6 +61,8 @@ class CostSpec:
     per_step: float = 0.05
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.false_alarm, self.miss, self.per_step))):
+            raise ModelError("costs must be finite")
         if self.false_alarm < 0 or self.miss < 0 or self.per_step < 0:
             raise ModelError("costs must be nonnegative")
         if self.false_alarm + self.miss <= 0:
@@ -317,93 +315,6 @@ class SprtConfig:
         )
 
 
-# ---- stopping rules over trajectories ----------------------------------------------
-#
-# A trajectory is the posterior sequence from the inference engine: index 0 is
-# the prior, index l the belief after observation l.  Rules scan l = 1..n and
-# the stopping step counts observations.
-
-
-def _horizon_outcome(step: int, verdict: int) -> DecisionOutcome:
-    return DecisionOutcome(step=step, verdict=verdict, rule=RULE_HORIZON)
-
-
-def dp_stop_step(trajectory: Sequence[float], table: ThresholdTable) -> DecisionOutcome:
-    """First exit of the posterior from the continuation interval.
-
-    Falls back to a forced cost-optimal decision at the final step when the
-    posterior never leaves ``(pi_low, pi_up)``.
-    """
-    if len(trajectory) < 2:
-        raise DegenerateDataError("trajectory carries no observations")
-    for step in range(1, len(trajectory)):
-        pi = trajectory[step]
-        if pi <= table.pi_low or pi >= table.pi_up:
-            return DecisionOutcome(step=step, verdict=0 if pi <= table.pi_low else 1, rule=RULE_DP)
-    last = len(trajectory) - 1
-    return _horizon_outcome(last, bayes_verdict(trajectory[last], table.costs))
-
-
-def sprt_step(belief: BeliefState, cfg: SprtConfig) -> Optional[DecisionOutcome]:
-    """Boundary check for the current belief; None while strictly inside."""
-    if belief.step < 1:
-        return None
-    log_lr = belief.log_lr
-    if log_lr <= math.log(cfg.lower):
-        return DecisionOutcome(step=belief.step, verdict=0, rule=RULE_SPRT)
-    if log_lr >= math.log(cfg.upper):
-        return DecisionOutcome(step=belief.step, verdict=1, rule=RULE_SPRT)
-    return None
-
-
-def sprt_stop(
-    log_lr_trajectory: Sequence[float],
-    cfg: SprtConfig,
-    prior: float,
-    costs: CostSpec,
-) -> DecisionOutcome:
-    """First boundary crossing of the likelihood ratio over a whole run.
-
-    The horizon fallback converts the final log ratio back to a posterior and
-    applies the cost-optimal verdict, mirroring :func:`dp_stop_step`.
-    """
-    if len(log_lr_trajectory) < 2:
-        raise DegenerateDataError("trajectory carries no observations")
-    log_low = math.log(cfg.lower)
-    log_up = math.log(cfg.upper)
-    for step in range(1, len(log_lr_trajectory)):
-        log_lr = log_lr_trajectory[step]
-        if log_lr <= log_low or log_lr >= log_up:
-            return DecisionOutcome(step=step, verdict=0 if log_lr <= log_low else 1, rule=RULE_SPRT)
-    last = len(log_lr_trajectory) - 1
-    final_posterior = posterior_from_log_lr(log_lr_trajectory[last], prior)
-    return _horizon_outcome(last, bayes_verdict(final_posterior, costs))
-
-
-def convergence_stop(
-    trajectory: Sequence[float],
-    epsilon: float,
-    threshold: float,
-) -> DecisionOutcome:
-    """Stop at the first step whose posterior moved less than ``epsilon``.
-
-    The verdict compares the posterior at the stopping step against
-    ``threshold`` (fake iff ``posterior >= threshold``); callers pass either
-    the prior or the cost ratio.  Streams that never settle decide the same
-    way at the final step with ``rule_used = "horizon"``.
-    """
-    if epsilon <= 0:
-        raise ModelError("epsilon must be positive")
-    if len(trajectory) < 2:
-        raise DegenerateDataError("trajectory carries no observations")
-    for step in range(1, len(trajectory)):
-        if abs(trajectory[step] - trajectory[step - 1]) < epsilon:
-            verdict = 1 if trajectory[step] >= threshold else 0
-            return DecisionOutcome(step=step, verdict=verdict, rule=RULE_CONVERGENCE)
-    last = len(trajectory) - 1
-    return _horizon_outcome(last, 1 if trajectory[last] >= threshold else 0)
-
-
 # ---- streaming policies ---------------------------------------------------------
 
 
@@ -446,8 +357,10 @@ class ConvergencePolicy:
     rule = RULE_CONVERGENCE
 
     def __init__(self, epsilon: float, threshold: float):
-        if epsilon <= 0:
-            raise ModelError("epsilon must be positive")
+        if not 0 < epsilon < math.inf:
+            raise ModelError("epsilon must be positive and finite")
+        if not math.isfinite(threshold):
+            raise ModelError("decision threshold must be finite")
         self.epsilon = epsilon
         self.threshold = threshold
 
@@ -458,6 +371,31 @@ class ConvergencePolicy:
 
     def horizon_verdict(self, posterior) -> int:
         return 1 if posterior >= self.threshold else 0
+
+
+def decide(policy, beliefs: Iterable) -> DecisionOutcome:
+    """First verdict of ``policy`` over a sequence of belief states.
+
+    Each state carries ``step``, ``posterior`` and ``log_lr``; index 0 is the
+    prior and is never checked.  The scan stops at the first verdict, so a
+    lazy sequence is consumed only up to the stopping step.  A sequence that
+    never triggers the policy ends in a forced decision at its last state
+    (``rule_used = "horizon"``).  Raises :class:`DegenerateDataError` when the
+    sequence holds no state after the prior.
+    """
+    states = iter(beliefs)
+    prev = next(states, None)
+    state = None
+    for state in states:
+        verdict = policy.check(state.step, state.posterior, state.log_lr, prev.posterior)
+        if verdict is not None:
+            return DecisionOutcome(step=state.step, verdict=verdict, rule=policy.rule)
+        prev = state
+    if state is None:
+        raise DegenerateDataError("no observation could be processed")
+    return DecisionOutcome(
+        step=state.step, verdict=policy.horizon_verdict(state.posterior), rule=RULE_HORIZON
+    )
 
 
 def run_detection(
@@ -472,26 +410,13 @@ def run_detection(
 ) -> tuple:
     """Stream observations through the engine, stopping as soon as the policy fires.
 
-    Returns ``(DecisionOutcome, BeliefState)``.  Raises
-    :class:`DegenerateDataError` when no observation could be processed.
+    Returns ``(DecisionOutcome, BeliefState)``; the belief is the one at the
+    stopping step.  Raises :class:`DegenerateDataError` when no observation
+    could be processed.
     """
     engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, prior=prior)
-    prev_posterior = engine.belief.posterior
-    for obs in stream.observations:
-        try:
-            belief = engine.observe(obs)
-        except UnreachableObservationError:
-            if on_unreachable == "fail":
-                raise
-            continue
-        verdict = policy.check(belief.step, belief.posterior, belief.log_lr, prev_posterior)
-        if verdict is not None:
-            return DecisionOutcome(step=belief.step, verdict=verdict, rule=policy.rule), belief
-        prev_posterior = belief.posterior
-    belief = engine.belief
-    if belief.step == 0:
-        raise DegenerateDataError("no observation could be processed")
-    return _horizon_outcome(belief.step, policy.horizon_verdict(belief.posterior)), belief
+    outcome = decide(policy, engine.beliefs(stream.observations, on_unreachable))
+    return outcome, engine.belief
 
 
 # ---- Monte Carlo risk evaluation --------------------------------------------------

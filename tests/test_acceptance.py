@@ -14,6 +14,7 @@ import pytest
 
 from cascaudit.graph import PathEnumConfig, enumerate_paths
 from cascaudit.inference import (
+    BeliefState,
     ChainTables,
     PosteriorEngine,
     build_path_contexts,
@@ -25,6 +26,7 @@ from cascaudit.markov import (
     FAKE,
     GENUINE,
     GrowthConfig,
+    SpreadModel,
     read_traces,
     reference_model,
     sample_trace,
@@ -33,14 +35,14 @@ from cascaudit.markov import (
 from cascaudit.offline import TrainingCorpus, estimate_alpha, estimate_eta
 from cascaudit.policy import (
     CostSpec,
+    DpThresholdPolicy,
     SprtConfig,
     SprtPolicy,
     ThresholdTable,
-    dp_stop_step,
+    decide,
     run_detection,
     single_step_outcomes,
     solve_thresholds,
-    sprt_stop,
 )
 from cascaudit.rng import derive_rng, derive_seed
 
@@ -112,23 +114,27 @@ def test_c3_path_score_normalization(oracle_suite):
 
 def test_c2_k_step_transition_equivalence():
     rng = derive_rng(7)
-    matrices = [REF.transition_probs[GENUINE], REF.transition_probs[FAKE]]
+    chains = [(ChainTables(REF), GENUINE), (ChainTables(REF), FAKE)]
     for num in (2, 3, 4):
         raw = rng.uniform(0.02, 1.0, size=(num, num))
-        matrices.append(raw / raw.sum(axis=1, keepdims=True))
+        alpha = raw / raw.sum(axis=1, keepdims=True)
+        model = SpreadModel(
+            num_classes=num,
+            initial_probs=np.full((2, num), 1.0 / num),
+            transition_probs=np.array([alpha, alpha]),
+        )
+        chains.append((ChainTables(model), GENUINE))
     worst = 0.0
     checked = 0
-    for alpha in matrices:
-        listed = alpha.tolist()
-        num = alpha.shape[0]
-        powers = {1: np.asarray(alpha)}
-        for k in range(2, 7):
-            powers[k] = powers[k - 1] @ alpha
+    for tables, hyp in chains:
+        listed = tables.model.transition_probs[hyp].tolist()
+        num = len(listed)
         for k in range(1, 7):
+            power = tables.power(hyp, k)
             for frm in range(num):
                 for to in range(num):
                     brute = kstep_brute(listed, k, frm, to)
-                    worst = max(worst, abs(float(powers[k][frm, to]) - brute))
+                    worst = max(worst, abs(float(power[frm, to]) - brute))
                     checked += 1
     assert worst <= 1e-12
     _announce("C2", f"{checked} (matrix, k, from, to) cells, max error = {worst:.2e}")
@@ -262,8 +268,12 @@ def test_c7_threshold_rule_equivalence():
             sweeps=1,
         )
         cfg = SprtConfig.from_posterior_thresholds(pi_low, pi_up, prior)
-        dp = dp_stop_step(posteriors, table)
-        lr = sprt_stop(log_lrs, cfg, prior, costs)
+        states = [
+            BeliefState(prior=prior, log_lr=x, step=step) for step, x in enumerate(log_lrs)
+        ]
+        assert [state.posterior for state in states] == posteriors
+        dp = decide(DpThresholdPolicy(table), states)
+        lr = decide(SprtPolicy(cfg, costs), states)
         assert (dp.step, dp.verdict) == (lr.step, lr.verdict)
         agreements += 1
     assert agreements == 1000

@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cascaudit
 from cascaudit.cli import main
 from cascaudit.graph import save_graph
 from cascaudit.markov import (
@@ -204,6 +210,59 @@ def test_detect_empty_stream_exits_2(tmp_path):
     assert run_cli("detect", "--graph", graph_path, "--stream", empty) == 2
 
 
+def test_detect_rejects_nan_model_without_verdict(tmp_path, capsys):
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    data = reference_model().to_dict()
+    data["eta1"] = [math.nan] * 4
+    model_path = tmp_path / "nan_model.json"
+    model_path.write_text(json.dumps(data), encoding="utf-8")
+    code = run_cli("detect", "--model", model_path, "--graph", graph_path,
+                   "--stream", stream_path, "--policy", "sprt")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verdict" not in captured.out
+    assert "finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_detect_rejects_nan_cost_without_verdict(tmp_path, capsys):
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    for flags in (("--ci", "nan"), ("--c", "inf"), ("--epsilon", "nan"),
+                  ("--decision-threshold", "nan")):
+        code = run_cli("detect", "--graph", graph_path, "--stream", stream_path, *flags)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "verdict" not in captured.out
+        assert "Traceback" not in captured.err
+
+
+def test_detect_on_mixed_int_and_string_ids(tmp_path, capsys):
+    graph_path = tmp_path / "mixed.tsv"
+    graph_path.write_text("0\t1\n0\ta\n1\t2\n", encoding="utf-8")
+    stream_path = tmp_path / "mixed.json"
+    stream_path.write_text(json.dumps({"source": 0, "observations": [
+        {"u": 0, "v": 1, "class": 3}, {"u": 0, "v": "a", "class": 3},
+        {"u": 1, "v": 2, "class": 3},
+    ]}), encoding="utf-8")
+    code = run_cli("detect", "--graph", graph_path, "--stream", stream_path, "--policy", "sprt")
+    captured = capsys.readouterr()
+    assert code == 0
+    record = json.loads(captured.out.strip().splitlines()[-1])
+    assert record["verdict"] in (0, 1)
+    assert "Traceback" not in captured.err
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cascaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, cascaudit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_detect_deterministic_output(tmp_path, capsys):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=5)
     outputs = []
@@ -244,15 +303,6 @@ def test_eval_report_identity_and_files(tmp_path, capsys):
     curve = (out_dir / "accuracy_curve.csv").read_text(encoding="utf-8").splitlines()
     assert curve[0] == "events,accuracy"
     assert len(curve) >= 2
-
-
-def test_eval_jobs_do_not_change_output(tmp_path):
-    traces = make_eval_corpus(tmp_path, n=24, seed=77)
-    for jobs, name in ((1, "j1"), (3, "j3")):
-        assert run_cli("eval", "--traces", traces, "--seed", 2, "--jobs", jobs,
-                       "--out", tmp_path / name) == 0
-    for fname in ("report.json", "per_trace.csv", "accuracy_curve.csv"):
-        assert (tmp_path / "j1" / fname).read_bytes() == (tmp_path / "j3" / fname).read_bytes()
 
 
 def test_eval_byte_deterministic(tmp_path):

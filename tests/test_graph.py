@@ -193,3 +193,29 @@ def test_load_graph_bad_record(tmp_path):
     edge_file.write_text("1 2\n", encoding="utf-8")
     with pytest.raises(GraphError, match="expected"):
         load_graph(edge_file)
+
+
+def test_mixed_int_and_string_ids_sort_ints_first(tmp_path):
+    edge_file = tmp_path / "edges.tsv"
+    edge_file.write_text("0\t1\n0\ta\n1\t2\n0\t3\na\tb\n", encoding="utf-8")
+    graph = load_graph(edge_file)
+    assert graph.followers(0) == [1, 3, "a"]
+    assert graph.nodes() == [0, 1, 2, 3, "a", "b"]
+    assert graph.edges() == [(0, 1), (0, 3), (0, "a"), (1, 2), ("a", "b")]
+
+
+def test_mixed_ids_enumerate_in_total_order():
+    graph = SocialGraph()
+    for node in (0, "b", 1, 3, 4):
+        graph.add_node(node, [0.0])
+    for u, v in ((0, 1), (0, "b"), (1, 3), ("b", 3), (3, 4)):
+        graph.add_edge(u, v)
+    paths = enumerate_paths(graph, 0, (3, 4)).paths
+    assert [p.vertices for p in paths] == [(0, 1, 3, 4), (0, "b", 3, 4)]
+
+
+def test_followers_stay_sorted_under_any_insertion_order():
+    rng = derive_rng(99)
+    targets = [int(x) for x in rng.permutation(50) + 1]
+    graph = build_graph([(0, t) for t in targets])
+    assert graph.followers(0) == sorted(targets)

@@ -10,6 +10,7 @@ from cascaudit.graph import PathEnumConfig, enumerate_paths
 from cascaudit.inference import (
     BeliefState,
     PosteriorEngine,
+    _logsumexp,
     build_path_context,
     build_path_contexts,
     conditional_obs_prob,
@@ -352,3 +353,52 @@ def test_trajectory_export(tmp_path, ref_model):
     assert len(lines) == 4
     final = lines[-1].split(",")
     assert float(final[3]) == pytest.approx(run.belief.posterior, abs=1e-15)
+
+
+# ---- log-sum-exp ----
+
+
+def test_logsumexp_all_neg_inf_is_neg_inf():
+    assert _logsumexp(np.array([-np.inf])) == -np.inf
+    assert _logsumexp(np.array([-np.inf, -np.inf, -np.inf])) == -np.inf
+
+
+def test_logsumexp_single_entry_is_exact():
+    for x in (-745.25, -3.1, 0.0, 0.7, 123.456):
+        assert _logsumexp(np.array([x])) == x
+
+
+def test_logsumexp_tied_pair_adds_log_two():
+    for x in (-60.5, -0.3, 0.0, 12.0):
+        assert _logsumexp(np.array([x, x])) == x + math.log(2.0)
+
+
+def test_logsumexp_ignores_neg_inf_entries():
+    finite = np.array([-1.5, 0.25, -7.0])
+    padded = np.array([-np.inf, -1.5, -np.inf, 0.25, -7.0])
+    assert _logsumexp(padded) == _logsumexp(finite)
+
+
+def test_logsumexp_matches_fsum_reference_on_long_arrays():
+    rng = derive_rng(512)
+    for scale in (0.5, 30.0, 700.0):
+        a = rng.normal(0.0, scale, size=512)
+        a_max = float(a.max())
+        reference = a_max + math.log(math.fsum(math.exp(float(x) - a_max) for x in a))
+        assert _logsumexp(a) == pytest.approx(reference, rel=1e-15)
+
+
+def test_engine_beliefs_record_skips_and_stop_lazily(ref_model, caplog):
+    graph = build_graph([(0, 1), (1, 2), (5, 6)])
+    observations = (obs(0, 1, 3), obs(5, 6, 1), obs(1, 2, 3), obs(5, 6, 2))
+    engine = PosteriorEngine(ref_model, graph, 0)
+    with caplog.at_level("WARNING", logger="cascaudit.inference"):
+        beliefs = engine.beliefs(observations)
+        assert next(beliefs).step == 0
+        assert next(beliefs).step == 1
+        assert next(beliefs).step == 2  # index 1 skipped on the way
+    assert engine.skipped == [1]
+    assert len(engine.accepted) == 2
+    assert "skipping unreachable observation 1" in caplog.text
+    with pytest.raises(ValueError):
+        next(engine.beliefs(observations, on_unreachable="ignore"))

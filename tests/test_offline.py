@@ -18,7 +18,6 @@ from cascaudit.offline import (
     TrainingCorpus,
     build_spread_model,
     build_trace_feature,
-    classify_edge,
     classify_graph_edges,
     estimate_alpha,
     estimate_eta,
@@ -192,11 +191,11 @@ def test_classify_edge_uses_calibrated_margin():
         cal_high=1.0,
         num_classes=4,
     )
-    assert classify_edge(clf, [0.3], [0.0]) == 1
-    assert classify_edge(clf, [1.0], [0.0]) == 3
-    assert classify_edge(clf, [0.0], [0.0]) == 0
-    assert classify_edge(clf, [-5.0], [0.0]) == 0  # clamped below
-    assert classify_edge(clf, [9.0], [0.0]) == 3   # clamped above
+    assert clf.classify([0.3], [0.0]) == 1
+    assert clf.classify([1.0], [0.0]) == 3
+    assert clf.classify([0.0], [0.0]) == 0
+    assert clf.classify([-5.0], [0.0]) == 0  # clamped below
+    assert clf.classify([9.0], [0.0]) == 3   # clamped above
 
 
 def test_classify_graph_edges_covers_all_edges():

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -12,19 +13,17 @@ from cascaudit.policy import (
     ConvergencePolicy,
     CostSpec,
     DecisionOutcome,
+    DpThresholdPolicy,
     SprtConfig,
     SprtPolicy,
     ThresholdTable,
     TraceResult,
     bayes_verdict,
-    convergence_stop,
-    dp_stop_step,
+    decide,
     risk_estimate,
     run_detection,
     single_step_outcomes,
     solve_thresholds,
-    sprt_step,
-    sprt_stop,
     stop_cost,
     summarize_risk,
     wald_bounds,
@@ -46,6 +45,23 @@ FAKE_NEWS_CURVE = [
 ]
 
 EQUAL_COSTS = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.05)
+
+
+State = namedtuple("State", "step posterior log_lr")
+
+
+def states(trajectory, log_lrs=None):
+    """Belief states for a posterior trajectory; index 0 is the prior."""
+    log_lrs = log_lrs if log_lrs is not None else [0.0] * len(trajectory)
+    return [State(i, p, x) for i, (p, x) in enumerate(zip(trajectory, log_lrs))]
+
+
+def dp_stop(trajectory, table):
+    return decide(DpThresholdPolicy(table), states(trajectory))
+
+
+def convergence_stop(trajectory, epsilon, threshold):
+    return decide(ConvergencePolicy(epsilon, threshold), states(trajectory))
 
 
 def table_with(pi_low, pi_up, costs=EQUAL_COSTS):
@@ -93,6 +109,11 @@ def test_cost_spec_validation():
         CostSpec(false_alarm=0.0, miss=0.0, per_step=0.1)
     with pytest.raises(ModelError):
         CostSpec(false_alarm=-1.0, miss=1.0, per_step=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ModelError):
+            CostSpec(false_alarm=bad, miss=10.0, per_step=0.05)
+        with pytest.raises(ModelError):
+            CostSpec(false_alarm=10.0, miss=10.0, per_step=bad)
 
 
 # ---- Wald boundaries and SPRT config ----
@@ -148,16 +169,18 @@ def test_sprt_config_validation():
 
 
 def test_sprt_step_continue_and_stop():
-    cfg = SprtConfig(lower=1 / 19, upper=19.0)
+    policy = SprtPolicy(SprtConfig(lower=1 / 19, upper=19.0), EQUAL_COSTS)
+    prior = BeliefState(prior=0.5)
     inside = BeliefState(prior=0.5, log_lr=0.0, step=3)
-    assert sprt_step(inside, cfg) is None
+    assert decide(policy, [prior, inside]).rule == "horizon"
     above = BeliefState(prior=0.5, log_lr=math.log(20.0), step=4)
-    outcome = sprt_step(above, cfg)
+    outcome = decide(policy, [prior, above])
     assert outcome == DecisionOutcome(step=4, verdict=1, rule="sprt")
     below = BeliefState(prior=0.5, log_lr=math.log(1 / 25), step=2)
-    assert sprt_step(below, cfg).verdict == 0
+    assert decide(policy, [prior, below]).verdict == 0
+    # the prior is never checked, even beyond a boundary
     fresh = BeliefState(prior=0.5, log_lr=5.0, step=0)
-    assert sprt_step(fresh, cfg) is None
+    assert decide(policy, [fresh, inside]).rule == "horizon"
 
 
 # ---- threshold solver ----
@@ -257,17 +280,17 @@ def test_threshold_table_round_trip(tmp_path, ref_model):
 
 
 def test_dp_stop_upper_exit():
-    outcome = dp_stop_step([0.5, 0.5, 0.7, 0.96], table_with(0.05, 0.95))
+    outcome = dp_stop([0.5, 0.5, 0.7, 0.96], table_with(0.05, 0.95))
     assert outcome == DecisionOutcome(step=3, verdict=1, rule="dp_threshold")
 
 
 def test_dp_stop_lower_exit():
-    outcome = dp_stop_step([0.5, 0.5, 0.04], table_with(0.05, 0.95))
+    outcome = dp_stop([0.5, 0.5, 0.04], table_with(0.05, 0.95))
     assert outcome == DecisionOutcome(step=2, verdict=0, rule="dp_threshold")
 
 
 def test_dp_stop_horizon_fallback():
-    outcome = dp_stop_step([0.5, 0.6, 0.7], table_with(0.05, 0.95))
+    outcome = dp_stop([0.5, 0.6, 0.7], table_with(0.05, 0.95))
     assert outcome.rule == "horizon"
     assert outcome.step == 2
     assert outcome.verdict == 1  # bayes verdict at 0.7 under equal costs
@@ -275,7 +298,9 @@ def test_dp_stop_horizon_fallback():
 
 def test_dp_stop_needs_observations():
     with pytest.raises(DegenerateDataError):
-        dp_stop_step([0.5], table_with(0.1, 0.9))
+        dp_stop([0.5], table_with(0.1, 0.9))
+    with pytest.raises(DegenerateDataError):
+        dp_stop([], table_with(0.1, 0.9))
 
 
 def test_convergence_stop_first_small_delta():
@@ -321,8 +346,9 @@ def test_dp_and_sprt_rules_agree_on_random_trajectories():
         posts = [posterior_from_log_lr(x, prior) for x in log_lrs]
         table = table_with(pi_low, pi_up)
         cfg = SprtConfig.from_posterior_thresholds(pi_low, pi_up, prior)
-        dp = dp_stop_step(posts, table)
-        sprt = sprt_stop(log_lrs, cfg, prior, table.costs)
+        trajectory = states(posts, log_lrs)
+        dp = decide(DpThresholdPolicy(table), trajectory)
+        sprt = decide(SprtPolicy(cfg, table.costs), trajectory)
         assert (dp.step, dp.verdict) == (sprt.step, sprt.verdict)
 
 
@@ -335,6 +361,25 @@ def test_posterior_threshold_transform_matches_identity():
 
 
 # ---- streaming detection and risk ----
+
+
+def test_decide_consumes_beliefs_only_up_to_the_verdict():
+    consumed = []
+
+    def lazy():
+        for state in states([0.5, 0.5, 0.04, 0.5, 0.5]):
+            consumed.append(state.step)
+            yield state
+
+    outcome = decide(DpThresholdPolicy(table_with(0.05, 0.95)), lazy())
+    assert outcome == DecisionOutcome(step=2, verdict=0, rule="dp_threshold")
+    assert consumed == [0, 1, 2]
+
+
+def test_convergence_policy_rejects_non_finite_parameters():
+    for epsilon, threshold in ((math.nan, 0.5), (math.inf, 0.5), (0.001, math.nan)):
+        with pytest.raises(ModelError):
+            ConvergencePolicy(epsilon=epsilon, threshold=threshold)
 
 
 def test_run_detection_with_convergence_policy(ref_model):
