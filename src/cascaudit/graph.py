@@ -263,10 +263,7 @@ def enumerate_paths(
             if truncated:
                 break
 
-    try:
-        found.sort(key=lambda p: p.vertices)
-    except TypeError:  # ids mix ints and strings; the total-order key is slower
-        found.sort(key=lambda p: [_id_key(x) for x in p.vertices])
+    found.sort(key=lambda p: [_id_key(x) for x in p.vertices])
     result = PathEnumeration(paths=tuple(found), truncated=truncated)
     graph._path_cache[key] = result
     return result
