@@ -12,12 +12,19 @@ the information took, so the enumeration order must be deterministic
 (lexicographic by vertex sequence) and truncation, when the path count
 explodes, must keep the shortest paths, which carry the bulk of the
 probability mass.
+
+Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
+the prefixes ``source ~> u``: the graph memoizes them lazily per
+``(source, u, length)``, and each target drops the prefixes that pass through
+its own ``v``.  Queries therefore write to the graph's memos, so they must not
+run concurrently; any mutation clears the memos.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field
+from itertools import tee
 from typing import Hashable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -35,27 +42,22 @@ def _id_key(node_id: NodeId) -> tuple:
 
 @dataclass(frozen=True)
 class DirectedPath:
-    """A simple directed path, held as its vertex sequence."""
+    """A simple directed path, held as its vertex sequence; ``edges`` is
+    derived from it once, at construction."""
 
     vertices: tuple
+    edges: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.vertices) < 2:
             raise GraphError("a path needs at least one edge")
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphError(f"path revisits a vertex: {self.vertices!r}")
-
-    @property
-    def edges(self) -> tuple:
-        return tuple(zip(self.vertices[:-1], self.vertices[1:]))
+        object.__setattr__(self, "edges", tuple(zip(self.vertices[:-1], self.vertices[1:])))
 
     def __len__(self) -> int:
         """Length in edges."""
         return len(self.vertices) - 1
-
-    def edge_positions(self) -> dict:
-        """Map edge -> 1-based position along the path."""
-        return {e: i + 1 for i, e in enumerate(self.edges)}
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,33 @@ class SocialGraph:
     """Directed graph with node features and optional per-edge class labels.
 
     Mutation (:meth:`add_node` / :meth:`add_edge`) happens at ingestion time,
-    before any inference runs; afterwards the graph is treated as immutable
-    and concurrent read-only queries are safe.  :meth:`freeze` makes that
-    explicit.  Path queries are cached; any mutation clears the cache.
+    before any inference runs; afterwards the graph is treated as immutable,
+    and :meth:`freeze` makes that explicit.  Follower lists are appended
+    unsorted and sorted once, on the first query after a mutation or at
+    :meth:`freeze`.  Queries fill memos (sorted followers, distances to a
+    node, the lazy ``source ~> u`` prefix search, whole path enumerations)
+    and are single-threaded: do not query one graph from several threads.
+    Any mutation clears the memos.
     """
 
     def __init__(self):
         self._index: dict = {}          # original id -> dense index
         self._ids: list = []            # dense index -> original id
         self._features: list = []       # dense index -> np.ndarray
-        self._out: list = []            # dense index -> sorted list of follower ids
+        self._out: list = []            # dense index -> list of follower ids
+        self._unsorted: set = set()     # dense indices whose follower list grew unsorted
         self._pred: dict = {}           # node -> list of predecessors
         self._edges: set = set()        # (u, v) original-id pairs
         self.edge_classes: dict = {}    # (u, v) -> class index, filled by training
         self._frozen = False
         self._path_cache: dict = {}
         self._dist_cache: dict = {}
+        self._prefix_cache: dict = {}
+
+    def _clear_memos(self):
+        self._path_cache.clear()
+        self._dist_cache.clear()
+        self._prefix_cache.clear()
 
     # ---- mutation ---------------------------------------------------------
 
@@ -138,8 +151,7 @@ class SocialGraph:
         self._features.append(vec)
         self._out.append([])
         self._pred[node_id] = []
-        self._path_cache.clear()
-        self._dist_cache.clear()
+        self._clear_memos()
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         """Add the directed followee -> follower edge (u, v)."""
@@ -152,12 +164,13 @@ class SocialGraph:
         if (u, v) in self._edges:
             return
         self._edges.add((u, v))
-        bisect.insort(self._out[self._index[u]], v, key=_id_key)
+        self._out[self._index[u]].append(v)
+        self._unsorted.add(self._index[u])
         self._pred[v].append(u)
-        self._path_cache.clear()
-        self._dist_cache.clear()
+        self._clear_memos()
 
     def freeze(self) -> "SocialGraph":
+        self._sorted_out()
         self._frozen = True
         return self
 
@@ -169,9 +182,16 @@ class SocialGraph:
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return (u, v) in self._edges
 
+    def _sorted_out(self) -> list:
+        """The follower lists (by dense index), each sorted on the id key."""
+        for i in self._unsorted:
+            self._out[i].sort(key=_id_key)
+        self._unsorted.clear()
+        return self._out
+
     def followers(self, u: NodeId) -> list:
         """Out-neighbors of ``u`` in sorted order."""
-        return list(self._out[self._index[u]])
+        return list(self._sorted_out()[self._index[u]])
 
     def features(self, node_id: NodeId) -> np.ndarray:
         return self._features[self._index[node_id]]
@@ -250,62 +270,80 @@ def enumerate_paths(
     found: list = []
     truncated = False
     if v != source:  # a simple path cannot return to its own source
-        # Iterative deepening: exploring one exact length at a time yields the
-        # shortest-first order needed for truncation without ranking the full
-        # (potentially huge) path set.
+        # Exploring one exact length at a time yields the shortest-first order
+        # needed for truncation without ranking the full (potentially huge)
+        # path set.
         for length in range(1, cfg.max_path_length + 1):
-            for path in _paths_of_exact_length(graph, source, u, v, length):
-                if len(found) < cfg.max_paths:
-                    found.append(path)
-                else:
+            for prefix in _prefixes(graph, source, u, length - 1):
+                if v in prefix:
+                    continue
+                if len(found) == cfg.max_paths:
                     truncated = True
                     break
+                found.append(prefix + (v,))
             if truncated:
                 break
 
-    found.sort(key=lambda p: [_id_key(x) for x in p.vertices])
-    result = PathEnumeration(paths=tuple(found), truncated=truncated)
+    if found and len(found[0]) != len(found[-1]):
+        # each length's run is already lexicographic; only mixed runs need a sort
+        found.sort(key=lambda vertices: [_id_key(x) for x in vertices])
+    result = PathEnumeration(paths=tuple(map(DirectedPath, found)), truncated=truncated)
     graph._path_cache[key] = result
     return result
 
 
-def _paths_of_exact_length(graph, source, u, v, length):
-    """Yield simple paths source ~> u -> v with exactly ``length`` edges.
+def _prefixes(graph, source, u, length):
+    """Iterate the simple paths source ~> u of exactly ``length`` edges, as
+    vertex tuples in lexicographic order.
 
-    Children are visited in sorted order, so yields are lexicographic within
-    one length.  The final edge (u, v) is fixed, so the search looks for
-    vertex-disjoint prefixes source ~> u of ``length - 1`` edges avoiding v,
-    pruned by the minimum remaining distance to u.
+    The search runs lazily and is memoized per ``(source, u, length)``: a
+    ``tee`` iterator that is never advanced keeps every prefix produced so far,
+    and each caller reads a copy of it, so the search goes only as far as the
+    furthest reader has needed.
     """
-    if length == 1:
-        if source == u:
-            yield DirectedPath((source, v))
-        return
-    dist_to_u = graph._distance_to(u)
-    if dist_to_u.get(source, length) > length - 1:
-        return
-    stack = [source]
-    on_stack = {source, v}
+    key = (source, u, length)
+    memo = graph._prefix_cache.get(key)
+    if memo is None:
+        # the search holds the graph's tables, not the graph, so the memo
+        # forms no reference cycle through the graph
+        search = _prefix_search(
+            graph._sorted_out(), graph._index, graph._distance_to(u), source, u, length
+        )
+        memo = graph._prefix_cache[key] = tee(search, 1)[0]
+    return copy(memo)
 
-    def dfs(node, remaining):
-        if remaining == 0:
-            if node == u:
-                yield DirectedPath(tuple(stack) + (v,))
-            return
-        if node == u:
-            return  # u closes the prefix; a simple path cannot revisit it
-        for child in graph.followers(node):
-            if child in on_stack:
-                continue
-            if dist_to_u.get(child, remaining) > remaining - 1:
-                continue
-            stack.append(child)
-            on_stack.add(child)
-            yield from dfs(child, remaining - 1)
-            stack.pop()
-            on_stack.remove(child)
 
-    yield from dfs(source, length - 1)
+def _prefix_search(out, index, dist_to_u, source, u, length):
+    """Yield the simple paths source ~> u of exactly ``length`` edges.
+
+    ``out`` holds the sorted follower lists by dense ``index``, so yields are
+    lexicographic.  A prefix ends at its first visit to u, and the search is
+    pruned by the minimum remaining distance to u, ``dist_to_u``.
+    """
+    if source == u:
+        if length == 0:
+            yield (source,)
+        return
+    if dist_to_u.get(source, length + 1) > length:
+        return
+    path = [source]
+    on_path = {source}
+    children = [iter(out[index[source]])]
+    while children:
+        remaining = length - len(path)  # edges left after stepping to a child
+        for child in children[-1]:
+            if child in on_path or dist_to_u.get(child, remaining + 1) > remaining:
+                continue
+            if remaining == 0:  # the bound admits only u itself here
+                yield (*path, child)
+            elif child != u:
+                path.append(child)
+                on_path.add(child)
+                children.append(iter(out[index[child]]))
+                break
+        else:
+            children.pop()
+            on_path.remove(path.pop())
 
 
 # ---- flat-file ingestion ----------------------------------------------------

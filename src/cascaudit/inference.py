@@ -22,6 +22,11 @@ comparison.
 
 All products are accumulated in log space and path mixtures via log-sum-exp;
 gap products underflow linear doubles after a few dozen steps.
+
+One observation off the source costs O(accepted + paths x path length) on
+top of its (memoized) path enumeration: the accepted observations are
+indexed by edge once, each candidate path looks up its own edges, and every
+chain factor is read from a cached table of log entries.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -202,31 +206,38 @@ class PathContext:
         return tuple(gaps)
 
 
-@lru_cache(maxsize=65536)
-def _edge_positions(path: DirectedPath) -> dict:
-    return path.edge_positions()
+def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> list:
+    """One :class:`PathContext` per path.
+
+    The prior observations are indexed once by edge, in stream order; each
+    path then looks up its own edges in order, so its entries come out sorted
+    by (position, index) without a scan of the whole prefix per path.
+    """
+    by_edge: dict = {}
+    for idx, obs in enumerate(prior_observations):
+        by_edge.setdefault(obs.edge, []).append((idx, obs.cls))
+    contexts = []
+    for path in paths:
+        edges = path.edges
+        entries = []
+        if not by_edge.keys().isdisjoint(edges):
+            for position, edge in enumerate(edges, start=1):
+                for idx, cls in by_edge.get(edge, ()):
+                    entries.append(OnPathObservation(idx, position, cls))
+        contexts.append(PathContext(path=path, on_path=tuple(entries)))
+    return contexts
 
 
 def build_path_context(path: DirectedPath, prior_observations: Sequence[Observation]) -> PathContext:
-    positions = _edge_positions(path)
-    entries = [
-        OnPathObservation(index=idx, position=positions[obs.edge], cls=obs.cls)
-        for idx, obs in enumerate(prior_observations)
-        if obs.edge in positions
-    ]
-    entries.sort(key=lambda e: (e.position, e.index))
-    return PathContext(path=path, on_path=tuple(entries))
-
-
-def build_path_contexts(paths, prior_observations) -> list:
-    return [build_path_context(p, prior_observations) for p in paths]
+    return build_path_contexts((path,), prior_observations)[0]
 
 
 # ---- chain probabilities -------------------------------------------------------
 
 
 class ChainTables:
-    """Cached matrix powers and source-anchored class marginals per hypothesis.
+    """Cached matrix powers per hypothesis, plus tables of the log entries of
+    each power and of the log source-anchored class marginals.
 
     One instance can be shared across engines over the same model (e.g. in a
     Monte Carlo sweep) to avoid recomputing powers per trace.
@@ -235,7 +246,8 @@ class ChainTables:
     def __init__(self, model: SpreadModel):
         self.model = model
         self._powers: dict = {}
-        self._marginals: dict = {}
+        self._log_gaps: dict = {}       # (hyp, k) -> nested list of log entries
+        self._log_marginals: dict = {}  # (hyp, position) -> list of log entries
 
     def power(self, hyp: int, k: int) -> np.ndarray:
         key = (hyp, k)
@@ -247,23 +259,28 @@ class ChainTables:
 
     def log_gap(self, hyp: int, k: int, frm: int, to: int) -> float:
         """log P(class moves frm -> to across k edges); k = 0 is the identity."""
-        if k == 0:
-            return 0.0 if frm == to else _NEG_INF
-        if k == 1:
-            return _safe_log(float(self.model.transition_probs[hyp][frm, to]))
-        return _safe_log(float(self.power(hyp, k)[frm, to]))
+        table = self._log_gaps.get((hyp, k))
+        if table is None:
+            if k == 0:
+                mat = np.eye(self.model.num_classes)
+            elif k == 1:
+                mat = self.model.transition_probs[hyp]
+            else:
+                mat = self.power(hyp, k)
+            table = [[_safe_log(float(x)) for x in row] for row in mat]
+            self._log_gaps[(hyp, k)] = table
+        return table[frm][to]
 
     def log_marginal(self, hyp: int, position: int, cls: int) -> float:
         """log P(edge at this path depth has class cls), anchored at the source."""
-        key = (hyp, position)
-        vec = self._marginals.get(key)
-        if vec is None:
-            if position == 1:
-                vec = self.model.initial_probs[hyp]
-            else:
-                vec = self.model.initial_probs[hyp] @ self.power(hyp, position - 1)
-            self._marginals[key] = vec
-        return _safe_log(float(vec[cls]))
+        logs = self._log_marginals.get((hyp, position))
+        if logs is None:
+            vec = self.model.initial_probs[hyp]
+            if position > 1:
+                vec = vec @ self.power(hyp, position - 1)
+            logs = [_safe_log(float(x)) for x in vec]
+            self._log_marginals[(hyp, position)] = logs
+        return logs[cls]
 
 
 def _log_chain(tables: ChainTables, hyp: int, ctx: PathContext, anchor: bool) -> float:
@@ -279,10 +296,10 @@ def _log_chain(tables: ChainTables, hyp: int, ctx: PathContext, anchor: bool) ->
 
 def _log_arrival(tables: ChainTables, hyp: int, ctx: PathContext, cls: int) -> float:
     """log probability of the new observation's class at the end of this path."""
-    depth = len(ctx.path)
-    last = ctx.last_observed
-    if last is None:
+    depth = len(ctx.path.edges)
+    if not ctx.on_path:
         return tables.log_marginal(hyp, depth, cls)
+    last = ctx.on_path[-1]
     return tables.log_gap(hyp, depth - last.position, last.cls, cls)
 
 

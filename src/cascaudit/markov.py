@@ -407,12 +407,14 @@ def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStrea
 
     Relative order is preserved and parent pointers are dropped: the detector
     must reconstruct lineage itself.  An all-dropped draw is redrawn so the
-    stream is never empty.
+    stream is never empty.  Every event must carry a class.
     """
     if not trace.events:
         raise TraceError("cannot subsample an empty trace")
     if not 0.0 < keep_fraction <= 1.0:
         raise TraceError("keep_fraction must be in (0, 1]")
+    if any(ev.cls is None for ev in trace.events):
+        raise TraceError("cannot subsample a trace with unclassified events")
     rng = derive_rng(seed)
     while True:
         mask = rng.random(len(trace.events)) < keep_fraction
@@ -454,6 +456,13 @@ def _edge_from_json(edge):
     return None if edge is None else tuple(edge)
 
 
+def _class_from_json(cls):
+    """An event class is a JSON integer, or null when unclassified."""
+    if cls is None or (isinstance(cls, int) and not isinstance(cls, bool)):
+        return cls
+    raise ValueError(f"event class {cls!r} is not an integer or null")
+
+
 def write_traces(traces: Sequence[Trace], path) -> None:
     """One JSON record per line per trace."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -486,7 +495,7 @@ def read_traces(path) -> list:
                 events = tuple(
                     TraceEvent(
                         edge=(ev["u"], ev["v"]),
-                        cls=ev.get("class"),
+                        cls=_class_from_json(ev.get("class")),
                         parent_edge=_edge_from_json(ev.get("parent")),
                     )
                     for ev in record["events"]

@@ -104,6 +104,9 @@ class DecisionOutcome:
 # ---- dynamic-programming threshold solver ---------------------------------------
 
 
+_TABLE_FIELDS = ("ci", "cii", "c", "pi_low", "pi_up", "converged", "sweeps")
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
     """Grid solution of the stopping value function plus the two thresholds."""
@@ -137,24 +140,47 @@ class ThresholdTable:
 
     @classmethod
     def load(cls, path) -> "ThresholdTable":
+        """Read a table written by :meth:`save`.
+
+        A missing header field, a non-numeric or non-finite number, or a row
+        that is not two numbers raises :class:`ModelError`.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ModelError(f"{path}: missing threshold-table header")
-            fields = dict(item.split("=", 1) for item in header[1:].split())
             fh.readline()  # column names
             rows = [line.strip().split(",") for line in fh if line.strip()]
-        grid = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
+        if not header.startswith("#"):
+            raise ModelError(f"{path}: missing threshold-table header")
+        fields = dict(item.split("=", 1) for item in header[1:].split() if "=" in item)
+        missing = [name for name in _TABLE_FIELDS if name not in fields]
+        if missing:
+            raise ModelError(f"{path}: threshold-table header lacks {', '.join(missing)}")
+        if fields["converged"] not in ("true", "false"):
+            raise ModelError(f"{path}: converged={fields['converged']!r} is not true or false")
+        if not fields["sweeps"].isdigit():
+            raise ModelError(f"{path}: sweeps={fields['sweeps']!r} is not a count")
+        for n, row in enumerate(rows, start=1):
+            if len(row) != 2:
+                raise ModelError(f"{path}: table row {n} is not 'pi,s_bar'")
+
+        def number(text, where):
+            try:
+                value = float(text)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ModelError(f"{path}: {where} {text!r} is not a finite number")
+            return value
+
         return cls(
-            grid=grid,
-            values=values,
-            pi_low=float(fields["pi_low"]),
-            pi_up=float(fields["pi_up"]),
+            grid=np.array([number(r[0], "pi") for r in rows]),
+            values=np.array([number(r[1], "s_bar") for r in rows]),
+            pi_low=number(fields["pi_low"], "pi_low"),
+            pi_up=number(fields["pi_up"], "pi_up"),
             costs=CostSpec(
-                false_alarm=float(fields["ci"]),
-                miss=float(fields["cii"]),
-                per_step=float(fields["c"]),
+                false_alarm=number(fields["ci"], "ci"),
+                miss=number(fields["cii"], "cii"),
+                per_step=number(fields["c"], "c"),
             ),
             converged=fields["converged"] == "true",
             sweeps=int(fields["sweeps"]),

@@ -121,3 +121,19 @@ def posterior_brute(model, edges, source, observations, max_len, prior=None, anc
         prefix.append(obs)
     num = prior * likelihood[1]
     return num / (num + (1.0 - prior) * likelihood[0])
+
+
+def path_contexts_brute(paths, prefix):
+    """Per path (a vertex tuple), the ``(position, index, cls)`` of every
+    prefix observation lying on it, found by scanning the whole prefix, sorted
+    by position and then stream index."""
+    result = []
+    for path in paths:
+        path_edges = list(zip(path[:-1], path[1:]))
+        entries = []
+        for index, obs in enumerate(prefix):
+            for position, edge in enumerate(path_edges, start=1):
+                if obs.edge == edge:
+                    entries.append((position, index, obs.cls))
+        result.append(sorted(entries))
+    return result

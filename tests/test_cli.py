@@ -203,6 +203,37 @@ def test_detect_with_presolved_threshold_table(tmp_path, capsys):
     assert record["verdict"] == 1
 
 
+@pytest.mark.parametrize("fault", [
+    "header lacks pi_low", "header value is not a number", "header value is nan",
+    "row value is inf", "row value is not a number", "row has three cells",
+])
+def test_detect_rejects_malformed_threshold_table_without_verdict(tmp_path, capsys, fault):
+    table_path = tmp_path / "table.csv"
+    assert run_cli("thresholds", "--out", table_path) == 0
+    header, columns, row, *rest = table_path.read_text(encoding="utf-8").splitlines()
+    if fault == "header lacks pi_low":
+        header = " ".join(f for f in header.split() if not f.startswith("pi_low="))
+    elif fault == "header value is not a number":
+        header = header.replace(" c=", " c=cheap")
+    elif fault == "header value is nan":
+        header = header.replace("pi_up=", "pi_up=nan ignored=")
+    elif fault == "row value is inf":
+        row = row.split(",")[0] + ",inf"
+    elif fault == "row value is not a number":
+        row = "zero," + row.split(",")[1]
+    else:
+        row = row + ",0.0"
+    table_path.write_text("\n".join([header, columns, row, *rest]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=2)
+    code = run_cli("detect", "--graph", graph_path, "--stream", stream_path,
+                   "--policy", "dp", "--threshold-table", table_path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verdict" not in captured.out
+    assert str(table_path) in captured.err
+
+
 def test_detect_empty_stream_exits_2(tmp_path):
     graph_path, _ = write_detect_inputs(tmp_path, FAKE, seed=1)
     empty = tmp_path / "empty.json"
@@ -303,6 +334,20 @@ def test_eval_report_identity_and_files(tmp_path, capsys):
     curve = (out_dir / "accuracy_curve.csv").read_text(encoding="utf-8").splitlines()
     assert curve[0] == "events,accuracy"
     assert len(curve) >= 2
+
+
+@pytest.mark.parametrize("cls", ["x", None])
+def test_eval_rejects_non_integer_event_class_with_exit_2(tmp_path, capsys, cls):
+    traces = make_eval_corpus(tmp_path, n=3)
+    records = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    records[1]["events"][-1]["class"] = cls
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("eval", "--traces", traces, "--seed", 1, "--out", tmp_path / "eval_out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "accuracy" not in captured.out
+    assert "class" in captured.err
 
 
 def test_eval_byte_deterministic(tmp_path):

@@ -219,3 +219,51 @@ def test_followers_stay_sorted_under_any_insertion_order():
     targets = [int(x) for x in rng.permutation(50) + 1]
     graph = build_graph([(0, t) for t in targets])
     assert graph.followers(0) == sorted(targets)
+    mixed = [1, 2, 10, 11, "a", "b", "ab", "z"]
+    graph = SocialGraph()
+    for node in [0] + mixed:
+        graph.add_node(node, [0.0])
+    for i in rng.permutation(len(mixed)):
+        graph.add_edge(0, mixed[int(i)])
+    assert graph.followers(0) == [1, 2, 10, 11, "a", "ab", "b", "z"]
+
+
+def test_edge_added_after_a_query_is_placed_in_order():
+    graph = build_graph([(0, 3), (0, 1), (1, 5), (3, 5), (5, 6)])
+    assert graph.followers(0) == [1, 3]
+    assert [p.vertices for p in enumerate_paths(graph, 0, (5, 6))] == [(0, 1, 5, 6), (0, 3, 5, 6)]
+    graph.add_node(2, [0.0, 0.0])
+    graph.add_edge(0, 2)
+    graph.add_edge(2, 5)
+    assert graph.followers(0) == [1, 2, 3]
+    assert [p.vertices for p in enumerate_paths(graph, 0, (5, 6))] == [
+        (0, 1, 5, 6), (0, 2, 5, 6), (0, 3, 5, 6)
+    ]
+    assert graph.freeze().followers(0) == [1, 2, 3]
+
+
+def test_shared_prefix_search_matches_oracle_with_truncation():
+    # one graph object answers every edge in a shuffled order, so the prefix
+    # memo built for one target edge is reused by later ones with the same tail
+    rng = derive_rng(31)
+    checked = truncated = 0
+    for _ in range(60):
+        graph, edges = random_digraph(rng, max_nodes=8, edge_prob=0.5)
+        if not edges:
+            continue
+        cfg = PathEnumConfig(
+            max_path_length=int(rng.integers(1, graph.node_count + 1)),
+            max_paths=int(rng.integers(1, 6)),
+        )
+        for source in (0, 1):
+            for i in rng.permutation(len(edges)):
+                target = edges[int(i)]
+                result = enumerate_paths(graph, source, target, cfg)
+                every = all_simple_paths_to_edge(edges, source, target, cfg.max_path_length)
+                ranked = sorted(every, key=lambda p: (len(p), p))
+                assert [p.vertices for p in result] == sorted(ranked[: cfg.max_paths])
+                assert result.truncated == (len(every) > cfg.max_paths)
+                checked += 1
+                truncated += result.truncated
+    assert checked >= 1000
+    assert truncated >= 200

@@ -9,8 +9,10 @@ from cascaudit.errors import InvalidEvidenceError, UnreachableObservationError
 from cascaudit.graph import PathEnumConfig, enumerate_paths
 from cascaudit.inference import (
     BeliefState,
+    ChainTables,
     PosteriorEngine,
     _logsumexp,
+    _safe_log,
     build_path_context,
     build_path_contexts,
     conditional_obs_prob,
@@ -26,13 +28,14 @@ from cascaudit.markov import (
     GrowthConfig,
     Observation,
     ObservationStream,
+    SpreadModel,
     sample_trace,
     subsample,
 )
 from cascaudit.rng import derive_rng
 
 from .conftest import build_chain_graph, build_graph, random_inference_instance, random_model
-from .oracles import conditional_prob_brute, posterior_brute
+from .oracles import conditional_prob_brute, path_contexts_brute, posterior_brute
 
 
 def obs(u, v, cls):
@@ -129,6 +132,62 @@ def test_path_context_positions_and_gaps(demo_graph):
     assert [(e.position, e.cls) for e in ctx.on_path] == [(1, 3), (2, 2)]
     assert ctx.gap_lengths == (1, 1)
     assert ctx.last_observed.position == 2
+
+
+def test_path_contexts_match_direct_scan_with_repeated_edges():
+    rng = derive_rng(17)
+    checked = repeated = 0
+    for _ in range(40):
+        graph, edges, model, stream = random_inference_instance(rng, max_obs=4)
+        target = stream.observations[-1].edge
+        if target[0] == stream.source:
+            continue
+        paths = enumerate_paths(graph, stream.source, target).paths
+        # draw the prefix with replacement from every edge, on the paths or
+        # not, so that some edges are observed several times
+        prefix = [
+            obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
+            for _ in range(int(rng.integers(0, 12)))
+        ]
+        contexts = build_path_contexts(paths, prefix)
+        expected = path_contexts_brute([p.vertices for p in paths], prefix)
+        assert [ctx.path for ctx in contexts] == list(paths)
+        assert [
+            [(e.position, e.index, e.cls) for e in ctx.on_path] for ctx in contexts
+        ] == expected
+        assert [build_path_context(p, prefix) for p in paths] == contexts
+        checked += 1
+        repeated += any(
+            len({e.position for e in ctx.on_path}) < len(ctx.on_path) for ctx in contexts
+        )
+    assert checked >= 20
+    assert repeated >= 5
+
+
+def test_chain_log_tables_equal_logs_of_matrix_powers_bit_for_bit():
+    # zero entries in eta and in the transitions give -inf table entries
+    alpha = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])
+    model = SpreadModel(
+        num_classes=3,
+        initial_probs=np.array([[0.6, 0.4, 0.0], [0.1, 0.2, 0.7]]),
+        transition_probs=np.array([alpha, alpha.T / alpha.T.sum(axis=1, keepdims=True)]),
+        prior_fake=0.5,
+    )
+    tables = ChainTables(model)
+    zeros = 0
+    for _ in range(2):  # the second pass reads the cached tables
+        for hyp in (GENUINE, FAKE):
+            eta, mat = model.initial_probs[hyp], model.transition_probs[hyp]
+            for k in range(7):
+                power = np.linalg.matrix_power(mat, k)
+                marginal = eta if k == 0 else eta @ power
+                for i in range(3):
+                    assert tables.log_marginal(hyp, k + 1, i) == _safe_log(float(marginal[i]))
+                    for j in range(3):
+                        expected = _safe_log(float(power[i, j]))
+                        assert tables.log_gap(hyp, k, i, j) == expected
+                        zeros += expected == float("-inf")
+    assert zeros > 0
 
 
 def test_path_score_single_candidate_is_one(ref_model, demo_graph):
@@ -402,3 +461,39 @@ def test_engine_beliefs_record_skips_and_stop_lazily(ref_model, caplog):
     assert "skipping unreachable observation 1" in caplog.text
     with pytest.raises(ValueError):
         next(engine.beliefs(observations, on_unreachable="ignore"))
+
+
+# ---- truncated multi-path golden trajectory ----
+
+
+def _layered_dag_edges():
+    """Source 0, four layers of three nodes fully wired layer to layer, and
+    three skip edges, so that paths of different lengths reach one edge."""
+    layers = [[0]] + [[10 * k + j for j in range(3)] for k in range(1, 5)]
+    edges = [(a, b) for up, down in zip(layers, layers[1:]) for a in up for b in down]
+    return edges + [(0, 21), (11, 32), (20, 41)]
+
+
+# log_lr after each observation, recorded with the per-path context scan
+# that preceded the edge-indexed contexts and the shared prefix search.
+GOLDEN_TRUNCATED_LOG_LR = [
+    1.9888758504914352, 0.48479845371516106, 0.7259467610565091, -2.575511220295307,
+    -3.056433874532399, -2.649967264087145, 0.4877541242548289, -1.2176482564873554,
+    -1.7172512324591827, -1.3902761568829916, -1.1654762601913033, -4.7559156414919865,
+]
+
+
+def test_truncated_multi_path_trajectory_is_golden(ref_model):
+    graph = build_graph(_layered_dag_edges()).freeze()
+    cfg = PathEnumConfig(max_path_length=6, max_paths=5)
+    observations = (
+        obs(0, 11, 3), obs(11, 21, 2), obs(21, 32, 3), obs(32, 41, 1), obs(20, 30, 0),
+        obs(0, 10, 1), obs(10, 20, 3), obs(30, 42, 2), obs(12, 22, 0), obs(22, 31, 3),
+        obs(31, 40, 3), obs(11, 32, 1),
+    )
+    truncated = [enumerate_paths(graph, 0, o.edge, cfg).truncated for o in observations]
+    assert sum(truncated) == 3  # the cap binds on (32, 41), (30, 42) and (31, 40)
+    run = run_posterior(
+        ref_model, graph, ObservationStream(0, observations), cfg, on_unreachable="fail"
+    )
+    assert [rec.log_lr for rec in run.belief.history] == GOLDEN_TRUNCATED_LOG_LR

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -349,3 +350,35 @@ def test_trace_validate_rejects_orphan_event():
     )
     with pytest.raises(TraceError, match="descend"):
         trace.validate(num_classes=4)
+
+
+def _one_event_trace_line(cls):
+    return json.dumps({"label": 1, "source": 0, "events": [{"u": 0, "v": 1, "class": cls}]})
+
+
+def test_read_traces_accepts_integer_or_null_classes(tmp_path):
+    path = tmp_path / "ok.jsonl"
+    path.write_text(_one_event_trace_line(2) + "\n" + _one_event_trace_line(None) + "\n",
+                    encoding="utf-8")
+    first, second = read_traces(path)
+    assert first.events[0].cls == 2
+    assert second.events[0].cls is None
+
+
+@pytest.mark.parametrize("cls", ["x", "2", 1.5, 2.0, True, [1]])
+def test_read_traces_rejects_non_integer_classes(tmp_path, cls):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(_one_event_trace_line(cls) + "\n", encoding="utf-8")
+    with pytest.raises(TraceError, match="bad.jsonl:1"):
+        read_traces(path)
+
+
+def test_subsample_rejects_unclassified_events():
+    trace = Trace(
+        label=FAKE,
+        source=0,
+        events=(TraceEvent(edge=(0, 1), cls=1), TraceEvent(edge=(1, 2), cls=None,
+                                                           parent_edge=(0, 1))),
+    )
+    with pytest.raises(TraceError, match="unclassified"):
+        subsample(trace, 1.0, seed=0)
