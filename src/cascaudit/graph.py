@@ -16,16 +16,21 @@ probability mass.
 Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
 the prefixes ``source ~> u``: the graph memoizes them lazily per
 ``(source, u, length)``, and each target drops the prefixes that pass through
-its own ``v``.  Queries therefore write to the graph's memos, so they must not
-run concurrently; any mutation clears the memos.
+its own ``v``.  A prefix carries its vertex and edge tuples, built once by the
+search, and an enumeration holds its candidates as prefixes plus the target
+edge; the :class:`DirectedPath` objects of :attr:`PathEnumeration.paths` are
+built only when first read.  Queries therefore write to the graph's memos and
+to the enumerations they return, so they must not run concurrently; any
+mutation clears the memos.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import tee
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,18 +83,34 @@ class PathEnumConfig:
             raise GraphError("max_paths must be >= 1")
 
 
+class Prefix(NamedTuple):
+    """A simple path ``source ~> u`` that visits ``u`` only at its end."""
+
+    vertices: tuple
+    edges: tuple
+
+
 @dataclass(frozen=True)
 class PathEnumeration:
-    """Result of a bounded enumeration: the paths plus a truncation flag."""
+    """Result of a bounded enumeration: each candidate path is a prefix
+    ``source ~> u`` followed by ``target_edge`` ``(u, v)``, in path order,
+    plus a truncation flag."""
 
-    paths: tuple
+    prefixes: tuple
+    target_edge: tuple
     truncated: bool = False
+
+    @cached_property
+    def paths(self) -> tuple:
+        """The candidates as :class:`DirectedPath` objects, built on first read."""
+        v = self.target_edge[1]
+        return tuple(DirectedPath(prefix.vertices + (v,)) for prefix in self.prefixes)
 
     def __iter__(self) -> Iterator[DirectedPath]:
         return iter(self.paths)
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.prefixes)
 
 
 class SocialGraph:
@@ -275,26 +296,28 @@ def enumerate_paths(
         # path set.
         for length in range(1, cfg.max_path_length + 1):
             for prefix in _prefixes(graph, source, u, length - 1):
-                if v in prefix:
+                if v in prefix.vertices:
                     continue
                 if len(found) == cfg.max_paths:
                     truncated = True
                     break
-                found.append(prefix + (v,))
+                found.append(prefix)
             if truncated:
                 break
 
-    if found and len(found[0]) != len(found[-1]):
-        # each length's run is already lexicographic; only mixed runs need a sort
-        found.sort(key=lambda vertices: [_id_key(x) for x in vertices])
-    result = PathEnumeration(paths=tuple(map(DirectedPath, found)), truncated=truncated)
+    if found and len(found[0].edges) != len(found[-1].edges):
+        # each length's run is already lexicographic; only mixed runs need a
+        # sort, and the prefixes alone rank the paths, since no prefix is a
+        # proper prefix of another (each visits u only at its end)
+        found.sort(key=lambda prefix: [_id_key(x) for x in prefix.vertices])
+    result = PathEnumeration(prefixes=tuple(found), target_edge=(u, v), truncated=truncated)
     graph._path_cache[key] = result
     return result
 
 
 def _prefixes(graph, source, u, length):
     """Iterate the simple paths source ~> u of exactly ``length`` edges, as
-    vertex tuples in lexicographic order.
+    :class:`Prefix` records in lexicographic order.
 
     The search runs lazily and is memoized per ``(source, u, length)``: a
     ``tee`` iterator that is never advanced keeps every prefix produced so far,
@@ -314,19 +337,23 @@ def _prefixes(graph, source, u, length):
 
 
 def _prefix_search(out, index, dist_to_u, source, u, length):
-    """Yield the simple paths source ~> u of exactly ``length`` edges.
+    """Yield the simple paths source ~> u of exactly ``length`` edges, as
+    :class:`Prefix` records.
 
     ``out`` holds the sorted follower lists by dense ``index``, so yields are
     lexicographic.  A prefix ends at its first visit to u, and the search is
-    pruned by the minimum remaining distance to u, ``dist_to_u``.
+    pruned by the minimum remaining distance to u, ``dist_to_u``.  The edge
+    pairs of the current branch are built once and shared by every prefix
+    yielded below it.
     """
     if source == u:
         if length == 0:
-            yield (source,)
+            yield Prefix((source,), ())
         return
     if dist_to_u.get(source, length + 1) > length:
         return
     path = [source]
+    edges = []
     on_path = {source}
     children = [iter(out[index[source]])]
     while children:
@@ -335,8 +362,9 @@ def _prefix_search(out, index, dist_to_u, source, u, length):
             if child in on_path or dist_to_u.get(child, remaining + 1) > remaining:
                 continue
             if remaining == 0:  # the bound admits only u itself here
-                yield (*path, child)
+                yield Prefix((*path, child), (*edges, (path[-1], child)))
             elif child != u:
+                edges.append((path[-1], child))
                 path.append(child)
                 on_path.add(child)
                 children.append(iter(out[index[child]]))
@@ -344,6 +372,8 @@ def _prefix_search(out, index, dist_to_u, source, u, length):
         else:
             children.pop()
             on_path.remove(path.pop())
+            if edges:
+                edges.pop()
 
 
 # ---- flat-file ingestion ----------------------------------------------------

@@ -23,10 +23,15 @@ comparison.
 All products are accumulated in log space and path mixtures via log-sum-exp;
 gap products underflow linear doubles after a few dozen steps.
 
-One observation off the source costs O(accepted + paths x path length) on
-top of its (memoized) path enumeration: the accepted observations are
-indexed by edge once, each candidate path looks up its own edges, and every
-chain factor is read from a cached table of log entries.
+One observation off the source costs one pass over its candidate paths,
+O(paths x path length), plus one chain and arrival score per distinct
+evidence key, on top of its (memoized) path enumeration.  The engine keeps
+the accepted observations indexed by edge as it accepts them, and each
+candidate looks up its own edges to form its evidence key: the path depth
+plus the ``(position, class)`` pairs of the earlier observations on it.  Paths
+with equal keys have equal scores, so each distinct key is scored once, from
+cached tables of log entries, and the scores are expanded back to one entry
+per path in path order before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from cascaudit.errors import (
 from cascaudit.graph import (
     DirectedPath,
     PathEnumConfig,
+    PathEnumeration,
     SocialGraph,
     enumerate_paths,
 )
@@ -65,8 +71,12 @@ def _logsumexp(a: np.ndarray) -> float:
 
     The maximum is shifted out and its ties are counted apart from the other
     terms.  Keep this order of operations: recorded posteriors and verdicts
-    are reproduced bit for bit only with it.
+    are reproduced bit for bit only with it.  For one entry ``x`` the formula
+    reduces exactly to ``x + 0.0`` (``-0.0`` becomes ``0.0``; infinities and
+    NaN pass through), which a path mixture of one candidate takes directly.
     """
+    if len(a) == 1:
+        return float(a[0]) + 0.0
     a_max = a.max()
     if not np.isfinite(a_max):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -211,7 +221,9 @@ def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> lis
 
     The prior observations are indexed once by edge, in stream order; each
     path then looks up its own edges in order, so its entries come out sorted
-    by (position, index) without a scan of the whole prefix per path.
+    by (position, index) without a scan of the whole prefix per path.  The
+    engine builds no contexts (it scores evidence keys); they serve
+    :func:`path_score` callers.
     """
     by_edge: dict = {}
     for idx, obs in enumerate(prior_observations):
@@ -283,41 +295,98 @@ class ChainTables:
         return logs[cls]
 
 
-def _log_chain(tables: ChainTables, hyp: int, ctx: PathContext, anchor: bool) -> float:
-    """log probability of the previously observed classes along this path."""
-    if not ctx.on_path:
+# An evidence key is (depth, ((position, cls), ...)): the length of a
+# candidate path and the classes of the earlier observations on it, by 1-based
+# edge position, in (position, stream index) order.  Everything a path
+# contributes to the mixture is a function of its key.
+
+
+def _log_chain(tables: ChainTables, hyp: int, entries: tuple, anchor: bool) -> float:
+    """log probability of the previously observed classes along a path."""
+    if not entries:
         return 0.0
-    first = ctx.on_path[0]
-    total = tables.log_marginal(hyp, first.position, first.cls) if anchor else 0.0
-    for prev, cur in zip(ctx.on_path[:-1], ctx.on_path[1:]):
-        total += tables.log_gap(hyp, cur.position - prev.position, prev.cls, cur.cls)
+    position, cls = entries[0]
+    total = tables.log_marginal(hyp, position, cls) if anchor else 0.0
+    for (prev_pos, prev_cls), (pos, cls) in zip(entries, entries[1:]):
+        total += tables.log_gap(hyp, pos - prev_pos, prev_cls, cls)
     return total
 
 
-def _log_arrival(tables: ChainTables, hyp: int, ctx: PathContext, cls: int) -> float:
-    """log probability of the new observation's class at the end of this path."""
-    depth = len(ctx.path.edges)
-    if not ctx.on_path:
+def _log_arrival(tables: ChainTables, hyp: int, depth: int, entries: tuple, cls: int) -> float:
+    """log probability of the new observation's class at the end of a path."""
+    if not entries:
         return tables.log_marginal(hyp, depth, cls)
-    last = ctx.on_path[-1]
-    return tables.log_gap(hyp, depth - last.position, last.cls, cls)
+    last_pos, last_cls = entries[-1]
+    return tables.log_gap(hyp, depth - last_pos, last_cls, cls)
 
 
-def _log_path_weights(tables, hyp, contexts, anchor) -> tuple:
-    """Chain log-weights of the candidate paths and their log normalizer."""
-    log_nums = np.array([_log_chain(tables, hyp, ctx, anchor) for ctx in contexts])
+def _distinct_keys(keys) -> tuple:
+    """(distinct keys in first-seen order, each path's slot among them).
+
+    The slots are None when every key is distinct, since they would then be
+    the identity (always so with one candidate path).
+    """
+    slots: dict = {}
+    key_of_path = [slots.setdefault(key, len(slots)) for key in keys]
+    if len(slots) == len(key_of_path):
+        return list(slots), None
+    return list(slots), np.array(key_of_path, dtype=np.intp)
+
+
+def _per_path(per_key: list, key_of_path) -> np.ndarray:
+    """Per-key scores expanded to one entry per path, in path order."""
+    values = np.array(per_key)
+    return values if key_of_path is None else values[key_of_path]
+
+
+def _evidence_keys(enumeration: PathEnumeration, by_edge: dict) -> list:
+    """Evidence key of each candidate of ``enumeration``; ``by_edge`` maps an
+    edge to the classes observed on it, in stream order."""
+    target_hits = by_edge.get(enumeration.target_edge, ())
+    keys = []
+    for prefix in enumeration.prefixes:
+        edges = prefix.edges
+        depth = len(edges) + 1
+        entries = []
+        if not by_edge.keys().isdisjoint(edges):
+            for position, edge in enumerate(edges, start=1):
+                for cls in by_edge.get(edge, ()):
+                    entries.append((position, cls))
+        for cls in target_hits:
+            entries.append((depth, cls))
+        keys.append((depth, tuple(entries)))
+    return keys
+
+
+def _context_keys(contexts: Sequence[PathContext]) -> list:
+    return [
+        (len(ctx.path), tuple((entry.position, entry.cls) for entry in ctx.on_path))
+        for ctx in contexts
+    ]
+
+
+def _log_weights(tables, hyp, distinct, key_of_path, anchor) -> tuple:
+    """Chain log-weight of each path, scored once per distinct key, and their
+    log normalizer."""
+    log_nums = _per_path(
+        [_log_chain(tables, hyp, entries, anchor) for _, entries in distinct], key_of_path
+    )
     return log_nums, _logsumexp(log_nums)
 
 
-def _log_a_from_contexts(tables, hyp, contexts, cls, anchor) -> float:
-    log_nums, log_denom = _log_path_weights(tables, hyp, contexts, anchor)
-    log_arrivals = np.array([_log_arrival(tables, hyp, ctx, cls) for ctx in contexts])
+def _log_a(tables, hyp, distinct, key_of_path, cls, anchor) -> float:
+    """log probability of class ``cls`` at the end of the candidate mixture."""
+    log_nums, log_denom = _log_weights(tables, hyp, distinct, key_of_path, anchor)
+    log_arrivals = _per_path(
+        [_log_arrival(tables, hyp, depth, entries, cls) for depth, entries in distinct],
+        key_of_path,
+    )
     if log_denom == _NEG_INF:
         logger.warning(
             "all %d candidate paths have zero score; falling back to a uniform mixture",
-            len(contexts),
+            len(log_arrivals),
         )
-        return _logsumexp(log_arrivals) - math.log(len(contexts))
+        return _logsumexp(log_arrivals) - math.log(len(log_arrivals))
     return _logsumexp(log_nums + log_arrivals) - log_denom
 
 
@@ -339,7 +408,8 @@ def path_score(
     """
     if not contexts:
         raise ModelError("path_score needs at least one candidate path")
-    log_nums, log_denom = _log_path_weights(ChainTables(model), hyp, contexts, anchor)
+    distinct, key_of_path = _distinct_keys(_context_keys(contexts))
+    log_nums, log_denom = _log_weights(ChainTables(model), hyp, distinct, key_of_path, anchor)
     if log_denom == _NEG_INF:
         logger.warning("all %d path scores are zero; returning uniform weights", len(contexts))
         return np.full(len(contexts), 1.0 / len(contexts))
@@ -364,7 +434,7 @@ def conditional_obs_prob(
     reaches the observed edge within the enumeration bounds.
     """
     engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
-    engine.accepted = list(prefix)
+    engine.accepted = prefix
     return math.exp(engine.log_conditionals(new_obs)[hyp])
 
 
@@ -374,9 +444,9 @@ def conditional_obs_prob(
 class PosteriorEngine:
     """Streaming posterior computation for one observation stream.
 
-    Holds the per-trace state (belief, accepted observations) plus caches for
-    matrix powers and path enumerations.  The model and graph are shared
-    immutable inputs; one engine serves one trace.
+    Holds the per-trace state (belief, accepted observations and their index
+    by edge) plus caches for matrix powers and path enumerations.  The model
+    and graph are shared immutable inputs; one engine serves one trace.
     """
 
     def __init__(
@@ -395,9 +465,26 @@ class PosteriorEngine:
         self.cfg = cfg
         self.anchor = anchor
         self.belief = BeliefState(prior=model.prior_fake if prior is None else prior)
-        self.accepted: list = []
+        self.accepted = ()
         self.skipped: list = []  # stream indices dropped as unreachable
         self._tables = ChainTables(model) if tables is None else tables
+
+    @property
+    def accepted(self) -> tuple:
+        """The observations folded in so far, in stream order."""
+        return tuple(self._accepted)
+
+    @accepted.setter
+    def accepted(self, observations: Sequence[Observation]) -> None:
+        """Replace the accepted observations, and their index with them."""
+        self._accepted: list = []
+        self._by_edge: dict = {}  # edge -> classes observed on it, in stream order
+        for obs in observations:
+            self._accept(obs)
+
+    def _accept(self, obs: Observation) -> None:
+        self._accepted.append(obs)
+        self._by_edge.setdefault(obs.edge, []).append(obs.cls)
 
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation."""
@@ -408,22 +495,22 @@ class PosteriorEngine:
                 _safe_log(float(self.model.initial_probs[GENUINE][obs.cls])),
                 _safe_log(float(self.model.initial_probs[FAKE][obs.cls])),
             )
-        paths = ()
+        enumeration = ()
         if self.graph.has_edge(obs.u, obs.v):
-            paths = enumerate_paths(self.graph, self.source, obs.edge, self.cfg).paths
-        if not paths:
+            enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
+        if not enumeration:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
-        contexts = build_path_contexts(paths, self.accepted)
+        distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, self._by_edge))
         return (
-            _log_a_from_contexts(self._tables, GENUINE, contexts, obs.cls, self.anchor),
-            _log_a_from_contexts(self._tables, FAKE, contexts, obs.cls, self.anchor),
+            _log_a(self._tables, GENUINE, distinct, key_of_path, obs.cls, self.anchor),
+            _log_a(self._tables, FAKE, distinct, key_of_path, obs.cls, self.anchor),
         )
 
     def observe(self, obs: Observation) -> BeliefState:
         """Fold one observation into the belief (raises if unreachable)."""
         log_a0, log_a1 = self.log_conditionals(obs)
         self.belief = _update_from_logs(self.belief, log_a0, log_a1)
-        self.accepted.append(obs)
+        self._accept(obs)
         return self.belief
 
     def beliefs(self, observations: Sequence[Observation], on_unreachable: str = "skip"):

@@ -452,15 +452,38 @@ def _edge_to_json(edge):
     return None if edge is None else list(edge)
 
 
-def _edge_from_json(edge):
-    return None if edge is None else tuple(edge)
+# JSON decoding yields exact types, so ``type(x) is int`` also excludes bools.
+_ID_TYPES = (int, str)
 
 
-def _class_from_json(cls):
-    """An event class is a JSON integer, or null when unclassified."""
-    if cls is None or (isinstance(cls, int) and not isinstance(cls, bool)):
-        return cls
-    raise ValueError(f"event class {cls!r} is not an integer or null")
+def _node_from_json(node):
+    """A node id is a JSON integer or string."""
+    if type(node) in _ID_TYPES:
+        return node
+    raise ValueError(f"node id {node!r} is not an integer or string")
+
+
+def _label_from_json(label):
+    """A trace label is a JSON integer, or null when unlabeled."""
+    if label is None or type(label) is int:
+        return label
+    raise ValueError(f"label {label!r} is not an integer or null")
+
+
+def _event_from_json(record) -> TraceEvent:
+    """An event's ends are node ids, its class an integer or null, and its
+    parent edge null or a ``[u, v]`` pair of node ids."""
+    u, v, cls, parent = record["u"], record["v"], record.get("class"), record.get("parent")
+    if parent is not None:
+        if not (type(parent) is list and len(parent) == 2
+                and type(parent[0]) in _ID_TYPES and type(parent[1]) in _ID_TYPES):
+            raise ValueError(f"parent edge {parent!r} is not a [u, v] pair of node ids")
+        parent = tuple(parent)
+    if type(u) not in _ID_TYPES or type(v) not in _ID_TYPES:
+        raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer or string")
+    if cls is not None and type(cls) is not int:
+        raise ValueError(f"event class {cls!r} is not an integer or null")
+    return TraceEvent(edge=(u, v), cls=cls, parent_edge=parent)
 
 
 def write_traces(traces: Sequence[Trace], path) -> None:
@@ -492,16 +515,13 @@ def read_traces(path) -> list:
                 continue
             try:
                 record = json.loads(line)
-                events = tuple(
-                    TraceEvent(
-                        edge=(ev["u"], ev["v"]),
-                        cls=_class_from_json(ev.get("class")),
-                        parent_edge=_edge_from_json(ev.get("parent")),
-                    )
-                    for ev in record["events"]
-                )
+                events = tuple(map(_event_from_json, record["events"]))
                 traces.append(
-                    Trace(label=record.get("label"), source=record["source"], events=events)
+                    Trace(
+                        label=_label_from_json(record.get("label")),
+                        source=_node_from_json(record["source"]),
+                        events=events,
+                    )
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc
@@ -518,14 +538,20 @@ def write_stream(stream: ObservationStream, path) -> None:
         fh.write("\n")
 
 
+def _observation_from_json(record) -> Observation:
+    """An observation's class is a JSON integer; its ends are node ids."""
+    cls = record["class"]
+    if type(cls) is not int:
+        raise ValueError(f"observation class {cls!r} is not an integer")
+    return Observation(u=_node_from_json(record["u"]), v=_node_from_json(record["v"]), cls=cls)
+
+
 def read_stream(path) -> ObservationStream:
-    with open(path, "r", encoding="utf-8") as fh:
-        record = json.load(fh)
     try:
-        observations = tuple(
-            Observation(u=o["u"], v=o["v"], cls=int(o["class"]))
-            for o in record["observations"]
-        )
-        return ObservationStream(source=record["source"], observations=observations)
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+        observations = tuple(map(_observation_from_json, record["observations"]))
+        source = _node_from_json(record["source"])
+        return ObservationStream(source=source, observations=observations)
     except (KeyError, ValueError, TypeError) as exc:
         raise TraceError(f"{path}: bad observation stream: {exc}") from exc

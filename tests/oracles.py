@@ -5,10 +5,15 @@ arithmetic with literal nested loops: simple paths by exhaustive DFS, k-step
 transitions as explicit sums over all intermediate class sequences, and
 posteriors as normalized products of exhaustively computed conditionals.
 No matrix powers, no log space, no caching, no imports from the engine's
-computation path.
+computation path -- except :func:`log_conditionals_per_path`, the engine's
+earlier per-path scorer, kept as the bit-for-bit reference for scoring once
+per evidence key.
 """
 
 import itertools
+import math
+
+import numpy as np
 
 
 def all_simple_paths_to_edge(edges, source, target_edge, max_len):
@@ -137,3 +142,43 @@ def path_contexts_brute(paths, prefix):
                     entries.append((position, index, obs.cls))
         result.append(sorted(entries))
     return result
+
+
+def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
+    """(log a_genuine, log a_fake) of ``obs`` scored path by path.
+
+    ``paths`` are the candidate :class:`DirectedPath` objects and ``tables``
+    a ``ChainTables``.  Each path's context comes from ``build_path_contexts``
+    and its chain and arrival logs are computed on their own, in the same
+    order of float operations the engine used before it scored each distinct
+    evidence key once, so the two must agree bit for bit.
+    """
+    from cascaudit.inference import _logsumexp, build_path_contexts
+
+    def log_chain(hyp, ctx):
+        if not ctx.on_path:
+            return 0.0
+        first = ctx.on_path[0]
+        total = tables.log_marginal(hyp, first.position, first.cls) if anchor else 0.0
+        for prev, cur in zip(ctx.on_path[:-1], ctx.on_path[1:]):
+            total += tables.log_gap(hyp, cur.position - prev.position, prev.cls, cur.cls)
+        return total
+
+    def log_arrival(hyp, ctx):
+        depth = len(ctx.path.edges)
+        if not ctx.on_path:
+            return tables.log_marginal(hyp, depth, obs.cls)
+        last = ctx.on_path[-1]
+        return tables.log_gap(hyp, depth - last.position, last.cls, obs.cls)
+
+    contexts = build_path_contexts(paths, prefix)
+    result = []
+    for hyp in (0, 1):
+        log_nums = np.array([log_chain(hyp, ctx) for ctx in contexts])
+        log_denom = _logsumexp(log_nums)
+        log_arrivals = np.array([log_arrival(hyp, ctx) for ctx in contexts])
+        if log_denom == float("-inf"):
+            result.append(_logsumexp(log_arrivals) - math.log(len(contexts)))
+        else:
+            result.append(_logsumexp(log_nums + log_arrivals) - log_denom)
+    return tuple(result)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cascaudit
 from cascaudit.cli import main
@@ -241,6 +246,32 @@ def test_detect_empty_stream_exits_2(tmp_path):
     assert run_cli("detect", "--graph", graph_path, "--stream", empty) == 2
 
 
+@pytest.mark.parametrize("source, observations", [
+    (0, [{"u": 0, "v": 1, "class": 3.9}, {"u": 1, "v": 2, "class": True}]),
+    (0, [{"u": 0, "v": 1, "class": 3.9}]),
+    (0, [{"u": 0, "v": 1, "class": True}]),
+    (0, [{"u": 0, "v": 1, "class": None}]),
+    (0, [{"u": 0, "v": 1, "class": "1"}]),
+    ([0], [{"u": 0, "v": 1, "class": 1}]),
+    (0, [{"u": [0], "v": 1, "class": 1}]),
+    (0, [{"u": 0, "v": [1], "class": 1}]),
+    (0, [{"u": 0.0, "v": 1, "class": 1}]),
+    (True, [{"u": 0, "v": 1, "class": 1}]),
+], ids=["float-and-bool-class", "float-class", "bool-class", "null-class", "string-class",
+        "list-source", "list-u", "list-v", "float-u", "bool-source"])
+def test_detect_rejects_malformed_stream_without_verdict(tmp_path, capsys, source, observations):
+    graph_path = tmp_path / "graph.tsv"
+    graph_path.write_text("0\t1\n1\t2\n", encoding="utf-8")
+    stream_path = tmp_path / "stream.json"
+    stream_path.write_text(json.dumps({"source": source, "observations": observations}),
+                           encoding="utf-8")
+    code = run_cli("detect", "--graph", graph_path, "--stream", stream_path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verdict" not in captured.out
+    assert "bad observation stream" in captured.err
+
+
 def test_detect_rejects_nan_model_without_verdict(tmp_path, capsys):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
     data = reference_model().to_dict()
@@ -350,6 +381,39 @@ def test_eval_rejects_non_integer_event_class_with_exit_2(tmp_path, capsys, cls)
     assert "class" in captured.err
 
 
+def _set_source(record, value):
+    record["source"] = value
+
+
+def _set_last_event(key, value):
+    def mutate(record):
+        record["events"][-1][key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda record: _set_source(record, [0]),
+    _set_last_event("u", [1]),
+    _set_last_event("v", [2]),
+    _set_last_event("v", 2.5),
+    _set_last_event("parent", [[0], 1]),
+    _set_last_event("parent", "ab"),
+    lambda record: record.update(label=True),
+], ids=["list-source", "list-u", "list-v", "float-v", "list-in-parent", "string-parent",
+        "bool-label"])
+def test_eval_rejects_malformed_trace_with_exit_2(tmp_path, capsys, mutate):
+    traces = make_eval_corpus(tmp_path, n=3)
+    records = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    mutate(records[1])
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("eval", "--traces", traces, "--seed", 1, "--out", tmp_path / "eval_out")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "accuracy" not in captured.out
+    assert "bad trace record" in captured.err
+
+
 def test_eval_byte_deterministic(tmp_path):
     traces = make_eval_corpus(tmp_path, n=16, seed=13)
     for name in ("e1", "e2"):
@@ -435,3 +499,108 @@ def test_thresholds_unconverged_exits_4(tmp_path):
     code = run_cli("thresholds", "--max-sweeps", 1, "--out", tmp_path / "partial.csv")
     assert code == 4
     assert (tmp_path / "partial.csv").exists()
+
+
+# ---- hostile input: generated stream and trace files ----
+
+# two routes from 0 to 3, plus a string-id branch
+FUZZ_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, "a"), ("a", "b")]
+FUZZ_GRAPH = "".join(f"{u}\t{v}\n" for u, v in FUZZ_EDGES)
+NODE = st.sampled_from([0, 1, 2, 3, 4, "a", "b", 7])
+EDGE = st.one_of(st.sampled_from(FUZZ_EDGES), st.sampled_from(FUZZ_EDGES), st.tuples(NODE, NODE))
+CLASS = st.integers(0, 3)
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def _observation(edge, cls):
+    return {"u": edge[0], "v": edge[1], "class": cls}
+
+
+def _event(edge, cls, parent):
+    return {"u": edge[0], "v": edge[1], "class": cls, "parent": parent and list(parent)}
+
+
+VALID_STREAM = st.builds(
+    lambda source, observations: {"source": source, "observations": observations},
+    st.one_of(st.just(0), NODE),
+    st.lists(st.builds(_observation, EDGE, CLASS), min_size=1, max_size=6),
+)
+VALID_TRACE = st.builds(
+    lambda label, source, events: {"label": label, "source": source, "events": events},
+    st.sampled_from([0, 1]),
+    st.one_of(st.just(0), NODE),
+    st.lists(st.builds(_event, EDGE, CLASS, st.one_of(st.none(), EDGE)), min_size=1, max_size=6),
+)
+
+
+def _corrupt(draw, node):
+    """Replace one value somewhere inside ``node`` with junk, or drop one key."""
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    if not keys:
+        return
+    key = draw(st.sampled_from(keys))
+    child = node[key]
+    if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+        _corrupt(draw, child)
+    elif isinstance(node, dict) and draw(st.integers(0, 3)) == 0:
+        del node[key]
+    else:
+        node[key] = draw(JUNK)
+
+
+@st.composite
+def corrupted(draw, valid):
+    """A valid document with up to two values replaced by junk or dropped,
+    or, rarely, junk in its place."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(JUNK)
+    document = draw(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        _corrupt(draw, document)
+    return document
+
+
+STREAM = corrupted(VALID_STREAM)
+TRACE = corrupted(VALID_TRACE)
+POLICY = st.sampled_from(["convergence", "sprt", "dp"])
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run_cli(*argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=STREAM, policy=POLICY)
+def test_detect_on_generated_streams_exits_cleanly(stream, policy):
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, stream_path = Path(tmp, "graph.tsv"), Path(tmp, "stream.json")
+        graph_path.write_text(FUZZ_GRAPH, encoding="utf-8")
+        stream_path.write_text(json.dumps(stream), encoding="utf-8")
+        code = _run_quietly(["detect", "--graph", graph_path, "--stream", stream_path,
+                             "--policy", policy])
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces=st.lists(TRACE, min_size=1, max_size=3), policy=POLICY,
+       shared_graph=st.booleans())
+def test_eval_on_generated_traces_exits_cleanly(traces, policy, shared_graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        traces_path = Path(tmp, "traces.jsonl")
+        traces_path.write_text("".join(json.dumps(t) + "\n" for t in traces), encoding="utf-8")
+        argv = ["eval", "--traces", traces_path, "--seed", 1, "--rho", 1.0,
+                "--policy", policy, "--out", Path(tmp, "out")]
+        if shared_graph:
+            Path(tmp, "graph.tsv").write_text(FUZZ_GRAPH, encoding="utf-8")
+            argv += ["--graph", Path(tmp, "graph.tsv")]
+        code = _run_quietly(argv)
+    assert code in (0, 2, 3)

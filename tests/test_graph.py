@@ -263,6 +263,12 @@ def test_shared_prefix_search_matches_oracle_with_truncation():
                 ranked = sorted(every, key=lambda p: (len(p), p))
                 assert [p.vertices for p in result] == sorted(ranked[: cfg.max_paths])
                 assert result.truncated == (len(every) > cfg.max_paths)
+                # the DirectedPath objects are built once, on first read
+                assert len(result) == len(result.paths)
+                assert result.paths is result.paths
+                assert [p.edges for p in result] == [
+                    prefix.edges + (target,) for prefix in result.prefixes
+                ]
                 checked += 1
                 truncated += result.truncated
     assert checked >= 1000

@@ -34,8 +34,19 @@ from cascaudit.markov import (
 )
 from cascaudit.rng import derive_rng
 
-from .conftest import build_chain_graph, build_graph, random_inference_instance, random_model
-from .oracles import conditional_prob_brute, path_contexts_brute, posterior_brute
+from .conftest import (
+    build_chain_graph,
+    build_graph,
+    random_digraph,
+    random_inference_instance,
+    random_model,
+)
+from .oracles import (
+    conditional_prob_brute,
+    log_conditionals_per_path,
+    path_contexts_brute,
+    posterior_brute,
+)
 
 
 def obs(u, v, cls):
@@ -188,6 +199,70 @@ def test_chain_log_tables_equal_logs_of_matrix_powers_bit_for_bit():
                         assert tables.log_gap(hyp, k, i, j) == expected
                         zeros += expected == float("-inf")
     assert zeros > 0
+
+
+def test_keyed_scores_equal_per_path_scores_bit_for_bit(caplog):
+    # the engine scores each distinct evidence key once and expands the
+    # scores to one entry per path; the per-path reference must agree exactly
+    rng = derive_rng(41)
+    # class 1 is impossible at the source and the chain never changes class,
+    # so anchored paths carrying a class-1 observation all score zero
+    zero = SpreadModel(
+        num_classes=2,
+        initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
+        transition_probs=np.array([np.eye(2), np.eye(2)]),
+        prior_fake=0.5,
+    )
+    seen = dict.fromkeys(
+        ("checked", "mixed_lengths", "repeated", "target_seen", "unanchored", "truncated", "long"),
+        0,
+    )
+    with caplog.at_level("WARNING", logger="cascaudit.inference"):
+        while seen["checked"] < 400:
+            edge_prob = float(rng.choice([0.3, 0.6]))
+            graph, edges = random_digraph(rng, max_nodes=8, edge_prob=edge_prob)
+            source = int(rng.integers(graph.node_count))
+            targets = [e for e in edges if e[0] != source]
+            if not targets:
+                continue
+            target = targets[int(rng.integers(len(targets)))]
+            # a cap of 1-5 binds often; an unbounded run compares long arrays,
+            # whose sums would show a change of path order
+            if rng.random() < 0.5:
+                cfg = PathEnumConfig(
+                    max_path_length=int(rng.integers(1, graph.node_count + 1)),
+                    max_paths=int(rng.integers(1, 6)),
+                )
+            else:
+                cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=512)
+            enumeration = enumerate_paths(graph, source, target, cfg)
+            if not enumeration:
+                continue
+            model = zero if rng.random() < 0.3 else random_model(rng, int(rng.integers(2, 4)))
+            prefix = [
+                obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
+                for _ in range(int(rng.integers(0, 10)))
+            ]
+            if rng.random() < 0.3:
+                prefix.insert(int(rng.integers(len(prefix) + 1)), obs(*target, 1))
+            anchor = bool(rng.random() < 0.7)
+            new = obs(*target, int(rng.integers(model.num_classes)))
+            engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
+            engine.accepted = prefix
+            expected = log_conditionals_per_path(
+                ChainTables(model), enumeration.paths, prefix, new, anchor
+            )
+            assert engine.log_conditionals(new) == expected
+            seen["checked"] += 1
+            seen["mixed_lengths"] += len({len(p) for p in enumeration.paths}) > 1
+            seen["repeated"] += len({o.edge for o in prefix}) < len(prefix)
+            seen["target_seen"] += any(o.edge == target for o in prefix)
+            seen["unanchored"] += not anchor
+            seen["truncated"] += enumeration.truncated
+            seen["long"] += len(enumeration) > 8
+    fallbacks = caplog.text.count("zero score")
+    assert min(seen.values()) >= 30, seen
+    assert fallbacks >= 30
 
 
 def test_path_score_single_candidate_is_one(ref_model, demo_graph):
@@ -425,6 +500,17 @@ def test_logsumexp_all_neg_inf_is_neg_inf():
 def test_logsumexp_single_entry_is_exact():
     for x in (-745.25, -3.1, 0.0, 0.7, 123.456):
         assert _logsumexp(np.array([x])) == x
+    # a -inf entry adds nothing, so [x, -inf] takes the general formula to
+    # the value a one-entry array must give, sign of zero included
+    for x in (-745.25, -0.0, 0.0, 1e-300, 123.456, np.inf, -np.inf, np.nan):
+        got = _logsumexp(np.array([x]))
+        expected = _logsumexp(np.array([x, -np.inf]))
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
 
 
 def test_logsumexp_tied_pair_adds_log_two():
