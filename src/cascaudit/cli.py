@@ -151,8 +151,11 @@ def cmd_train(args) -> int:
     if not corpus.has_both_labels():
         raise DegenerateDataError("training needs both genuine and fake traces")
 
+    have_recorded = all(
+        ev.cls is not None for trace in traces for ev in trace.events
+    )
     classifier = None
-    edge_classes = None
+    class_map = None
     if graph is not None and args.features:
         classifier = train_classifier(
             corpus,
@@ -165,12 +168,9 @@ def cmd_train(args) -> int:
             ),
         )
         classifier = dataclasses.replace(classifier, num_classes=args.zclasses)
-        edge_classes = classify_graph_edges(classifier, graph)
+        if not have_recorded:  # the classifier's classes serve only unclassified corpora
+            class_map = classify_graph_edges(classifier, graph)
 
-    have_recorded = all(
-        ev.cls is not None for trace in traces for ev in trace.events
-    )
-    class_map = None if have_recorded else edge_classes
     if not have_recorded and class_map is None:
         raise DegenerateDataError(
             "traces carry no edge classes and no featured graph was given to train a classifier"

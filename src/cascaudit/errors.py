@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one text reader
+that turns undecodable input into one of its errors."""
 
 
 class CascauditError(Exception):
@@ -38,3 +39,16 @@ class DegenerateDataError(CascauditError):
 
 class EstimationError(CascauditError):
     """Parameter estimation has an empty denominator for some label."""
+
+
+def read_text(path, error: type) -> str:
+    """The UTF-8 text of ``path``, with newlines translated as text mode does.
+
+    Bytes that are not UTF-8 raise ``error``, naming the file, in place of a
+    bare :class:`UnicodeDecodeError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None

@@ -16,12 +16,13 @@ probability mass.
 Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
 the prefixes ``source ~> u``: the graph memoizes them lazily per
 ``(source, u, length)``, and each target drops the prefixes that pass through
-its own ``v``.  A prefix carries its vertex and edge tuples, built once by the
-search, and an enumeration holds its candidates as prefixes plus the target
-edge; the :class:`DirectedPath` objects of :attr:`PathEnumeration.paths` are
-built only when first read.  Queries therefore write to the graph's memos and
-to the enumerations they return, so they must not run concurrently; any
-mutation clears the memos.
+its own ``v``.  The search is pruned by walk-length bitmasks held only for
+the ball of radius ``max_path_length - 1`` around ``u``.  A prefix carries its
+vertex and edge tuples, built once by the search, and an enumeration holds its
+candidates as prefixes plus the target edge; the :class:`DirectedPath`
+objects of :attr:`PathEnumeration.paths` are built only when first read.
+Queries therefore write to the graph's memos and to the enumerations they
+return, so they must not run concurrently; any mutation clears the memos.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import GraphError
+from cascaudit.errors import GraphError, read_text
 
 NodeId = Hashable
 Edge = tuple  # (u, v) in original ids
@@ -120,10 +121,11 @@ class SocialGraph:
     before any inference runs; afterwards the graph is treated as immutable,
     and :meth:`freeze` makes that explicit.  Follower lists are appended
     unsorted and sorted once, on the first query after a mutation or at
-    :meth:`freeze`.  Queries fill memos (sorted followers, distances to a
-    node, the lazy ``source ~> u`` prefix search, whole path enumerations)
-    and are single-threaded: do not query one graph from several threads.
-    Any mutation clears the memos.
+    :meth:`freeze`.  Queries fill memos (sorted followers, the walk-length
+    masks of the nodes within the path bound of a tail, the lazy
+    ``source ~> u`` prefix search, whole path enumerations) and are
+    single-threaded: do not query one graph from several threads.  Any
+    mutation clears the memos.
     """
 
     def __init__(self):
@@ -137,12 +139,12 @@ class SocialGraph:
         self.edge_classes: dict = {}    # (u, v) -> class index, filled by training
         self._frozen = False
         self._path_cache: dict = {}
-        self._dist_cache: dict = {}
+        self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
 
     def _clear_memos(self):
         self._path_cache.clear()
-        self._dist_cache.clear()
+        self._mask_cache.clear()
         self._prefix_cache.clear()
 
     # ---- mutation ---------------------------------------------------------
@@ -240,27 +242,24 @@ class SocialGraph:
             if not 0 <= cls < num_classes:
                 raise GraphError(f"edge {edge!r} has class {cls} >= {num_classes}")
 
-    def _distance_to(self, target: NodeId) -> dict:
-        """Minimum edge count from each node to ``target`` (reverse BFS).
+    def _walk_masks(self, target: NodeId, max_path_length: int) -> dict:
+        """Node -> bitmask whose bit ``k`` is set when a walk of exactly
+        ``k < max_path_length`` edges leads from the node to ``target``.
 
-        Used as an admissible pruning bound during path search; nodes absent
-        from the map cannot reach ``target`` at all.
+        Built by ``max_path_length - 1`` reverse frontier steps, so the memo
+        holds only the ball of that radius around ``target``.  Every simple
+        path is a walk, so an unset bit is an admissible pruning bound.
         """
-        cached = self._dist_cache.get(target)
-        if cached is not None:
-            return cached
-        dist = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for pred in self._pred[node]:
-                    if pred not in dist:
-                        dist[pred] = dist[node] + 1
-                        nxt.append(pred)
-            frontier = nxt
-        self._dist_cache[target] = dist
-        return dist
+        key = (target, max_path_length)
+        masks = self._mask_cache.get(key)
+        if masks is None:
+            masks = self._mask_cache[key] = {target: 1}
+            frontier = {target}
+            for k in range(1, max_path_length):
+                frontier = {pred for node in frontier for pred in self._pred[node]}
+                for pred in frontier:
+                    masks[pred] = masks.get(pred, 0) | 1 << k
+        return masks
 
 
 def enumerate_paths(
@@ -291,11 +290,14 @@ def enumerate_paths(
     found: list = []
     truncated = False
     if v != source:  # a simple path cannot return to its own source
+        masks = graph._walk_masks(u, cfg.max_path_length)
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
-        # path set.
-        for length in range(1, cfg.max_path_length + 1):
-            for prefix in _prefixes(graph, source, u, length - 1):
+        # path set.  A prefix length with no walk from the source is skipped.
+        for length in range(cfg.max_path_length):
+            if not masks.get(source, 0) >> length & 1:
+                continue
+            for prefix in _prefixes(graph, masks, source, u, length):
                 if v in prefix.vertices:
                     continue
                 if len(found) == cfg.max_paths:
@@ -315,42 +317,39 @@ def enumerate_paths(
     return result
 
 
-def _prefixes(graph, source, u, length):
+def _prefixes(graph, masks, source, u, length):
     """Iterate the simple paths source ~> u of exactly ``length`` edges, as
     :class:`Prefix` records in lexicographic order.
 
     The search runs lazily and is memoized per ``(source, u, length)``: a
     ``tee`` iterator that is never advanced keeps every prefix produced so far,
     and each caller reads a copy of it, so the search goes only as far as the
-    furthest reader has needed.
+    furthest reader has needed.  The key needs no path bound: the search reads
+    bits up to ``length`` of ``masks``, the same under every bound above it.
     """
     key = (source, u, length)
     memo = graph._prefix_cache.get(key)
     if memo is None:
         # the search holds the graph's tables, not the graph, so the memo
         # forms no reference cycle through the graph
-        search = _prefix_search(
-            graph._sorted_out(), graph._index, graph._distance_to(u), source, u, length
-        )
+        search = _prefix_search(graph._sorted_out(), graph._index, masks, source, u, length)
         memo = graph._prefix_cache[key] = tee(search, 1)[0]
     return copy(memo)
 
 
-def _prefix_search(out, index, dist_to_u, source, u, length):
+def _prefix_search(out, index, masks, source, u, length):
     """Yield the simple paths source ~> u of exactly ``length`` edges, as
     :class:`Prefix` records.
 
     ``out`` holds the sorted follower lists by dense ``index``, so yields are
-    lexicographic.  A prefix ends at its first visit to u, and the search is
-    pruned by the minimum remaining distance to u, ``dist_to_u``.  The edge
-    pairs of the current branch are built once and shared by every prefix
-    yielded below it.
+    lexicographic.  A prefix ends at its first visit to u, and the search
+    enters a child only when the walk masks ``masks`` admit a walk of exactly
+    the remaining length from it to u.  The edge pairs of the current branch
+    are built once and shared by every prefix yielded below it.
     """
     if source == u:
         if length == 0:
             yield Prefix((source,), ())
-        return
-    if dist_to_u.get(source, length + 1) > length:
         return
     path = [source]
     edges = []
@@ -358,10 +357,11 @@ def _prefix_search(out, index, dist_to_u, source, u, length):
     children = [iter(out[index[source]])]
     while children:
         remaining = length - len(path)  # edges left after stepping to a child
+        bit = 1 << remaining
         for child in children[-1]:
-            if child in on_path or dist_to_u.get(child, remaining + 1) > remaining:
+            if child in on_path or not masks.get(child, 0) & bit:
                 continue
-            if remaining == 0:  # the bound admits only u itself here
+            if remaining == 0:  # the masks admit only u itself here
                 yield Prefix((*path, child), (*edges, (path[-1], child)))
             elif child != u:
                 edges.append((path[-1], child))
@@ -394,17 +394,15 @@ def _parse_id(token: str):
 def read_node_features(path) -> dict:
     """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}."""
     table: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                raw_id, raw_vec = line.split("\t")
-                vec = np.array([float(x) for x in raw_vec.split(",")], dtype=float)
-            except ValueError as exc:
-                raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
-            table[_parse_id(raw_id)] = vec
+    for lineno, line in enumerate(read_text(path, GraphError).split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            raw_id, raw_vec = line.split("\t")
+            vec = np.array([float(x) for x in raw_vec.split(",")], dtype=float)
+        except ValueError as exc:
+            raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
+        table[_parse_id(raw_id)] = vec
     return table
 
 
@@ -420,15 +418,13 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
         feature_dim = len(next(iter(features.values())))
     graph = SocialGraph()
     edges = []
-    with open(edge_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
-            edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
+    for lineno, line in enumerate(read_text(edge_path, GraphError).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
+        edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
     for u, v in edges:
         for node in (u, v):
             if not graph.has_node(node):

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import ModelError, TraceError
+from cascaudit.errors import ModelError, TraceError, read_text
 from cascaudit.graph import SocialGraph
 from cascaudit.rng import derive_rng
 
@@ -109,6 +109,8 @@ class SpreadModel:
             )
         except KeyError as exc:
             raise ModelError(f"model file missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"model file is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -443,8 +445,7 @@ def save_model(model: SpreadModel, path, classifier: Optional[dict] = None) -> N
 
 def load_model(path) -> tuple:
     """Read a model file; returns (SpreadModel, classifier section or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(read_text(path, ModelError))
     return SpreadModel.from_dict(data), data.get("classifier")
 
 
@@ -508,23 +509,22 @@ def write_traces(traces: Sequence[Trace], path) -> None:
 
 def read_traces(path) -> list:
     traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                events = tuple(map(_event_from_json, record["events"]))
-                traces.append(
-                    Trace(
-                        label=_label_from_json(record.get("label")),
-                        source=_node_from_json(record["source"]),
-                        events=events,
-                    )
+    for lineno, line in enumerate(read_text(path, TraceError).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            events = tuple(map(_event_from_json, record["events"]))
+            traces.append(
+                Trace(
+                    label=_label_from_json(record.get("label")),
+                    source=_node_from_json(record["source"]),
+                    events=events,
                 )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc
+            )
+        except (KeyError, ValueError, TypeError) as exc:
+            raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc
     return traces
 
 
@@ -548,8 +548,7 @@ def _observation_from_json(record) -> Observation:
 
 def read_stream(path) -> ObservationStream:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
+        record = json.loads(read_text(path, TraceError))
         observations = tuple(map(_observation_from_json, record["observations"]))
         source = _node_from_json(record["source"])
         return ObservationStream(source=source, observations=observations)

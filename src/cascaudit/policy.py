@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from cascaudit.errors import DegenerateDataError, ModelError
+from cascaudit.errors import DegenerateDataError, ModelError, read_text
 from cascaudit.graph import PathEnumConfig, SocialGraph
 from cascaudit.inference import PosteriorEngine
 from cascaudit.markov import (
@@ -145,10 +145,10 @@ class ThresholdTable:
         A missing header field, a non-numeric or non-finite number, or a row
         that is not two numbers raises :class:`ModelError`.
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            fh.readline()  # column names
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+        lines = read_text(path, ModelError).split("\n")
+        header = lines[0].strip()
+        # lines[1] holds the column names
+        rows = [line.strip().split(",") for line in lines[2:] if line.strip()]
         if not header.startswith("#"):
             raise ModelError(f"{path}: missing threshold-table header")
         fields = dict(item.split("=", 1) for item in header[1:].split() if "=" in item)
@@ -246,16 +246,22 @@ def solve_thresholds(
     ):
         raise ModelError("next_obs_model must be a sequence of (a_genuine, a_fake) pairs")
 
+    if static_outcomes is not None:
+        # each outcome's weight and updated posterior do not depend on the
+        # values, so they are computed once, not in every sweep
+        moves = []
+        for a_genuine, a_fake in static_outcomes:
+            weight = grid * a_fake + (1.0 - grid) * a_genuine
+            with np.errstate(invalid="ignore", divide="ignore"):
+                moves.append((weight, np.where(weight > 0, grid * a_fake / weight, grid)))
+
     values = stop_values.copy()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         continuation = costs.per_step * grid
         if static_outcomes is not None:
-            for a_genuine, a_fake in static_outcomes:
-                weight = grid * a_fake + (1.0 - grid) * a_genuine
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    updated = np.where(weight > 0, grid * a_fake / weight, grid)
+            for weight, updated in moves:
                 continuation += weight * np.interp(updated, grid, values)
         else:
             for i, pi in enumerate(grid):

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -14,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cascaudit
+from cascaudit import cli
 from cascaudit.cli import main
 from cascaudit.graph import save_graph
+from cascaudit.offline import classify_graph_edges
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -24,6 +28,7 @@ from cascaudit.markov import (
     read_traces,
     reference_model,
     sample_trace,
+    save_model,
     subsample,
     write_stream,
     write_traces,
@@ -147,6 +152,49 @@ def test_train_with_features_runs_full_pipeline(tmp_path):
     fake_high = model.initial_probs[FAKE][2:].sum()
     assert genuine_low > 0.5
     assert fake_high > 0.5
+
+
+def _write_featured_corpus(tmp_path, recorded):
+    """Featured corpus files; with ``recorded``, every event carries a class."""
+    from .test_offline import featured_corpus
+
+    corpus = featured_corpus(n_per_label=15, seed=8)
+    traces = corpus.traces
+    if recorded:
+        traces = [
+            dataclasses.replace(trace, events=tuple(
+                dataclasses.replace(ev, cls=(2 * trace.label + i) % 4)
+                for i, ev in enumerate(trace.events)
+            ))
+            for trace in traces
+        ]
+    paths = tmp_path / "traces.jsonl", tmp_path / "graph.tsv", tmp_path / "features.tsv"
+    write_traces(traces, paths[0])
+    save_graph(corpus.graph, paths[1], paths[2])
+    return paths
+
+
+@pytest.mark.parametrize("recorded", [True, False])
+def test_train_classifies_edges_only_for_unclassified_events(tmp_path, monkeypatch, recorded):
+    calls = []
+
+    def counting(classifier, graph):
+        calls.append(graph)
+        return classify_graph_edges(classifier, graph)
+
+    monkeypatch.setattr(cli, "classify_graph_edges", counting)
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded)
+    model_path = tmp_path / "model.json"
+    assert run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, "--smoothing",
+                   "--out", model_path) == 0
+    assert len(calls) == (0 if recorded else 1)
+    # recorded before edge classification was skipped for classified corpora
+    digest = {
+        True: "b21e2434e04a048528b91351a0d06642bcc39bbb8af6ebea972f3e802f3bf7b9",
+        False: "de498c2c640d6095ecfbd9d730ae88b71db6b7a1b1b858c3ff3baa0ca2249d64",
+    }[recorded]
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == digest
 
 
 def test_train_without_classes_or_features_exits_3(tmp_path):
@@ -285,6 +333,28 @@ def test_detect_rejects_nan_model_without_verdict(tmp_path, capsys):
     assert "verdict" not in captured.out
     assert "finite" in captured.err
     assert "Traceback" not in captured.err
+
+
+def _model_with(**fields):
+    return {**reference_model().to_dict(), **fields}
+
+
+@pytest.mark.parametrize("document", [
+    0, [], "model", _model_with(Z="four"), _model_with(Z=[4]),
+    _model_with(eta0=[0.5, [0.5]]), _model_with(prior_fake="half"),
+    _model_with(prior_fake=None),
+], ids=["int", "list", "string", "string-Z", "list-Z", "ragged-eta0", "string-prior",
+        "null-prior"])
+def test_detect_rejects_malformed_model_with_exit_2(tmp_path, capsys, document):
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(document), encoding="utf-8")
+    code = run_cli("detect", "--model", model_path, "--graph", graph_path,
+                   "--stream", stream_path)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("cascaudit: error: model file")
 
 
 def test_detect_rejects_nan_cost_without_verdict(tmp_path, capsys):
@@ -503,6 +573,44 @@ def test_thresholds_unconverged_exits_4(tmp_path):
 
 # ---- hostile input: generated stream and trace files ----
 
+# ---- hostile input ----
+
+
+def _inputs_for_every_reader(tmp_path):
+    """Valid inputs for the five file readers the commands share; returns
+    {reader: (argv, the file that reader parses)}."""
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
+    model_path, table_path = tmp_path / "model.json", tmp_path / "table.csv"
+    save_model(reference_model(), model_path)
+    assert run_cli("thresholds", "--out", table_path) == 0
+    detect = ["detect", "--graph", graph_path, "--stream", stream_path]
+    return {
+        "traces": (["eval", "--traces", traces_path, "--seed", 1,
+                    "--out", tmp_path / "out"], traces_path),
+        "graph": (detect, graph_path),
+        "features": (["train", "--traces", traces_path, "--graph", edges_path,
+                      "--features", feats_path, "--seed", 1, "--out", tmp_path / "m.json"],
+                     feats_path),
+        "model": (detect + ["--model", model_path], model_path),
+        "threshold-table": (detect + ["--policy", "dp", "--threshold-table", table_path],
+                            table_path),
+    }
+
+
+@pytest.mark.parametrize("reader", ["traces", "graph", "features", "model", "threshold-table"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, reader):
+    argv, path = _inputs_for_every_reader(tmp_path)[reader]
+    assert run_cli(*argv) == 0
+    capsys.readouterr()
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cascaudit: error: {path}: not UTF-8 text")
+    assert captured.err.count("\n") == 1
+
+
 # two routes from 0 to 3, plus a string-id branch
 FUZZ_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (0, "a"), ("a", "b")]
 FUZZ_GRAPH = "".join(f"{u}\t{v}\n" for u, v in FUZZ_EDGES)
@@ -603,4 +711,62 @@ def test_eval_on_generated_traces_exits_cleanly(traces, policy, shared_graph):
             Path(tmp, "graph.tsv").write_text(FUZZ_GRAPH, encoding="utf-8")
             argv += ["--graph", Path(tmp, "graph.tsv")]
         code = _run_quietly(argv)
+    assert code in (0, 2, 3)
+
+
+FUZZ_STREAM = json.dumps({"source": 0, "observations": [
+    _observation(edge, 1) for edge in ((0, 1), (1, 3), (3, 4), (0, "a"))
+]})
+FUZZ_FEATURES = "".join(
+    f"{node}\t{0.5 * i - 1.0},{1.0 - 0.25 * i}\n"
+    for i, node in enumerate([0, 1, 2, 3, 4, "a", "b"])
+)
+FUZZ_TRACES = "".join(
+    json.dumps({"label": label, "source": 0, "events": [
+        _event(edge, (cls + label) % 4, parent)
+        for cls, (edge, parent) in enumerate(zip(route, (None,) + route[:-1]))
+    ]}) + "\n"
+    for label, route in ((0, ((0, 1), (1, 3), (3, 4))), (1, ((0, 2), (2, 3), (0, "a"))))
+)
+FUZZ_MODEL = json.dumps(reference_model().to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def spliced(draw, valid: str):
+    """Random bytes, or the UTF-8 bytes of ``valid`` with a short run of them
+    replaced by random bytes."""
+    junk = draw(st.binary(max_size=12))
+    data = valid.encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        return junk
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 6)))
+    return data[:start] + junk + data[end:]
+
+
+def _parser_run(parsed, data, tmp):
+    """argv that feeds ``data`` to the ``parsed`` file's reader, with valid
+    files everywhere else."""
+    files = {"graph": FUZZ_GRAPH, "features": FUZZ_FEATURES, "model": FUZZ_MODEL,
+             "stream": FUZZ_STREAM, "traces": FUZZ_TRACES}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = Path(tmp, name)
+        paths[name].write_bytes(data if name == parsed else text.encode("utf-8"))
+    if parsed == "features":
+        return ["train", "--traces", paths["traces"], "--graph", paths["graph"],
+                "--features", paths["features"], "--seed", 1, "--epochs", 5,
+                "--out", Path(tmp, "m.json")]
+    return ["detect", "--graph", paths["graph"], "--stream", paths["stream"],
+            "--model", paths["model"]]
+
+
+@pytest.mark.parametrize("parsed, valid", [
+    ("graph", FUZZ_GRAPH), ("features", FUZZ_FEATURES), ("model", FUZZ_MODEL),
+])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsers_on_random_bytes_exit_cleanly(parsed, valid, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _run_quietly(_parser_run(parsed, data.draw(spliced(valid)), tmp))
     assert code in (0, 2, 3)

@@ -12,7 +12,7 @@ from cascaudit.graph import (
 )
 from cascaudit.rng import derive_rng
 
-from .conftest import build_graph, random_digraph
+from .conftest import build_chain_graph, build_graph, random_digraph
 from .oracles import all_simple_paths_to_edge
 
 
@@ -273,3 +273,48 @@ def test_shared_prefix_search_matches_oracle_with_truncation():
                 truncated += result.truncated
     assert checked >= 1000
     assert truncated >= 200
+
+
+def test_prefix_memo_serves_interleaved_path_bounds_on_cyclic_graphs():
+    # the prefix memo is keyed without the path bound, so one graph object
+    # answering targets under several bounds must match the oracle for each
+    rng = derive_rng(47)
+    checked = cyclic = 0
+    for _ in range(40):
+        graph, edges = random_digraph(rng, max_nodes=8, edge_prob=0.5)
+        if not edges:
+            continue
+        cyclic += any((v, u) in graph._edges for u, v in edges)
+        bounds = [int(b) for b in rng.permutation(8)[: int(rng.integers(2, 4))] + 1]
+        for source in (0, 1):
+            for i in rng.permutation(len(edges)):
+                target = edges[int(i)]
+                cfg = PathEnumConfig(max_path_length=bounds[checked % len(bounds)], max_paths=5)
+                result = enumerate_paths(graph, source, target, cfg)
+                every = all_simple_paths_to_edge(edges, source, target, cfg.max_path_length)
+                ranked = sorted(every, key=lambda p: (len(p), p))
+                assert [p.vertices for p in result] == sorted(ranked[: cfg.max_paths])
+                assert result.truncated == (len(every) > cfg.max_paths)
+                checked += 1
+    assert checked >= 800
+    assert cyclic >= 30
+
+
+def test_walk_masks_stay_within_the_path_bound():
+    graph = build_chain_graph(1000)
+    cfg = PathEnumConfig(max_path_length=8)
+    result = enumerate_paths(graph, 992, (999, 1000), cfg)
+    assert [p.vertices for p in result] == [tuple(range(992, 1001))]
+    assert enumerate_paths(graph, 991, (999, 1000), cfg).prefixes == ()
+    # the reverse search stops at the bound, not at the chain's far end
+    assert [len(masks) for masks in graph._mask_cache.values()] == [8]
+
+
+def test_prefix_search_runs_only_for_lengths_with_walks():
+    # layered DAG: every walk from the source to a layer-4 node has 4 edges
+    layers = [[0]] + [[10 * layer + j for j in range(3)] for layer in range(1, 6)]
+    graph = build_graph([(a, b) for upper, lower in zip(layers, layers[1:])
+                         for a in upper for b in lower])
+    result = enumerate_paths(graph, 0, (40, 50))
+    assert len(result) == 27
+    assert {length for _, _, length in graph._prefix_cache} == {4}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import namedtuple
 
@@ -237,6 +238,23 @@ def test_threshold_invariant_brackets_ratio(ref_model):
     costs = CostSpec(false_alarm=3.0, miss=7.0, per_step=0.05)
     table = solve_thresholds(costs, single_step_outcomes(ref_model))
     assert table.pi_low <= costs.decision_ratio <= table.pi_up
+
+
+@pytest.mark.parametrize(
+    "costs, pi_low, pi_up, sweeps, values_sha256",
+    [
+        (EQUAL_COSTS, 0.0, 0.987, 61,
+         "5bcc3762bf72133efc87577ca679d7ea2a8888c357502b2466648273ab3b143d"),
+        (CostSpec(false_alarm=3.0, miss=7.0, per_step=0.05), 0.0, 0.9570000000000001, 57,
+         "119f5ab5f0c697e5f913d32fe6e81e46ea1d7f12aa13703defc8ffc3b02c3dd5"),
+    ],
+)
+def test_reference_model_table_is_golden(ref_model, costs, pi_low, pi_up, sweeps, values_sha256):
+    # recorded before the sweep-invariant outcome arrays were hoisted out of
+    # the value-iteration loop; the table must stay bit-identical
+    table = solve_thresholds(costs, single_step_outcomes(ref_model))
+    assert (table.pi_low, table.pi_up, table.sweeps) == (pi_low, pi_up, sweeps)
+    assert hashlib.sha256(table.values.tobytes()).hexdigest() == values_sha256
 
 
 def test_unconverged_flag(ref_model):
