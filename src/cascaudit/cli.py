@@ -361,7 +361,8 @@ def _add_policy_flags(sub) -> None:
     sub.add_argument("--threshold-table", default=None,
                      help="CSV table from the thresholds command (dp policy)")
     sub.add_argument("--max-path-len", type=int, default=8)
-    sub.add_argument("--max-paths", type=int, default=512)
+    sub.add_argument("--max-paths", type=int, default=512, help="candidate-path cap; binds "
+                     "only on cyclic graphs and in fallbacks (acyclic graphs are exact)")
     sub.add_argument("--on-unreachable", choices=["skip", "fail"], default="skip")
 
 

@@ -17,12 +17,15 @@ Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
 the prefixes ``source ~> u``: the graph memoizes them lazily per
 ``(source, u, length)``, and each target drops the prefixes that pass through
 its own ``v``.  The search is pruned by walk-length bitmasks held only for
-the ball of radius ``max_path_length - 1`` around ``u``.  A prefix carries its
+the ball of radius ``max_path_length - 2`` around ``u``.  A prefix carries its
 vertex and edge tuples, built once by the search, and an enumeration holds its
 candidates as prefixes plus the target edge; the :class:`DirectedPath`
 objects of :attr:`PathEnumeration.paths` are built only when first read.
-Queries therefore write to the graph's memos and to the enumerations they
-return, so they must not run concurrently; any mutation clears the memos.
+On an acyclic graph where a node has two followees, :func:`forward_region`
+lays the walks ``source ~> u`` out by depth instead, in O(region edges), for
+the engine's forward recursion, which no ``max_paths`` cap limits.  Queries
+therefore write to the graph's memos and to the enumerations they return, so
+they must not run concurrently; any mutation clears the memos.
 """
 
 from __future__ import annotations
@@ -141,11 +144,15 @@ class SocialGraph:
         self._path_cache: dict = {}
         self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
+        self._region_cache: dict = {}
+        self._multipath_dag: Optional[bool] = None
 
     def _clear_memos(self):
         self._path_cache.clear()
         self._mask_cache.clear()
         self._prefix_cache.clear()
+        self._region_cache.clear()
+        self._multipath_dag = None
 
     # ---- mutation ---------------------------------------------------------
 
@@ -244,22 +251,46 @@ class SocialGraph:
 
     def _walk_masks(self, target: NodeId, max_path_length: int) -> dict:
         """Node -> bitmask whose bit ``k`` is set when a walk of exactly
-        ``k < max_path_length`` edges leads from the node to ``target``.
+        ``k < max_path_length - 1`` edges leads from the node to ``target``.
 
-        Built by ``max_path_length - 1`` reverse frontier steps, so the memo
+        Built by ``max_path_length - 2`` reverse frontier steps, so the memo
         holds only the ball of that radius around ``target``.  Every simple
-        path is a walk, so an unset bit is an admissible pruning bound.
+        path is a walk, so an unset bit is an admissible pruning bound.  The
+        source derives its bit ``max_path_length - 1`` from its followers.
         """
         key = (target, max_path_length)
         masks = self._mask_cache.get(key)
         if masks is None:
             masks = self._mask_cache[key] = {target: 1}
             frontier = {target}
-            for k in range(1, max_path_length):
+            for k in range(1, max_path_length - 1):
                 frontier = {pred for node in frontier for pred in self._pred[node]}
                 for pred in frontier:
                     masks[pred] = masks.get(pred, 0) | 1 << k
         return masks
+
+    def _is_multipath_dag(self) -> bool:
+        """Whether the graph is acyclic (one memoized Kahn pass) and some node
+        has two followees; without one, no target has two candidate paths."""
+        if self._multipath_dag is None:
+            indegree = [len(self._pred[node]) for node in self._ids]
+            multi = max(indegree, default=0) > 1
+            removed = [i for i, degree in enumerate(indegree) if not degree] if multi else []
+            for i in removed:  # grows as the pass removes nodes
+                for child in self._out[i]:
+                    indegree[self._index[child]] -= 1
+                    if not indegree[self._index[child]]:
+                        removed.append(self._index[child])
+            self._multipath_dag = multi and len(removed) == len(indegree)
+        return self._multipath_dag
+
+
+def _checked_query(graph: SocialGraph, source: NodeId, target_edge: Edge) -> Edge:
+    if not graph.has_node(source):
+        raise GraphError(f"source {source!r} is not a node")
+    if not graph.has_edge(*target_edge):
+        raise GraphError(f"target edge {target_edge!r} is not in the graph")
+    return target_edge
 
 
 def enumerate_paths(
@@ -276,11 +307,7 @@ def enumerate_paths(
     flagged as truncated.  An unreachable target yields an empty result, not
     an error.
     """
-    u, v = target_edge
-    if not graph.has_node(source):
-        raise GraphError(f"source {source!r} is not a node")
-    if not graph.has_edge(u, v):
-        raise GraphError(f"target edge {target_edge!r} is not in the graph")
+    u, v = _checked_query(graph, source, target_edge)
 
     key = (source, (u, v), cfg.max_path_length, cfg.max_paths)
     cached = graph._path_cache.get(key)
@@ -291,11 +318,14 @@ def enumerate_paths(
     truncated = False
     if v != source:  # a simple path cannot return to its own source
         masks = graph._walk_masks(u, cfg.max_path_length)
+        lengths, top = masks.get(source, 0), cfg.max_path_length - 1
+        if top and any(masks.get(x, 0) >> top - 1 & 1 for x in graph.followers(source)):
+            lengths |= 1 << top
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
         # path set.  A prefix length with no walk from the source is skipped.
         for length in range(cfg.max_path_length):
-            if not masks.get(source, 0) >> length & 1:
+            if not lengths >> length & 1:
                 continue
             for prefix in _prefixes(graph, masks, source, u, length):
                 if v in prefix.vertices:
@@ -317,6 +347,56 @@ def enumerate_paths(
     return result
 
 
+class ForwardRegion(NamedTuple):
+    """The walks ``source ~> u`` within the path bound on a DAG, by depth.
+    ``steps[d - 1]`` leads from layer ``d - 1`` to ``d`` as ``(src_rows,
+    starts, u_row)``: each edge's tail row, edges grouped by head, each
+    group's start, and ``u``'s row or None.  ``edge_rows`` maps an edge to
+    its ``(depth, slot)`` pairs; ``count`` is the number of walks."""
+
+    steps: tuple
+    edge_rows: dict
+    count: int
+
+
+def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_path_length: int):
+    """The memoized :class:`ForwardRegion` for ``target_edge`` ``(u, v)``, or
+    None unless the graph is acyclic with a node of two followees (then errors
+    as in enumerate_paths).  Layer ``d`` keeps the nodes ``d`` steps from the
+    source with a walk of at most ``max_path_length - 1 - d`` edges to ``u``."""
+    if not graph._is_multipath_dag():
+        return None
+    u = _checked_query(graph, source, target_edge)[0]
+    region = graph._region_cache.get((source, u, max_path_length))
+    if region is not None:
+        return region
+    masks = graph._walk_masks(u, max_path_length)
+    out, index = graph._sorted_out(), graph._index
+    layer, counts, total, steps, edge_rows = [source], [1], int(source == u), [], {}
+    for depth in range(1, max_path_length):
+        admit = (1 << (max_path_length - depth)) - 1
+        into: dict = {}  # head -> rows of its tails, in layer order
+        for row, node in enumerate(layer):
+            for child in out[index[node]]:
+                if masks.get(child, 0) & admit:
+                    into.setdefault(child, []).append(row)
+        if not into:
+            break
+        src_rows, starts = [], []
+        for head, rows in into.items():
+            starts.append(len(src_rows))
+            for row in rows:
+                edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
+                src_rows.append(row)
+        counts = [sum(counts[row] for row in rows) for rows in into.values()]
+        layer = list(into)
+        u_row = layer.index(u) if u in into else None
+        total += counts[u_row] if u in into else 0
+        steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp), u_row))
+    graph._region_cache[source, u, max_path_length] = ForwardRegion(tuple(steps), edge_rows, total)
+    return graph._region_cache[source, u, max_path_length]
+
+
 def _prefixes(graph, masks, source, u, length):
     """Iterate the simple paths source ~> u of exactly ``length`` edges, as
     :class:`Prefix` records in lexicographic order.
@@ -325,7 +405,8 @@ def _prefixes(graph, masks, source, u, length):
     ``tee`` iterator that is never advanced keeps every prefix produced so far,
     and each caller reads a copy of it, so the search goes only as far as the
     furthest reader has needed.  The key needs no path bound: the search reads
-    bits up to ``length`` of ``masks``, the same under every bound above it.
+    bits below ``length`` of ``masks``, the same under every bound that admits
+    ``length``.
     """
     key = (source, u, length)
     memo = graph._prefix_cache.get(key)

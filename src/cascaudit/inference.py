@@ -20,18 +20,17 @@ which keeps the single-edge case consistent with the source-adjacent rule.
 ``anchor=False`` leaves such factors as empty products instead, for A/B
 comparison.
 
-All products are accumulated in log space and path mixtures via log-sum-exp;
-gap products underflow linear doubles after a few dozen steps.
-
-One observation off the source costs one pass over its candidate paths,
-O(paths x path length), plus one chain and arrival score per distinct
-evidence key, on top of its (memoized) path enumeration.  The engine keeps
-the accepted observations indexed by edge as it accepts them, and each
-candidate looks up its own edges to form its evidence key: the path depth
-plus the ``(position, class)`` pairs of the earlier observations on it.  Paths
-with equal keys have equal scores, so each distinct key is scored once, from
-cached tables of log entries, and the scores are expanded back to one entry
-per path in path order before the log-sum-exp.
+On an acyclic graph, an observation with two or more candidate paths is
+scored exactly, with no path cap, by the HMM forward recursion over the
+memoized walks from the source to its tail: O(region edges x Z^2) for both
+hypotheses at once, rescaled per depth against underflow.  Any other one
+(cyclic graph or forest, ``anchor=False``, one candidate, or a zero forward
+denominator) costs one pass over its capped, memoized path enumeration,
+O(paths x path length), in log space.  Each candidate looks up its edges in
+the engine's index of accepted observations to form its evidence key: the
+path depth plus the ``(position, class)`` pairs of the earlier observations
+on it.  Each distinct key is scored once and expanded back to one entry per
+path, in path order, before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ from cascaudit.graph import (
     PathEnumeration,
     SocialGraph,
     enumerate_paths,
+    forward_region,
 )
 from cascaudit.markov import FAKE, GENUINE, Observation, ObservationStream, SpreadModel
 
@@ -260,6 +260,7 @@ class ChainTables:
         self._powers: dict = {}
         self._log_gaps: dict = {}       # (hyp, k) -> nested list of log entries
         self._log_marginals: dict = {}  # (hyp, position) -> list of log entries
+        self._stacked: Optional[tuple] = None
 
     def power(self, hyp: int, k: int) -> np.ndarray:
         key = (hyp, k)
@@ -293,6 +294,18 @@ class ChainTables:
             logs = [_safe_log(float(x)) for x in vec]
             self._log_marginals[(hyp, position)] = logs
         return logs[cls]
+
+    def stacked(self) -> tuple:
+        """(block-diagonal transition, joined seeds, class indicators): both
+        hypotheses side by side, for the forward recursion; indicator row
+        ``c`` keeps class ``c`` of each."""
+        if self._stacked is None:
+            z = self.model.num_classes
+            transition = np.zeros((2 * z, 2 * z))
+            transition[:z, :z], transition[z:, z:] = self.model.transition_probs
+            seed = self.model.initial_probs.reshape(-1)
+            self._stacked = (transition, seed, np.tile(np.eye(z), 2))
+        return self._stacked
 
 
 # An evidence key is (depth, ((position, cls), ...)): the length of a
@@ -487,7 +500,61 @@ class PosteriorEngine:
         self._by_edge.setdefault(obs.edge, []).append(obs.cls)
 
     def log_conditionals(self, obs: Observation) -> tuple:
-        """(log a_genuine, log a_fake) for the next observation."""
+        """(log a_genuine, log a_fake) for the next observation: by the exact
+        forward recursion where it applies, else by the enumeration scorer."""
+        forward = self.anchor and 0 <= obs.cls < self.model.num_classes and obs.u != self.source
+        forward = forward and self.graph._is_multipath_dag() and self.graph.has_edge(*obs.edge)
+        logs = self._forward_logs(obs) if forward else None
+        return self._enumeration_logs(obs) if logs is None else logs
+
+    def _forward_logs(self, obs: Observation) -> Optional[tuple]:
+        """(log a_genuine, log a_fake) by the forward recursion, or None where
+        the enumeration scorer runs: cyclic graph or forest, one candidate, or
+        a zero denominator (the uniform fallback needs per-path arrivals).
+        Per depth, the stacked transition moves each node's class vector onto
+        its out-edges, an observed edge keeps only its class (nothing on a
+        conflict), and each head sums its in-edges.  The transition is
+        row-stochastic, so a vector's mass is its paths' chain score.
+        """
+        region = forward_region(self.graph, self.source, obs.edge, self.cfg.max_path_length)
+        if region is None or region.count < 2:
+            return None
+        transition, seed, indicators = self._tables.stacked()
+
+        def keep(classes):
+            return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
+
+        evidence: dict = {}  # depth -> [(edge slot, classes)]
+        for edge, classes in self._by_edge.items():
+            for depth, slot in region.edge_rows.get(edge, ()):
+                evidence.setdefault(depth, []).append((slot, classes))
+        target = self._by_edge.get(obs.edge, ())
+        msg, log_scale = None, np.zeros(2)
+        log_sums = np.full((2, 2), _NEG_INF)  # log (sum chain * arrival, sum chain) per hyp
+        for depth, (src_rows, starts, u_row) in enumerate(region.steps, start=1):
+            # the source's row of out-edge classes is the seed
+            edges = (seed[None] if msg is None else msg @ transition)[src_rows]
+            for slot, classes in evidence.get(depth, ()):
+                edges[slot] *= keep(classes)
+            msg = np.add.reduceat(edges, starts)
+            blocks = msg.reshape(len(msg), 2, -1)
+            peak = np.maximum.reduce(blocks, axis=(0, 2))
+            peak[peak == 0.0] = 1.0
+            blocks /= peak[:, None]
+            log_scale += np.log(peak)
+            if u_row is not None:
+                vec = (msg[u_row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
+                with np.errstate(divide="ignore"):
+                    logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
+                log_sums = np.logaddexp(log_sums, logs)
+        if not np.isfinite(log_sums[1]).all():
+            return None
+        log_a = log_sums[0] - log_sums[1]
+        return float(log_a[GENUINE]), float(log_a[FAKE])
+
+    def _enumeration_logs(self, obs: Observation) -> tuple:
+        """(log a_genuine, log a_fake) scored over the enumerated candidate
+        paths, once per distinct evidence key; exact up to the path cap."""
         if not 0 <= obs.cls < self.model.num_classes:
             raise ModelError(f"observed class {obs.cls} out of range")
         if obs.u == self.source:

@@ -157,8 +157,9 @@ class ThresholdTable:
             raise ModelError(f"{path}: threshold-table header lacks {', '.join(missing)}")
         if fields["converged"] not in ("true", "false"):
             raise ModelError(f"{path}: converged={fields['converged']!r} is not true or false")
-        if not fields["sweeps"].isdigit():
-            raise ModelError(f"{path}: sweeps={fields['sweeps']!r} is not a count")
+        sweeps = fields["sweeps"]  # int() reads non-ASCII digits, and refuses 4301 or more
+        if not (sweeps.isascii() and sweeps.isdigit() and len(sweeps) < 19):
+            raise ModelError(f"{path}: sweeps={sweeps[:20]!r} is not a count")
         for n, row in enumerate(rows, start=1):
             if len(row) != 2:
                 raise ModelError(f"{path}: table row {n} is not 'pi,s_bar'")
@@ -183,7 +184,7 @@ class ThresholdTable:
                 per_step=number(fields["c"], "c"),
             ),
             converged=fields["converged"] == "true",
-            sweeps=int(fields["sweeps"]),
+            sweeps=int(sweeps),
         )
 
 

@@ -259,6 +259,7 @@ def test_detect_with_presolved_threshold_table(tmp_path, capsys):
 @pytest.mark.parametrize("fault", [
     "header lacks pi_low", "header value is not a number", "header value is nan",
     "row value is inf", "row value is not a number", "row has three cells",
+    "sweeps has a superscript digit", "sweeps has 5000 digits",
 ])
 def test_detect_rejects_malformed_threshold_table_without_verdict(tmp_path, capsys, fault):
     table_path = tmp_path / "table.csv"
@@ -270,6 +271,10 @@ def test_detect_rejects_malformed_threshold_table_without_verdict(tmp_path, caps
         header = header.replace(" c=", " c=cheap")
     elif fault == "header value is nan":
         header = header.replace("pi_up=", "pi_up=nan ignored=")
+    elif fault == "sweeps has a superscript digit":
+        header = header.replace(" sweeps=", " sweeps=\u00b2")
+    elif fault == "sweeps has 5000 digits":
+        header = header.replace(" sweeps=", " sweeps=" + "9" * 5000)
     elif fault == "row value is inf":
         row = row.split(",")[0] + ",inf"
     elif fault == "row value is not a number":
@@ -285,6 +290,19 @@ def test_detect_rejects_malformed_threshold_table_without_verdict(tmp_path, caps
     assert code == 2
     assert "verdict" not in captured.out
     assert str(table_path) in captured.err
+
+
+@pytest.mark.parametrize("graph, edge", [
+    ("0\t1\n0\t2\n1\t3\n2\t3\n3\t4\n", (3, 4)),  # acyclic, two candidates
+    ("0\t1\n1\t2\n2\t0\n2\t3\n", (2, 3)),  # cyclic
+])
+def test_detect_with_a_source_that_is_not_a_node_exits_2(tmp_path, capsys, graph, edge):
+    graph_path, stream_path = tmp_path / "graph.tsv", tmp_path / "stream.json"
+    graph_path.write_text(graph, encoding="utf-8")
+    stream_path.write_text(json.dumps({"source": 9, "observations": [_observation(edge, 1)]}),
+                           encoding="utf-8")
+    assert run_cli("detect", "--graph", graph_path, "--stream", stream_path) == 2
+    assert "source 9 is not a node" in capsys.readouterr().err
 
 
 def test_detect_empty_stream_exits_2(tmp_path):
@@ -729,6 +747,10 @@ FUZZ_TRACES = "".join(
     for label, route in ((0, ((0, 1), (1, 3), (3, 4))), (1, ((0, 2), (2, 3), (0, "a"))))
 )
 FUZZ_MODEL = json.dumps(reference_model().to_dict(), indent=2, sort_keys=True) + "\n"
+FUZZ_TABLE = (
+    "# ci=1.0 cii=1.0 c=0.01 pi_low=0.2 pi_up=0.8 converged=true sweeps=12\n"
+    "pi,s_bar\n0.0,0.0\n0.5,0.25\n1.0,0.0\n"
+)
 
 
 @st.composite
@@ -748,7 +770,7 @@ def _parser_run(parsed, data, tmp):
     """argv that feeds ``data`` to the ``parsed`` file's reader, with valid
     files everywhere else."""
     files = {"graph": FUZZ_GRAPH, "features": FUZZ_FEATURES, "model": FUZZ_MODEL,
-             "stream": FUZZ_STREAM, "traces": FUZZ_TRACES}
+             "stream": FUZZ_STREAM, "traces": FUZZ_TRACES, "table": FUZZ_TABLE}
     paths = {}
     for name, text in files.items():
         paths[name] = Path(tmp, name)
@@ -757,12 +779,16 @@ def _parser_run(parsed, data, tmp):
         return ["train", "--traces", paths["traces"], "--graph", paths["graph"],
                 "--features", paths["features"], "--seed", 1, "--epochs", 5,
                 "--out", Path(tmp, "m.json")]
-    return ["detect", "--graph", paths["graph"], "--stream", paths["stream"],
+    argv = ["detect", "--graph", paths["graph"], "--stream", paths["stream"],
             "--model", paths["model"]]
+    if parsed == "table":
+        argv += ["--policy", "dp", "--threshold-table", paths["table"]]
+    return argv
 
 
 @pytest.mark.parametrize("parsed, valid", [
     ("graph", FUZZ_GRAPH), ("features", FUZZ_FEATURES), ("model", FUZZ_MODEL),
+    ("table", FUZZ_TABLE),
 ])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())

@@ -306,8 +306,31 @@ def test_walk_masks_stay_within_the_path_bound():
     result = enumerate_paths(graph, 992, (999, 1000), cfg)
     assert [p.vertices for p in result] == [tuple(range(992, 1001))]
     assert enumerate_paths(graph, 991, (999, 1000), cfg).prefixes == ()
-    # the reverse search stops at the bound, not at the chain's far end
-    assert [len(masks) for masks in graph._mask_cache.values()] == [8]
+    # the reverse search stops at the bound, not at the chain's far end: it
+    # takes max_path_length - 2 steps (993..999), and the source 992 takes
+    # its top bit from its follower 993
+    assert [len(masks) for masks in graph._mask_cache.values()] == [7]
+
+
+@pytest.mark.parametrize("max_len", range(1, 7))
+def test_source_top_bit_matches_the_oracle(max_len):
+    # the source 0 sits exactly max_len - 1 edges from the tail u, the one
+    # length whose bit it takes from its followers; -1 sits one edge too far
+    u = max_len - 1
+    line = [(i, i + 1) for i in range(max_len)] + [(-1, 0)]
+    graphs = [(line, (u, u + 1))]
+    if max_len > 1:
+        ring = [(i, (i + 1) % max_len) for i in range(max_len)]
+        graphs.append((ring + [(-1, 0), (u, 100)], (u, 100)))
+        graphs.append((line + [(1, 50), (50, 1)], (u, u + 1)))  # walks that are not paths
+    for edges, target in graphs:
+        graph = build_graph(edges)
+        for source in (0, -1):
+            cfg = PathEnumConfig(max_path_length=max_len, max_paths=10**6)
+            result = enumerate_paths(graph, source, target, cfg)
+            expected = all_simple_paths_to_edge(edges, source, target, max_len)
+            assert [p.vertices for p in result] == expected
+            assert len(expected) == (source == 0)
 
 
 def test_prefix_search_runs_only_for_lengths_with_walks():

@@ -6,13 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cascaudit.errors import InvalidEvidenceError, UnreachableObservationError
-from cascaudit.graph import PathEnumConfig, enumerate_paths
+from cascaudit.graph import PathEnumConfig, enumerate_paths, forward_region
 from cascaudit.inference import (
     BeliefState,
     ChainTables,
     PosteriorEngine,
     _logsumexp,
     _safe_log,
+    _update_from_logs,
     build_path_context,
     build_path_contexts,
     conditional_obs_prob,
@@ -29,6 +30,7 @@ from cascaudit.markov import (
     Observation,
     ObservationStream,
     SpreadModel,
+    reference_model,
     sample_trace,
     subsample,
 )
@@ -202,8 +204,9 @@ def test_chain_log_tables_equal_logs_of_matrix_powers_bit_for_bit():
 
 
 def test_keyed_scores_equal_per_path_scores_bit_for_bit(caplog):
-    # the engine scores each distinct evidence key once and expands the
-    # scores to one entry per path; the per-path reference must agree exactly
+    # the enumeration scorer scores each distinct evidence key once and
+    # expands the scores to one entry per path; the per-path reference must
+    # agree exactly
     rng = derive_rng(41)
     # class 1 is impossible at the source and the chain never changes class,
     # so anchored paths carrying a class-1 observation all score zero
@@ -252,7 +255,7 @@ def test_keyed_scores_equal_per_path_scores_bit_for_bit(caplog):
             expected = log_conditionals_per_path(
                 ChainTables(model), enumeration.paths, prefix, new, anchor
             )
-            assert engine.log_conditionals(new) == expected
+            assert engine._enumeration_logs(new) == expected
             seen["checked"] += 1
             seen["mixed_lengths"] += len({len(p) for p in enumeration.paths}) > 1
             seen["repeated"] += len({o.edge for o in prefix}) < len(prefix)
@@ -579,7 +582,138 @@ def test_truncated_multi_path_trajectory_is_golden(ref_model):
     )
     truncated = [enumerate_paths(graph, 0, o.edge, cfg).truncated for o in observations]
     assert sum(truncated) == 3  # the cap binds on (32, 41), (30, 42) and (31, 40)
-    run = run_posterior(
-        ref_model, graph, ObservationStream(0, observations), cfg, on_unreachable="fail"
+    # the graph is acyclic, so the engine would score these by the forward
+    # recursion; the golden values pin the enumeration scorer
+    engine = PosteriorEngine(ref_model, graph, 0, cfg)
+    for o in observations:
+        engine.belief = _update_from_logs(engine.belief, *engine._enumeration_logs(o))
+        engine._accept(o)
+    assert [rec.log_lr for rec in engine.belief.history] == GOLDEN_TRUNCATED_LOG_LR
+
+
+# ---- forward recursion on acyclic graphs ----
+
+
+def _random_dag(rng, max_nodes=9):
+    """Random DAG whose ids are not in topological order."""
+    order = [int(x) for x in rng.permutation(int(rng.integers(4, max_nodes + 1)))]
+    return [(a, b) for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < 0.5]
+
+
+def _relative_gap(logs, expected) -> float:
+    """Largest relative difference of the conditionals behind two log pairs."""
+    return max(0.0 if x == y else abs(math.expm1(x - y)) for x, y in zip(logs, expected))
+
+
+def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
+    rng = derive_rng(53)
+    seen = dict.fromkeys(("forward", "repeated", "conflict", "target_seen", "mixed_lengths"), 0)
+    bounds = set()
+    while seen["forward"] < 300:
+        edges = _random_dag(rng)
+        if not edges:
+            continue
+        graph = build_graph(edges)
+        source = edges[int(rng.integers(len(edges)))][0]
+        targets = [e for e in edges if e[0] != source]
+        if not targets:
+            continue
+        target = targets[int(rng.integers(len(targets)))]
+        cfg = PathEnumConfig(max_path_length=int(rng.integers(1, 7)), max_paths=10**6)
+        enumeration = enumerate_paths(graph, source, target, cfg)
+        if not enumeration:
+            continue
+        model = random_model(rng, int(rng.integers(2, 4)))
+        on_paths = sorted({e for p in enumeration for e in p.edges[:-1]})
+        prefix = [obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
+                  for _ in range(int(rng.integers(0, 6)))]
+        for _ in range(int(rng.integers(0, 4)) if on_paths else 0):
+            edge = on_paths[int(rng.integers(len(on_paths)))]
+            cls = int(rng.integers(model.num_classes))
+            other = (cls + int(rng.random() < 0.2)) % model.num_classes  # mostly a repeat
+            prefix += [obs(*edge, cls), obs(*edge, other)]
+        if rng.random() < 0.3:
+            prefix.append(obs(*target, int(rng.integers(model.num_classes))))
+        prefix = [prefix[int(i)] for i in rng.permutation(len(prefix))]
+        engine = PosteriorEngine(model, graph, source, cfg)
+        engine.accepted = prefix
+        new = obs(*target, int(rng.integers(model.num_classes)))
+        logs, expected = engine.log_conditionals(new), engine._enumeration_logs(new)
+        assert _relative_gap(logs, expected) <= 1e-12, (edges, source, target, prefix, new)
+        if engine._forward_logs(new) is None:
+            continue
+        classes: dict = {}
+        for o in prefix:
+            classes.setdefault(o.edge, []).append(o.cls)
+        on_path = [c for e, c in classes.items() if e in on_paths]
+        seen["forward"] += 1
+        seen["repeated"] += any(len(c) > len(set(c)) for c in on_path)
+        seen["conflict"] += any(len(set(c)) > 1 for c in on_path)
+        seen["target_seen"] += target in classes
+        seen["mixed_lengths"] += len({len(p) for p in enumeration}) > 1
+        bounds.add(cfg.max_path_length)
+    assert min(seen.values()) >= 30, seen
+    assert bounds == {3, 4, 5, 6}  # below 3 edges no target has two candidates
+
+
+def _fallback_case(case):
+    """(model, edges, anchor, prefix, new) for one fallback from source 0."""
+    dag, model = _layered_dag_edges(), reference_model()
+    prefix, new = [obs(0, 11, 3), obs(11, 21, 2), obs(20, 30, 0)], obs(31, 40, 1)
+    if case == "cyclic":
+        return model, dag + [(41, 10)], True, prefix, new
+    if case == "unanchored":
+        return model, dag, False, prefix, new
+    if case == "forest":
+        tree = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (5, 6)]
+        return model, tree, True, [obs(1, 3, 2)], obs(5, 6, 1)
+    if case == "single":  # only 0 -> 10 reaches (10, 20)
+        return model, dag, True, prefix, obs(10, 20, 2)
+    # class 1 is impossible at the source and the chain never changes class,
+    # so every candidate, all carrying the earlier class-1 target, scores zero
+    zero = SpreadModel(num_classes=2, initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                       transition_probs=np.array([np.eye(2), np.eye(2)]), prior_fake=0.5)
+    return zero, dag, True, [obs(31, 40, 1)], obs(31, 40, 0)
+
+
+@pytest.mark.parametrize("case", ["cyclic", "unanchored", "forest", "single", "zero_chain"])
+def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
+    model, edges, anchor, prefix, new = _fallback_case(case)
+    engine = PosteriorEngine(model, build_graph(edges), 0, anchor=anchor)
+    engine.accepted = prefix
+    expected = engine._enumeration_logs(new)
+    assert engine.log_conditionals(new) == expected
+    if anchor:
+        assert engine._forward_logs(new) is None
+    assert ("zero score" in caplog.text) == (case == "zero_chain")
+
+
+def test_forward_memo_follows_graph_mutation():
+    graph = build_graph(_layered_dag_edges())
+    assert graph._is_multipath_dag()
+    candidates = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
+    assert forward_region(graph, 0, (31, 40), 8).count == len(candidates) == 10
+    graph.add_edge(41, 10)
+    assert not graph._is_multipath_dag()
+    assert forward_region(graph, 0, (31, 40), 8) is None
+
+
+def test_forward_pass_survives_path_products_below_the_double_range():
+    # two candidates through a diamond, then a 400-edge chain whose observed
+    # classes alternate against a sticky chain: each path's score is about
+    # 0.05 ** 400, far below the smallest double
+    chain = list(range(3, 404))
+    graph = build_graph([(0, 1), (0, 2), (1, 3), (2, 3)] + list(zip(chain, chain[1:])))
+    model = SpreadModel(
+        num_classes=2,
+        initial_probs=np.array([[0.5, 0.5], [0.3, 0.7]]),
+        transition_probs=np.array([[[0.95, 0.05], [0.05, 0.95]], [[0.9, 0.1], [0.2, 0.8]]]),
+        prior_fake=0.5,
     )
-    assert [rec.log_lr for rec in run.belief.history] == GOLDEN_TRUNCATED_LOG_LR
+    cfg = PathEnumConfig(max_path_length=420)
+    engine = PosteriorEngine(model, graph, 0, cfg)
+    engine.accepted = [obs(1, 3, 0)] + [obs(a, a + 1, a % 2) for a in chain[:-2]]
+    new = obs(402, 403, 1)
+    forward = engine._forward_logs(new)
+    assert forward is not None
+    assert _relative_gap(forward, engine._enumeration_logs(new)) <= 1e-12
