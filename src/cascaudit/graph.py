@@ -17,7 +17,7 @@ Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
 the prefixes ``source ~> u``: the graph memoizes them lazily per
 ``(source, u, length)``, and each target drops the prefixes that pass through
 its own ``v``.  The search is pruned by walk-length bitmasks held only for
-the ball of radius ``max_path_length - 2`` around ``u``.  A prefix carries its
+the ball of radius ``max_path_length - 1`` around ``u``.  A prefix carries its
 vertex and edge tuples, built once by the search, and an enumeration holds its
 candidates as prefixes plus the target edge; the :class:`DirectedPath`
 objects of :attr:`PathEnumeration.paths` are built only when first read.
@@ -25,7 +25,7 @@ On an acyclic graph where a node has two followees, :func:`forward_region`
 lays the walks ``source ~> u`` out by depth instead, in O(region edges), for
 the engine's forward recursion, which no ``max_paths`` cap limits.  Queries
 therefore write to the graph's memos and to the enumerations they return, so
-they must not run concurrently; any mutation clears the memos.
+they must not run concurrently; any new edge clears the memos.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ class SocialGraph:
     :meth:`freeze`.  Queries fill memos (sorted followers, the walk-length
     masks of the nodes within the path bound of a tail, the lazy
     ``source ~> u`` prefix search, whole path enumerations) and are
-    single-threaded: do not query one graph from several threads.  Any
-    mutation clears the memos.
+    single-threaded: do not query one graph from several threads.  Any new
+    edge clears the memos; a new node, without edges, leaves them exact.
     """
 
     def __init__(self):
@@ -181,7 +181,6 @@ class SocialGraph:
         self._features.append(vec)
         self._out.append([])
         self._pred[node_id] = []
-        self._clear_memos()
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         """Add the directed followee -> follower edge (u, v)."""
@@ -251,19 +250,18 @@ class SocialGraph:
 
     def _walk_masks(self, target: NodeId, max_path_length: int) -> dict:
         """Node -> bitmask whose bit ``k`` is set when a walk of exactly
-        ``k < max_path_length - 1`` edges leads from the node to ``target``.
+        ``k < max_path_length`` edges leads from the node to ``target``.
 
-        Built by ``max_path_length - 2`` reverse frontier steps, so the memo
+        Built by ``max_path_length - 1`` reverse frontier steps, so the memo
         holds only the ball of that radius around ``target``.  Every simple
-        path is a walk, so an unset bit is an admissible pruning bound.  The
-        source derives its bit ``max_path_length - 1`` from its followers.
+        path is a walk, so an unset bit is an admissible pruning bound.
         """
         key = (target, max_path_length)
         masks = self._mask_cache.get(key)
         if masks is None:
             masks = self._mask_cache[key] = {target: 1}
             frontier = {target}
-            for k in range(1, max_path_length - 1):
+            for k in range(1, max_path_length):
                 frontier = {pred for node in frontier for pred in self._pred[node]}
                 for pred in frontier:
                     masks[pred] = masks.get(pred, 0) | 1 << k
@@ -273,24 +271,17 @@ class SocialGraph:
         """Whether the graph is acyclic (one memoized Kahn pass) and some node
         has two followees; without one, no target has two candidate paths."""
         if self._multipath_dag is None:
-            indegree = [len(self._pred[node]) for node in self._ids]
-            multi = max(indegree, default=0) > 1
-            removed = [i for i, degree in enumerate(indegree) if not degree] if multi else []
-            for i in removed:  # grows as the pass removes nodes
-                for child in self._out[i]:
-                    indegree[self._index[child]] -= 1
-                    if not indegree[self._index[child]]:
-                        removed.append(self._index[child])
-            self._multipath_dag = multi and len(removed) == len(indegree)
+            self._multipath_dag = max(map(len, self._pred.values()), default=0) > 1
+            if self._multipath_dag:
+                indegree = [len(self._pred[node]) for node in self._ids]
+                removed = [i for i, degree in enumerate(indegree) if not degree]
+                for i in removed:  # grows as the pass removes nodes
+                    for child in self._out[i]:
+                        indegree[self._index[child]] -= 1
+                        if not indegree[self._index[child]]:
+                            removed.append(self._index[child])
+                self._multipath_dag = len(removed) == len(indegree)
         return self._multipath_dag
-
-
-def _checked_query(graph: SocialGraph, source: NodeId, target_edge: Edge) -> Edge:
-    if not graph.has_node(source):
-        raise GraphError(f"source {source!r} is not a node")
-    if not graph.has_edge(*target_edge):
-        raise GraphError(f"target edge {target_edge!r} is not in the graph")
-    return target_edge
 
 
 def enumerate_paths(
@@ -307,7 +298,11 @@ def enumerate_paths(
     flagged as truncated.  An unreachable target yields an empty result, not
     an error.
     """
-    u, v = _checked_query(graph, source, target_edge)
+    u, v = target_edge
+    if not graph.has_node(source):
+        raise GraphError(f"source {source!r} is not a node")
+    if not graph.has_edge(u, v):
+        raise GraphError(f"target edge {target_edge!r} is not in the graph")
 
     key = (source, (u, v), cfg.max_path_length, cfg.max_paths)
     cached = graph._path_cache.get(key)
@@ -318,14 +313,11 @@ def enumerate_paths(
     truncated = False
     if v != source:  # a simple path cannot return to its own source
         masks = graph._walk_masks(u, cfg.max_path_length)
-        lengths, top = masks.get(source, 0), cfg.max_path_length - 1
-        if top and any(masks.get(x, 0) >> top - 1 & 1 for x in graph.followers(source)):
-            lengths |= 1 << top
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
         # path set.  A prefix length with no walk from the source is skipped.
         for length in range(cfg.max_path_length):
-            if not lengths >> length & 1:
+            if not masks.get(source, 0) >> length & 1:
                 continue
             for prefix in _prefixes(graph, masks, source, u, length):
                 if v in prefix.vertices:
@@ -352,11 +344,10 @@ class ForwardRegion(NamedTuple):
     ``steps[d - 1]`` leads from layer ``d - 1`` to ``d`` as ``(src_rows,
     starts, u_row)``: each edge's tail row, edges grouped by head, each
     group's start, and ``u``'s row or None.  ``edge_rows`` maps an edge to
-    its ``(depth, slot)`` pairs; ``count`` is the number of walks."""
+    its ``(depth, slot)`` pairs."""
 
     steps: tuple
     edge_rows: dict
-    count: int
 
 
 def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_path_length: int):
@@ -366,13 +357,17 @@ def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_pa
     source with a walk of at most ``max_path_length - 1 - d`` edges to ``u``."""
     if not graph._is_multipath_dag():
         return None
-    u = _checked_query(graph, source, target_edge)[0]
+    u, v = target_edge
+    if not graph.has_node(source):
+        raise GraphError(f"source {source!r} is not a node")
+    if not graph.has_edge(u, v):
+        raise GraphError(f"target edge {target_edge!r} is not in the graph")
     region = graph._region_cache.get((source, u, max_path_length))
     if region is not None:
         return region
     masks = graph._walk_masks(u, max_path_length)
     out, index = graph._sorted_out(), graph._index
-    layer, counts, total, steps, edge_rows = [source], [1], int(source == u), [], {}
+    layer, steps, edge_rows = [source], [], {}
     for depth in range(1, max_path_length):
         admit = (1 << (max_path_length - depth)) - 1
         into: dict = {}  # head -> rows of its tails, in layer order
@@ -388,12 +383,10 @@ def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_pa
             for row in rows:
                 edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
                 src_rows.append(row)
-        counts = [sum(counts[row] for row in rows) for rows in into.values()]
         layer = list(into)
         u_row = layer.index(u) if u in into else None
-        total += counts[u_row] if u in into else 0
         steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp), u_row))
-    graph._region_cache[source, u, max_path_length] = ForwardRegion(tuple(steps), edge_rows, total)
+    graph._region_cache[source, u, max_path_length] = ForwardRegion(tuple(steps), edge_rows)
     return graph._region_cache[source, u, max_path_length]
 
 
@@ -405,8 +398,7 @@ def _prefixes(graph, masks, source, u, length):
     ``tee`` iterator that is never advanced keeps every prefix produced so far,
     and each caller reads a copy of it, so the search goes only as far as the
     furthest reader has needed.  The key needs no path bound: the search reads
-    bits below ``length`` of ``masks``, the same under every bound that admits
-    ``length``.
+    bits up to ``length`` of ``masks``, the same under every bound above it.
     """
     key = (source, u, length)
     memo = graph._prefix_cache.get(key)

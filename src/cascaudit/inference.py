@@ -20,17 +20,17 @@ which keeps the single-edge case consistent with the source-adjacent rule.
 ``anchor=False`` leaves such factors as empty products instead, for A/B
 comparison.
 
-On an acyclic graph, an observation with two or more candidate paths is
-scored exactly, with no path cap, by the HMM forward recursion over the
-memoized walks from the source to its tail: O(region edges x Z^2) for both
-hypotheses at once, rescaled per depth against underflow.  Any other one
-(cyclic graph or forest, ``anchor=False``, one candidate, or a zero forward
-denominator) costs one pass over its capped, memoized path enumeration,
-O(paths x path length), in log space.  Each candidate looks up its edges in
-the engine's index of accepted observations to form its evidence key: the
-path depth plus the ``(position, class)`` pairs of the earlier observations
-on it.  Each distinct key is scored once and expanded back to one entry per
-path, in path order, before the log-sum-exp.
+On an acyclic graph where a node has two followees, an observation off the
+source is scored exactly, with no path cap, by the HMM forward recursion over
+the memoized walks from the source to its tail: O(region edges x Z^2) for
+both hypotheses, rescaled per depth.  Any other (cyclic graph or forest,
+``anchor=False``, a zero denominator, or an entry too far below its depth's
+peak) costs one pass over its capped path enumeration, O(paths x length), in
+log space.  Each candidate looks up its edges in the engine's index of
+accepted observations to form its evidence key: the path depth plus the
+``(position, class)`` pairs of the earlier observations on it.  Each distinct
+key is scored once and expanded back to one entry per path, in path order,
+before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from cascaudit.markov import FAKE, GENUINE, Observation, ObservationStream, Spre
 logger = logging.getLogger(__name__)
 
 _NEG_INF = float("-inf")
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _safe_log(x: float) -> float:
@@ -296,15 +297,17 @@ class ChainTables:
         return logs[cls]
 
     def stacked(self) -> tuple:
-        """(block-diagonal transition, joined seeds, class indicators): both
-        hypotheses side by side, for the forward recursion; indicator row
-        ``c`` keeps class ``c`` of each."""
+        """(block-diagonal transition, joined seeds, class indicators, floors):
+        both hypotheses side by side, for the forward recursion.  Indicator
+        row ``c`` keeps class ``c``; an entry at or above its hypothesis's
+        floor times any positive transition entry is a normal double."""
         if self._stacked is None:
             z = self.model.num_classes
             transition = np.zeros((2 * z, 2 * z))
             transition[:z, :z], transition[z:, z:] = self.model.transition_probs
             seed = self.model.initial_probs.reshape(-1)
-            self._stacked = (transition, seed, np.tile(np.eye(z), 2))
+            floors = np.array([_TINY / t[t > 0.0].min() for t in self.model.transition_probs])
+            self._stacked = (transition, seed, np.tile(np.eye(z), 2), floors)
         return self._stacked
 
 
@@ -502,24 +505,27 @@ class PosteriorEngine:
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the exact
         forward recursion where it applies, else by the enumeration scorer."""
-        forward = self.anchor and 0 <= obs.cls < self.model.num_classes and obs.u != self.source
-        forward = forward and self.graph._is_multipath_dag() and self.graph.has_edge(*obs.edge)
-        logs = self._forward_logs(obs) if forward else None
-        return self._enumeration_logs(obs) if logs is None else logs
+        if self.anchor and obs.u != self.source and self.graph._is_multipath_dag():
+            if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(*obs.edge):
+                logs = self._forward_logs(obs)
+                if logs is not None:
+                    return logs
+        return self._enumeration_logs(obs)
 
     def _forward_logs(self, obs: Observation) -> Optional[tuple]:
         """(log a_genuine, log a_fake) by the forward recursion, or None where
-        the enumeration scorer runs: cyclic graph or forest, one candidate, or
-        a zero denominator (the uniform fallback needs per-path arrivals).
-        Per depth, the stacked transition moves each node's class vector onto
-        its out-edges, an observed edge keeps only its class (nothing on a
+        the enumeration scorer runs: cyclic graph or forest, a zero
+        denominator (the uniform fallback needs per-path arrivals), or a
+        rescaled entry so far below its depth's peak that the next step's
+        products could leave the normal doubles and lose mass silently.  Per
+        depth, the stacked transition moves each node's class vector onto its
+        out-edges, an observed edge keeps only its class (nothing on a
         conflict), and each head sums its in-edges.  The transition is
-        row-stochastic, so a vector's mass is its paths' chain score.
-        """
+        row-stochastic, so a vector's mass is its paths' chain score."""
         region = forward_region(self.graph, self.source, obs.edge, self.cfg.max_path_length)
-        if region is None or region.count < 2:
+        if region is None:
             return None
-        transition, seed, indicators = self._tables.stacked()
+        transition, seed, indicators, floors = self._tables.stacked()
 
         def keep(classes):
             return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
@@ -541,6 +547,8 @@ class PosteriorEngine:
             peak = np.maximum.reduce(blocks, axis=(0, 2))
             peak[peak == 0.0] = 1.0
             blocks /= peak[:, None]
+            if ((blocks > 0.0) & (blocks < floors[:, None])).any():
+                return None
             log_scale += np.log(peak)
             if u_row is not None:
                 vec = (msg[u_row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)

@@ -306,16 +306,14 @@ def test_walk_masks_stay_within_the_path_bound():
     result = enumerate_paths(graph, 992, (999, 1000), cfg)
     assert [p.vertices for p in result] == [tuple(range(992, 1001))]
     assert enumerate_paths(graph, 991, (999, 1000), cfg).prefixes == ()
-    # the reverse search stops at the bound, not at the chain's far end: it
-    # takes max_path_length - 2 steps (993..999), and the source 992 takes
-    # its top bit from its follower 993
-    assert [len(masks) for masks in graph._mask_cache.values()] == [7]
+    # the reverse search stops at the bound, not at the chain's far end
+    assert [len(masks) for masks in graph._mask_cache.values()] == [8]
 
 
 @pytest.mark.parametrize("max_len", range(1, 7))
-def test_source_top_bit_matches_the_oracle(max_len):
-    # the source 0 sits exactly max_len - 1 edges from the tail u, the one
-    # length whose bit it takes from its followers; -1 sits one edge too far
+def test_source_at_the_path_bound_matches_the_oracle(max_len):
+    # the source 0 sits exactly max_len - 1 edges from the tail u, on the
+    # masks' outermost step; -1 sits one edge too far
     u = max_len - 1
     line = [(i, i + 1) for i in range(max_len)] + [(-1, 0)]
     graphs = [(line, (u, u + 1))]

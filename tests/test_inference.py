@@ -653,7 +653,7 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
         seen["mixed_lengths"] += len({len(p) for p in enumeration}) > 1
         bounds.add(cfg.max_path_length)
     assert min(seen.values()) >= 30, seen
-    assert bounds == {3, 4, 5, 6}  # below 3 edges no target has two candidates
+    assert bounds == {2, 3, 4, 5, 6}  # no target off the source is one edge away
 
 
 def _fallback_case(case):
@@ -667,8 +667,6 @@ def _fallback_case(case):
     if case == "forest":
         tree = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (5, 6)]
         return model, tree, True, [obs(1, 3, 2)], obs(5, 6, 1)
-    if case == "single":  # only 0 -> 10 reaches (10, 20)
-        return model, dag, True, prefix, obs(10, 20, 2)
     # class 1 is impossible at the source and the chain never changes class,
     # so every candidate, all carrying the earlier class-1 target, scores zero
     zero = SpreadModel(num_classes=2, initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -676,7 +674,7 @@ def _fallback_case(case):
     return zero, dag, True, [obs(31, 40, 1)], obs(31, 40, 0)
 
 
-@pytest.mark.parametrize("case", ["cyclic", "unanchored", "forest", "single", "zero_chain"])
+@pytest.mark.parametrize("case", ["cyclic", "unanchored", "forest", "zero_chain"])
 def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
     model, edges, anchor, prefix, new = _fallback_case(case)
     engine = PosteriorEngine(model, build_graph(edges), 0, anchor=anchor)
@@ -688,11 +686,27 @@ def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
     assert ("zero score" in caplog.text) == (case == "zero_chain")
 
 
+def test_single_candidate_on_a_multi_path_dag_takes_the_forward_pass():
+    model, dag = reference_model(), _layered_dag_edges()
+    engine = PosteriorEngine(model, build_graph(dag), 0)
+    engine.accepted = [obs(0, 11, 3), obs(11, 21, 2), obs(20, 30, 0)]
+    new = obs(10, 20, 2)  # only 0 -> 10 reaches (10, 20)
+    assert len(enumerate_paths(engine.graph, 0, new.edge, engine.cfg)) == 1
+    forward = engine._forward_logs(new)
+    assert forward is not None
+    assert _relative_gap(forward, engine._enumeration_logs(new)) <= 1e-12
+
+
 def test_forward_memo_follows_graph_mutation():
     graph = build_graph(_layered_dag_edges())
     assert graph._is_multipath_dag()
+    region = forward_region(graph, 0, (31, 40), 8)
+    assert forward_region(graph, 0, (31, 40), 8) is region
     candidates = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
-    assert forward_region(graph, 0, (31, 40), 8).count == len(candidates) == 10
+    depths = {d for d, (_, _, u_row) in enumerate(region.steps, start=1) if u_row is not None}
+    assert depths == {len(path) - 1 for path in candidates} == {2, 3}
+    graph.add_node(99, [0.0, 0.0])  # a node without edges leaves the memos exact
+    assert forward_region(graph, 0, (31, 40), 8) is region
     graph.add_edge(41, 10)
     assert not graph._is_multipath_dag()
     assert forward_region(graph, 0, (31, 40), 8) is None
@@ -717,3 +731,26 @@ def test_forward_pass_survives_path_products_below_the_double_range():
     forward = engine._forward_logs(new)
     assert forward is not None
     assert _relative_gap(forward, engine._enumeration_logs(new)) <= 1e-12
+
+
+def test_forward_pass_falls_back_before_the_rescaling_drops_a_path():
+    # two 30-edge branches from 0 meet at u = 300.  The first 12 observed
+    # edges leave branch B about 1e-330 below branch A, past the double
+    # range at the same depth; the rest cut A to about 1e-570, so that B
+    # carries the mixture and the recursion must not drop it on the way
+    a, b = list(range(100, 130)), list(range(200, 230))
+    edges = [(0, 100), (0, 200)] + list(zip(a, a[1:])) + list(zip(b, b[1:]))
+    edges += [(129, 300), (229, 300), (300, 301)]
+    sticky = np.array([[1.0 - 1e-30, 1e-30], [1e-30, 1.0 - 1e-30]])
+    model = SpreadModel(num_classes=2, initial_probs=np.full((2, 2), 0.5),
+                        transition_probs=np.array([sticky, sticky]), prior_fake=0.5)
+    branch_a, branch_b = [(0, 100)] + edges[2:31], [(0, 200)] + edges[31:60] + [(229, 300)]
+    branch_a.append((129, 300))
+    engine = PosteriorEngine(model, build_graph(edges), 0, PathEnumConfig(max_path_length=40))
+    engine.accepted = [obs(*e, 0 if i < 12 else i % 2) for i, e in enumerate(branch_a)] + [
+        obs(*e, i % 2 if i < 12 else 1) for i, e in enumerate(branch_b)]
+    new = obs(300, 301, 1)
+    expected = engine._enumeration_logs(new)
+    assert engine._forward_logs(new) is None
+    assert engine.log_conditionals(new) == expected
+    assert expected[GENUINE] > -1e-20  # B's class carries on to the target
