@@ -20,7 +20,7 @@ from cascaudit.errors import (
     EstimationError,
 )
 from cascaudit.graph import PathEnumConfig, load_graph
-from cascaudit.inference import write_trajectory
+from cascaudit.inference import ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -241,12 +241,13 @@ def cmd_eval(args) -> int:
         return code
 
     rows = []
+    tables = ChainTables(model)
     for index, trace in enumerate(traces):
         stream = subsample(trace, args.rho, derive_seed(args.seed, index, 2))
         graph = shared_graph if shared_graph is not None else trace.implied_graph()
         outcome, belief = run_detection(
             model, graph, stream, policy, cfg=_enum_cfg(args),
-            on_unreachable=args.on_unreachable, prior=args.prior,
+            on_unreachable=args.on_unreachable, prior=args.prior, tables=tables,
         )
         rows.append((index, trace.label, outcome, belief))
 
@@ -437,10 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a negative ``--seed`` or ``--n``, which numpy refuses with a traceback."""
+    for flag in ("seed", "n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise CascauditError(f"--{flag} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (DegenerateDataError, EstimationError) as exc:
         _err(str(exc))

@@ -13,19 +13,23 @@ the information took, so the enumeration order must be deterministic
 explodes, must keep the shortest paths, which carry the bulk of the
 probability mass.
 
-Every target edge ``(u, v)`` with the same tail ``u`` shares one search for
-the prefixes ``source ~> u``: the graph memoizes them lazily per
-``(source, u, length)``, and each target drops the prefixes that pass through
-its own ``v``.  The search is pruned by walk-length bitmasks held only for
-the ball of radius ``max_path_length - 1`` around ``u``.  A prefix carries its
-vertex and edge tuples, built once by the search, and an enumeration holds its
-candidates as prefixes plus the target edge; the :class:`DirectedPath`
-objects of :attr:`PathEnumeration.paths` are built only when first read.
+On a single-followee graph (every node has at most one followee, as in every
+trace's implied graph) a target has at most one candidate, found by walking
+up the followee chain from ``u`` in O(path length), with no masks or
+memoized search.  Elsewhere every target edge ``(u, v)`` with the same tail
+``u`` shares one search for the prefixes ``source ~> u``: the graph memoizes
+them lazily per ``(source, u, length)``, and each target drops the prefixes
+that pass through its own ``v``.  The search is pruned by walk-length
+bitmasks held only for the ball of radius ``max_path_length - 1`` around
+``u``.  A prefix carries its vertex and edge tuples, built once by the search,
+and an enumeration holds its candidates as prefixes plus the target edge; the
+:class:`DirectedPath` objects of :attr:`PathEnumeration.paths` are built only
+when first read.
 On an acyclic graph where a node has two followees, :func:`forward_region`
 lays the walks ``source ~> u`` out by depth instead, in O(region edges), for
 the engine's forward recursion, which no ``max_paths`` cap limits.  Queries
 therefore write to the graph's memos and to the enumerations they return, so
-they must not run concurrently; any new edge clears the memos.
+they must not run concurrently; a new edge clears any memo a query filled.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import tee
+from itertools import chain, tee
 from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -128,7 +132,8 @@ class SocialGraph:
     masks of the nodes within the path bound of a tail, the lazy
     ``source ~> u`` prefix search, whole path enumerations) and are
     single-threaded: do not query one graph from several threads.  Any new
-    edge clears the memos; a new node, without edges, leaves them exact.
+    edge clears the memos (a test when none is filled); a new node, without
+    edges, leaves them exact.
     """
 
     def __init__(self):
@@ -145,14 +150,14 @@ class SocialGraph:
         self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
         self._region_cache: dict = {}
-        self._multipath_dag: Optional[bool] = None
+        self._shape_memo: Optional[str] = None
 
     def _clear_memos(self):
         self._path_cache.clear()
         self._mask_cache.clear()
         self._prefix_cache.clear()
         self._region_cache.clear()
-        self._multipath_dag = None
+        self._shape_memo = None
 
     # ---- mutation ---------------------------------------------------------
 
@@ -176,11 +181,29 @@ class SocialGraph:
                 f"feature dimension {vec.shape[0]} for {node_id!r} does not match "
                 f"graph dimension {self._features[0].shape[0]}"
             )
+        self._append_node(node_id, vec)
+
+    def _append_node(self, node_id: NodeId, vec: np.ndarray) -> None:
         self._index[node_id] = len(self._ids)
         self._ids.append(node_id)
         self._features.append(vec)
         self._out.append([])
         self._pred[node_id] = []
+
+    @classmethod
+    def from_edges(cls, edges: Sequence[Edge], nodes=(), feature_dim: int = 1) -> "SocialGraph":
+        """The graph of ``edges`` whose nodes, ``nodes`` first and then each
+        endpoint in order of first appearance, share one read-only zero
+        feature vector of ``feature_dim``."""
+        graph = cls()
+        zeros = np.zeros(feature_dim)
+        zeros.flags.writeable = False
+        for node in chain(nodes, chain.from_iterable(edges)):
+            if node not in graph._index:
+                graph._append_node(node, zeros)
+        for u, v in edges:
+            graph.add_edge(u, v)
+        return graph
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         """Add the directed followee -> follower edge (u, v)."""
@@ -196,7 +219,9 @@ class SocialGraph:
         self._out[self._index[u]].append(v)
         self._unsorted.add(self._index[u])
         self._pred[v].append(u)
-        self._clear_memos()
+        if (self._shape_memo is not None or self._path_cache or self._mask_cache
+                or self._prefix_cache or self._region_cache):
+            self._clear_memos()
 
     def freeze(self) -> "SocialGraph":
         self._sorted_out()
@@ -267,12 +292,14 @@ class SocialGraph:
                     masks[pred] = masks.get(pred, 0) | 1 << k
         return masks
 
-    def _is_multipath_dag(self) -> bool:
-        """Whether the graph is acyclic (one memoized Kahn pass) and some node
-        has two followees; without one, no target has two candidate paths."""
-        if self._multipath_dag is None:
-            self._multipath_dag = max(map(len, self._pred.values()), default=0) > 1
-            if self._multipath_dag:
+    def _shape(self) -> str:
+        """``"single"`` when every node has at most one followee (then no
+        target has two candidate paths), else ``"dag"`` when the graph is
+        acyclic (one Kahn pass), else ``"cyclic"``; memoized."""
+        if self._shape_memo is None:
+            if max(map(len, self._pred.values()), default=0) <= 1:
+                self._shape_memo = "single"
+            else:
                 indegree = [len(self._pred[node]) for node in self._ids]
                 removed = [i for i, degree in enumerate(indegree) if not degree]
                 for i in removed:  # grows as the pass removes nodes
@@ -280,8 +307,8 @@ class SocialGraph:
                         indegree[self._index[child]] -= 1
                         if not indegree[self._index[child]]:
                             removed.append(self._index[child])
-                self._multipath_dag = len(removed) == len(indegree)
-        return self._multipath_dag
+                self._shape_memo = "dag" if len(removed) == len(indegree) else "cyclic"
+        return self._shape_memo
 
 
 def enumerate_paths(
@@ -311,7 +338,9 @@ def enumerate_paths(
 
     found: list = []
     truncated = False
-    if v != source:  # a simple path cannot return to its own source
+    if graph._shape() == "single":
+        found = _followee_chain(graph._pred, source, u, v, cfg.max_path_length)
+    elif v != source:  # a simple path cannot return to its own source
         masks = graph._walk_masks(u, cfg.max_path_length)
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
@@ -339,6 +368,29 @@ def enumerate_paths(
     return result
 
 
+def _followee_chain(pred, source, u, v, max_path_length) -> list:
+    """The one prefix ``source ~> u`` avoiding ``v``, as a list of zero or one
+    :class:`Prefix`, when every node has at most one followee: the walk up
+    ``u``'s followees, which ends without a prefix where the chain ends,
+    repeats (a cycle that misses the source) or exceeds the path bound."""
+    walk = [u]
+    on_walk = {u}
+    node = u
+    while node != source:
+        followees = pred[node]
+        if len(walk) == max_path_length or not followees:
+            return []
+        node = followees[0]
+        if node in on_walk:
+            return []
+        walk.append(node)
+        on_walk.add(node)
+    if v in on_walk:
+        return []
+    vertices = tuple(reversed(walk))
+    return [Prefix(vertices, tuple(zip(vertices[:-1], vertices[1:])))]
+
+
 class ForwardRegion(NamedTuple):
     """The walks ``source ~> u`` within the path bound on a DAG, by depth.
     ``steps[d - 1]`` leads from layer ``d - 1`` to ``d`` as ``(src_rows,
@@ -355,7 +407,7 @@ def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_pa
     None unless the graph is acyclic with a node of two followees (then errors
     as in enumerate_paths).  Layer ``d`` keeps the nodes ``d`` steps from the
     source with a walk of at most ``max_path_length - 1 - d`` edges to ``u``."""
-    if not graph._is_multipath_dag():
+    if graph._shape() != "dag":
         return None
     u, v = target_edge
     if not graph.has_node(source):

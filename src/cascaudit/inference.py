@@ -26,7 +26,10 @@ the memoized walks from the source to its tail: O(region edges x Z^2) for
 both hypotheses, rescaled per depth.  Any other (cyclic graph or forest,
 ``anchor=False``, a zero denominator, or an entry too far below its depth's
 peak) costs one pass over its capped path enumeration, O(paths x length), in
-log space.  Each candidate looks up its edges in the engine's index of
+log space.  An observation with one candidate, which is every observation on a
+single-followee graph (a walk up the followee chain finds it), costs
+O(path length) in plain floats, with no masks, memoized search or arrays.
+Each candidate looks up its edges in the engine's index of
 accepted observations to form its evidence key: the path depth plus the
 ``(position, class)`` pairs of the earlier observations on it.  Each distinct
 key is scored once and expanded back to one entry per path, in path order,
@@ -74,10 +77,8 @@ def _logsumexp(a: np.ndarray) -> float:
     terms.  Keep this order of operations: recorded posteriors and verdicts
     are reproduced bit for bit only with it.  For one entry ``x`` the formula
     reduces exactly to ``x + 0.0`` (``-0.0`` becomes ``0.0``; infinities and
-    NaN pass through), which a path mixture of one candidate takes directly.
+    NaN pass through), which the scorer of one candidate computes directly.
     """
-    if len(a) == 1:
-        return float(a[0]) + 0.0
     a_max = a.max()
     if not np.isfinite(a_max):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -406,6 +407,19 @@ def _log_a(tables, hyp, distinct, key_of_path, cls, anchor) -> float:
     return _logsumexp(log_nums + log_arrivals) - log_denom
 
 
+def _one_log_a(tables, hyp, depth, entries, cls, anchor) -> float:
+    """:func:`_log_a` of one candidate, in the same float operations on
+    scalars that it applies to one-entry arrays."""
+    log_num = _log_chain(tables, hyp, entries, anchor)
+    log_arrival = _log_arrival(tables, hyp, depth, entries, cls)
+    if log_num == _NEG_INF:
+        logger.warning(
+            "all %d candidate paths have zero score; falling back to a uniform mixture", 1
+        )
+        return log_arrival + 0.0 - 0.0
+    return (log_num + log_arrival) + 0.0 - (log_num + 0.0)
+
+
 # ---- public one-shot operations -------------------------------------------------
 
 
@@ -505,7 +519,7 @@ class PosteriorEngine:
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the exact
         forward recursion where it applies, else by the enumeration scorer."""
-        if self.anchor and obs.u != self.source and self.graph._is_multipath_dag():
+        if self.anchor and obs.u != self.source and self.graph._shape() == "dag":
             if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(*obs.edge):
                 logs = self._forward_logs(obs)
                 if logs is not None:
@@ -575,6 +589,12 @@ class PosteriorEngine:
             enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
         if not enumeration:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
+        if len(enumeration) == 1:
+            [(depth, entries)] = _evidence_keys(enumeration, self._by_edge)
+            return (
+                _one_log_a(self._tables, GENUINE, depth, entries, obs.cls, self.anchor),
+                _one_log_a(self._tables, FAKE, depth, entries, obs.cls, self.anchor),
+            )
         distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, self._by_edge))
         return (
             _log_a(self._tables, GENUINE, distinct, key_of_path, obs.cls, self.anchor),

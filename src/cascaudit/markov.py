@@ -254,15 +254,7 @@ class Trace:
 
     def implied_graph(self, feature_dim: int = 1) -> SocialGraph:
         """Graph formed by exactly this trace's nodes and edges (zero features)."""
-        graph = SocialGraph()
-        graph.add_node(self.source, np.zeros(feature_dim))
-        for ev in self.events:
-            for node in ev.edge:
-                if not graph.has_node(node):
-                    graph.add_node(node, np.zeros(feature_dim))
-        for ev in self.events:
-            graph.add_edge(*ev.edge)
-        return graph
+        return SocialGraph.from_edges([ev.edge for ev in self.events], (self.source,), feature_dim)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from cascaudit.errors import DegenerateDataError, ModelError, read_text
 from cascaudit.graph import PathEnumConfig, SocialGraph
-from cascaudit.inference import PosteriorEngine
+from cascaudit.inference import ChainTables, PosteriorEngine
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -440,14 +440,17 @@ def run_detection(
     on_unreachable: str = "skip",
     prior: Optional[float] = None,
     anchor: bool = True,
+    tables: Optional[ChainTables] = None,
 ) -> tuple:
     """Stream observations through the engine, stopping as soon as the policy fires.
 
     Returns ``(DecisionOutcome, BeliefState)``; the belief is the one at the
     stopping step.  Raises :class:`DegenerateDataError` when no observation
-    could be processed.
+    could be processed.  ``tables`` over ``model`` may be shared across runs.
     """
-    engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, prior=prior)
+    engine = PosteriorEngine(
+        model, graph, stream.source, cfg, anchor=anchor, prior=prior, tables=tables
+    )
     outcome = decide(policy, engine.beliefs(stream.observations, on_unreachable))
     return outcome, engine.belief
 
@@ -529,6 +532,7 @@ def risk_estimate(
         raise ModelError("n_traces must be >= 1")
     label_rng = derive_rng(seed, 0)
     labels = (label_rng.random(n_traces) < model.prior_fake).astype(int)
+    tables = ChainTables(model)
     results = []
     for i in range(n_traces):
         label = int(labels[i])
@@ -536,7 +540,8 @@ def risk_estimate(
         stream = subsample(trace, keep_fraction, derive_seed(seed, i, 2))
         graph = trace.implied_graph()
         outcome, belief = run_detection(
-            model, graph, stream, policy, cfg, prior=model.prior_fake, anchor=anchor
+            model, graph, stream, policy, cfg, prior=model.prior_fake, anchor=anchor,
+            tables=tables,
         )
         results.append(
             TraceResult(label=label, outcome=outcome, final_posterior=belief.posterior)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -215,6 +216,28 @@ def test_train_parse_error_exits_2(tmp_path):
                    "--out", tmp_path / "m.json") == 2
 
 
+def _assert_one_line_usage_error(capsys, code, flag):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and f"{flag} must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("flag,seed,n", [("--seed", -5, 2), ("--n", 1, -1)], ids=["seed", "n"])
+def test_simulate_negative_seed_or_count_exits_2(tmp_path, capsys, flag, seed, n):
+    code = run_cli("simulate", "--seed", seed, "--n", n, "--out", tmp_path / "sim")
+    _assert_one_line_usage_error(capsys, code, flag)
+    assert not (tmp_path / "sim").exists()
+
+
+def test_train_negative_seed_exits_2(tmp_path, capsys):
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
+    code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", -1, "--out", tmp_path / "m.json")
+    _assert_one_line_usage_error(capsys, code, "--seed")
+    assert not (tmp_path / "m.json").exists()
+
+
 # ---- detect ----
 
 
@@ -413,6 +436,21 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_benchmark_trace_targets_resolve_to_callables():
+    # the benchmark drops every per-layer metric whose traced functions are
+    # all missing, so a rename or removal must show up here first
+    traced_path = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("bench_traced", traced_path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.TARGETS
+    for module_name, attr, _ in traced.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{module_name}.{attr}"
+
+
 def test_detect_deterministic_output(tmp_path, capsys):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=5)
     outputs = []
@@ -502,6 +540,14 @@ def test_eval_rejects_malformed_trace_with_exit_2(tmp_path, capsys, mutate):
     assert "bad trace record" in captured.err
 
 
+def test_eval_negative_seed_exits_2(tmp_path, capsys):
+    traces = make_eval_corpus(tmp_path, n=3)
+    capsys.readouterr()
+    code = run_cli("eval", "--traces", traces, "--seed", -1, "--out", tmp_path / "eval_out")
+    _assert_one_line_usage_error(capsys, code, "--seed")
+    assert not (tmp_path / "eval_out").exists()
+
+
 def test_eval_byte_deterministic(tmp_path):
     traces = make_eval_corpus(tmp_path, n=16, seed=13)
     for name in ("e1", "e2"):
@@ -509,6 +555,30 @@ def test_eval_byte_deterministic(tmp_path):
                        "--out", tmp_path / name) == 0
     for fname in ("report.json", "per_trace.csv"):
         assert (tmp_path / "e1" / fname).read_bytes() == (tmp_path / "e2" / fname).read_bytes()
+
+
+# sha256 of (report.json, per_trace.csv), recorded before the single-followee
+# chain walk, scalar one-candidate scoring and shared chain tables landed
+TREE_EVAL_DIGESTS = {
+    "convergence": ("7b932386888337518b474862e7ff0d1430e8a2d744581129e5b65e295caf7498",
+                    "f88641c3c2a18aa4abe18d7cfab3b924e48fb1a10bc2360c21608337d61ef031"),
+    "sprt": ("87f7663afa2163e751973d0e7240ede4a1c31d641d9de6d03f4f3f9e42d34efc",
+             "7790ff2586aeb1ed23d04c48a5ab58afc4e569885b47b1465b77f7b8e51639f8"),
+    "dp": ("827cb68daa18b07b38a529e428cdc667b60812ad9ca682e6d57e9afae1e2814d",
+           "c219eb17b4ab022663778ac1308ebc19add0d807c9b10f5b03f680ba3970d68f"),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(TREE_EVAL_DIGESTS))
+def test_eval_on_a_tree_corpus_reproduces_recorded_outputs(tmp_path, policy):
+    # one candidate path per observation, with unreachable ones past the bound
+    traces = make_eval_corpus(tmp_path, n=24)
+    out_dir = tmp_path / policy
+    assert run_cli("eval", "--traces", traces, "--seed", 4, "--rho", 0.5,
+                   "--policy", policy, "--out", out_dir) == 0
+    digests = tuple(hashlib.sha256((out_dir / fname).read_bytes()).hexdigest()
+                    for fname in ("report.json", "per_trace.csv"))
+    assert digests == TREE_EVAL_DIGESTS[policy]
 
 
 def test_eval_with_shared_graph(tmp_path):

@@ -6,13 +6,15 @@ from cascaudit.graph import (
     DirectedPath,
     PathEnumConfig,
     SocialGraph,
+    _followee_chain,
     enumerate_paths,
+    forward_region,
     load_graph,
     save_graph,
 )
 from cascaudit.rng import derive_rng
 
-from .conftest import build_chain_graph, build_graph, random_digraph
+from .conftest import build_graph, random_digraph
 from .oracles import all_simple_paths_to_edge
 
 
@@ -301,7 +303,10 @@ def test_prefix_memo_serves_interleaved_path_bounds_on_cyclic_graphs():
 
 
 def test_walk_masks_stay_within_the_path_bound():
-    graph = build_chain_graph(1000)
+    # a node with two followees, away from the chain, keeps the general search
+    # (a graph of chains alone is answered by the followee-chain walk)
+    graph = build_graph([(i, i + 1) for i in range(1000)] + [(-1, -3), (-2, -3)])
+    assert graph._shape() == "dag"
     cfg = PathEnumConfig(max_path_length=8)
     result = enumerate_paths(graph, 992, (999, 1000), cfg)
     assert [p.vertices for p in result] == [tuple(range(992, 1001))]
@@ -339,3 +344,136 @@ def test_prefix_search_runs_only_for_lengths_with_walks():
     result = enumerate_paths(graph, 0, (40, 50))
     assert len(result) == 27
     assert {length for _, _, length in graph._prefix_cache} == {4}
+
+
+def _random_followee_graph(rng):
+    """Random graph in which every node has at most one followee; directed
+    cycles are common."""
+    n = int(rng.integers(3, 13))
+    edges = []
+    for v in range(n):
+        if rng.random() < 0.85:
+            u = int(rng.integers(n - 1))
+            edges.append((u + (u >= v), v))
+    return build_graph(edges), edges
+
+
+def test_followee_chain_walk_matches_the_oracle():
+    rng = derive_rng(77)
+    seen = dict.fromkeys(("found", "v_on_chain", "v_is_source", "unreachable",
+                          "beyond_bound", "cyclic"), 0)
+    for _ in range(60):
+        graph, edges = _random_followee_graph(rng)
+        if not edges:
+            continue
+        assert graph._shape() == "single"
+        seen["cyclic"] += _has_cycle(edges)
+        for source in graph.nodes():
+            for target in edges:
+                unbounded = all_simple_paths_to_edge(edges, source, target, 10**6)
+                for max_len in range(1, 9):
+                    cfg = PathEnumConfig(max_path_length=max_len)
+                    result = enumerate_paths(graph, source, target, cfg)
+                    expected = all_simple_paths_to_edge(edges, source, target, max_len)
+                    assert [p.vertices for p in result] == expected
+                    assert not result.truncated
+                    seen["found"] += bool(expected)
+                    seen["v_is_source"] += target[1] == source
+                    seen["beyond_bound"] += bool(unbounded) and not expected
+                    # with one followee each, the head v is on u's chain only
+                    # through the cycle closed by (u, v), or as the source
+                    chain = _followee_walk(graph, target[0])
+                    seen["v_on_chain"] += target[1] in chain and target[1] != source
+                    seen["unreachable"] += source not in chain
+    assert min(seen.values()) >= 20, seen
+
+
+def _followee_walk(graph, node):
+    """``node`` and its followees upward, until the chain ends or repeats."""
+    chain = [node]
+    while graph._pred[chain[-1]] and graph._pred[chain[-1]][0] not in chain:
+        chain.append(graph._pred[chain[-1]][0])
+    return chain
+
+
+def _has_cycle(edges):
+    followee = {v: u for u, v in edges}
+    for start in followee:
+        node, steps = start, 0
+        while node in followee and steps <= len(followee):
+            node, steps = followee[node], steps + 1
+            if node == start:
+                return True
+    return False
+
+
+def test_chain_walk_cases():
+    graph = build_graph([(i, i + 1) for i in range(12)] + [(20, 21), (21, 22), (22, 20)])
+    cfg = PathEnumConfig(max_path_length=4)
+    assert [p.vertices for p in enumerate_paths(graph, 2, (4, 5), cfg)] == [(2, 3, 4, 5)]
+    assert enumerate_paths(graph, 0, (4, 5), cfg).prefixes == ()  # five edges > 4
+    assert enumerate_paths(graph, 5, (4, 5), cfg).prefixes == ()  # v is the source
+    assert enumerate_paths(graph, 7, (4, 5), cfg).prefixes == ()  # source below the tail
+    assert enumerate_paths(graph, 0, (21, 22), cfg).prefixes == ()  # a cycle without the source
+    assert [p.vertices for p in enumerate_paths(graph, 20, (21, 22), cfg)] == [(20, 21, 22)]
+    assert [p.vertices for p in enumerate_paths(graph, 21, (22, 20), cfg)] == [(21, 22, 20)]
+    assert enumerate_paths(graph, 20, (22, 20), cfg).prefixes == ()  # v is the source
+    assert enumerate_paths(graph, 22, (21, 22), cfg).prefixes == ()  # v is the source
+    assert [p.vertices for p in enumerate_paths(graph, 4, (4, 5), cfg)] == [(4, 5)]
+
+    class CountingPred(dict):
+        reads = 0
+
+        def __getitem__(self, node):
+            self.reads += 1
+            assert self.reads <= 6, "the walk went round the cycle again"
+            return super().__getitem__(node)
+
+    # the walk stops on its first revisit, however large the bound
+    assert _followee_chain(CountingPred(graph._pred), 0, 21, 22, 10**9) == []
+
+
+def test_memos_follow_an_edge_added_after_each_query_kind():
+    def agrees(graph, edges, source, target=(3, 4)):
+        got = [p.vertices for p in enumerate_paths(graph, source, target)]
+        return got == all_simple_paths_to_edge(edges, source, target, 8)
+
+    for query in ("enumeration", "shape", "region", "masks"):
+        edges = [(i, i + 1) for i in range(6)]
+        graph = build_graph(edges)
+        graph.add_node(9, [0.0, 0.0])
+        if query == "enumeration":
+            assert agrees(graph, edges, 0)
+        elif query == "shape":
+            assert graph._shape() == "single"
+        elif query == "region":
+            assert forward_region(graph, 0, (3, 4), 8) is None
+        else:
+            graph._walk_masks(3, 8)
+        # node 3 gains a second followee, 9, itself reached from 0
+        for edge in ((0, 9), (9, 3)):
+            graph.add_edge(*edge)
+            edges.append(edge)
+        assert graph._shape() == "dag"
+        assert agrees(graph, edges, 0)
+        region = forward_region(graph, 0, (3, 4), 8)
+        depths = {d for d, (_, _, u_row) in enumerate(region.steps, start=1) if u_row is not None}
+        assert depths == {2, 3}  # 0 -> 9 -> 3 and 0 -> 1 -> 2 -> 3
+        # a cycle through the tail turns the graph cyclic
+        graph.add_edge(4, 0)
+        edges.append((4, 0))
+        assert graph._shape() == "cyclic"
+        assert forward_region(graph, 0, (3, 4), 8) is None
+        assert agrees(graph, edges, 0) and agrees(graph, edges, 1)
+
+
+def test_ingestion_clears_no_memo_that_no_query_filled(monkeypatch):
+    clears = []
+    monkeypatch.setattr(SocialGraph, "_clear_memos", lambda self: clears.append(self))
+    graph = SocialGraph.from_edges([(0, 1), (1, 2), (0, 3)], feature_dim=2)
+    assert clears == []
+    assert graph.features(3).shape == (2,) and not graph.features(3).flags.writeable
+    assert graph.features(0) is graph.features(3)
+    assert [p.vertices for p in enumerate_paths(graph, 0, (1, 2))] == [(0, 1, 2)]
+    graph.add_edge(3, 2)
+    assert clears == [graph]

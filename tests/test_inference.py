@@ -11,7 +11,9 @@ from cascaudit.inference import (
     BeliefState,
     ChainTables,
     PosteriorEngine,
+    _log_a,
     _logsumexp,
+    _one_log_a,
     _safe_log,
     _update_from_logs,
     build_path_context,
@@ -266,6 +268,38 @@ def test_keyed_scores_equal_per_path_scores_bit_for_bit(caplog):
     fallbacks = caplog.text.count("zero score")
     assert min(seen.values()) >= 30, seen
     assert fallbacks >= 30
+
+
+def test_one_candidate_scalar_scoring_equals_the_array_scorer(caplog):
+    # the one-candidate scorer must repeat _log_a's float operations exactly,
+    # zero-score fallback and its warning included
+    rng = derive_rng(43)
+    zero = SpreadModel(num_classes=2, initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
+                       transition_probs=np.array([np.eye(2), np.eye(2)]), prior_fake=0.5)
+    fallbacks = 0
+    for trial in range(600):
+        model = zero if trial % 3 == 0 else random_model(rng, int(rng.integers(2, 5)))
+        tables = ChainTables(model)
+        depth = int(rng.integers(1, 9))
+        positions = sorted(int(p) for p in rng.integers(1, depth + 1, size=rng.integers(0, 5)))
+        entries = tuple((p, int(rng.integers(model.num_classes))) for p in positions)
+        cls = int(rng.integers(model.num_classes))
+        anchor = bool(rng.random() < 0.7)
+        for hyp in (GENUINE, FAKE):
+            with caplog.at_level("WARNING", logger="cascaudit.inference"):
+                caplog.clear()
+                expected = _log_a(tables, hyp, [(depth, entries)], None, cls, anchor)
+                expected_warnings = [r.getMessage() for r in caplog.records]
+                caplog.clear()
+                got = _one_log_a(tables, hyp, depth, entries, cls, anchor)
+                warnings = [r.getMessage() for r in caplog.records]
+            assert type(got) is float
+            assert got == expected
+            assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+            assert warnings == expected_warnings
+            assert len(warnings) <= 1
+            fallbacks += len(warnings)
+    assert fallbacks >= 50
 
 
 def test_path_score_single_candidate_is_one(ref_model, demo_graph):
@@ -699,7 +733,7 @@ def test_single_candidate_on_a_multi_path_dag_takes_the_forward_pass():
 
 def test_forward_memo_follows_graph_mutation():
     graph = build_graph(_layered_dag_edges())
-    assert graph._is_multipath_dag()
+    assert graph._shape() == "dag"
     region = forward_region(graph, 0, (31, 40), 8)
     assert forward_region(graph, 0, (31, 40), 8) is region
     candidates = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
@@ -708,7 +742,7 @@ def test_forward_memo_follows_graph_mutation():
     graph.add_node(99, [0.0, 0.0])  # a node without edges leaves the memos exact
     assert forward_region(graph, 0, (31, 40), 8) is region
     graph.add_edge(41, 10)
-    assert not graph._is_multipath_dag()
+    assert graph._shape() == "cyclic"
     assert forward_region(graph, 0, (31, 40), 8) is None
 
 
