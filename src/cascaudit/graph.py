@@ -25,11 +25,12 @@ bitmasks held only for the ball of radius ``max_path_length - 1`` around
 and an enumeration holds its candidates as prefixes plus the target edge; the
 :class:`DirectedPath` objects of :attr:`PathEnumeration.paths` are built only
 when first read.
-On an acyclic graph where a node has two followees, :func:`forward_region`
-lays the walks ``source ~> u`` out by depth instead, in O(region edges), for
-the engine's forward recursion, which no ``max_paths`` cap limits.  Queries
-therefore write to the graph's memos and to the enumerations they return, so
-they must not run concurrently; a new edge clears any memo a query filled.
+On an acyclic graph where a node has two followees, :func:`forward_ball`
+lays out all walks from the source within the path bound by depth instead,
+once per ``(source, max_path_length)``, for the engine's forward recursion,
+which no ``max_paths`` cap limits.  Queries therefore write to the graph's
+memos and to the enumerations they return, so they must not run
+concurrently; a new edge clears any memo a query filled.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ class SocialGraph:
     unsorted and sorted once, on the first query after a mutation or at
     :meth:`freeze`.  Queries fill memos (sorted followers, the walk-length
     masks of the nodes within the path bound of a tail, the lazy
-    ``source ~> u`` prefix search, whole path enumerations) and are
-    single-threaded: do not query one graph from several threads.  Any new
-    edge clears the memos (a test when none is filled); a new node, without
-    edges, leaves them exact.
+    ``source ~> u`` prefix search, whole path enumerations, forward balls)
+    and are single-threaded: do not query one graph from several threads.
+    Any new edge clears the memos (a test when none is filled); a new node,
+    without edges, leaves them exact.
     """
 
     def __init__(self):
@@ -149,14 +150,14 @@ class SocialGraph:
         self._path_cache: dict = {}
         self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
-        self._region_cache: dict = {}
+        self._ball_cache: dict = {}
         self._shape_memo: Optional[str] = None
 
     def _clear_memos(self):
         self._path_cache.clear()
         self._mask_cache.clear()
         self._prefix_cache.clear()
-        self._region_cache.clear()
+        self._ball_cache.clear()
         self._shape_memo = None
 
     # ---- mutation ---------------------------------------------------------
@@ -220,7 +221,7 @@ class SocialGraph:
         self._unsorted.add(self._index[u])
         self._pred[v].append(u)
         if (self._shape_memo is not None or self._path_cache or self._mask_cache
-                or self._prefix_cache or self._region_cache):
+                or self._prefix_cache or self._ball_cache):
             self._clear_memos()
 
     def freeze(self) -> "SocialGraph":
@@ -391,55 +392,49 @@ def _followee_chain(pred, source, u, v, max_path_length) -> list:
     return [Prefix(vertices, tuple(zip(vertices[:-1], vertices[1:])))]
 
 
-class ForwardRegion(NamedTuple):
-    """The walks ``source ~> u`` within the path bound on a DAG, by depth.
+class ForwardBall(NamedTuple):
+    """All walks from a source within the path bound on a DAG: layer ``d``
+    holds the nodes with a walk of exactly ``d`` edges from the source, and
     ``steps[d - 1]`` leads from layer ``d - 1`` to ``d`` as ``(src_rows,
-    starts, u_row)``: each edge's tail row, edges grouped by head, each
-    group's start, and ``u``'s row or None.  ``edge_rows`` maps an edge to
-    its ``(depth, slot)`` pairs."""
+    starts)``: each edge's tail row, edges grouped by head, each group's
+    start.  ``edge_rows`` maps an edge to its ``(depth, slot)`` pairs and
+    ``node_rows`` a node to its ``(depth, row)`` pairs, in depth order."""
 
     steps: tuple
     edge_rows: dict
+    node_rows: dict
 
 
-def forward_region(graph: SocialGraph, source: NodeId, target_edge: Edge, max_path_length: int):
-    """The memoized :class:`ForwardRegion` for ``target_edge`` ``(u, v)``, or
-    None unless the graph is acyclic with a node of two followees (then errors
-    as in enumerate_paths).  Layer ``d`` keeps the nodes ``d`` steps from the
-    source with a walk of at most ``max_path_length - 1 - d`` edges to ``u``."""
+def forward_ball(graph: SocialGraph, source: NodeId, max_path_length: int):
+    """The memoized :class:`ForwardBall` of radius ``max_path_length - 1``
+    around ``source``, or None unless the graph is acyclic with a node of two
+    followees (then a missing source errors as in enumerate_paths)."""
     if graph._shape() != "dag":
         return None
-    u, v = target_edge
     if not graph.has_node(source):
         raise GraphError(f"source {source!r} is not a node")
-    if not graph.has_edge(u, v):
-        raise GraphError(f"target edge {target_edge!r} is not in the graph")
-    region = graph._region_cache.get((source, u, max_path_length))
-    if region is not None:
-        return region
-    masks = graph._walk_masks(u, max_path_length)
-    out, index = graph._sorted_out(), graph._index
-    layer, steps, edge_rows = [source], [], {}
-    for depth in range(1, max_path_length):
-        admit = (1 << (max_path_length - depth)) - 1
-        into: dict = {}  # head -> rows of its tails, in layer order
-        for row, node in enumerate(layer):
-            for child in out[index[node]]:
-                if masks.get(child, 0) & admit:
+    key = (source, max_path_length)
+    if key not in graph._ball_cache:
+        out, index = graph._sorted_out(), graph._index
+        layer, steps, edge_rows, node_rows = [source], [], {}, {}
+        for depth in range(1, max_path_length):
+            into: dict = {}  # head -> rows of its tails, in layer order
+            for row, node in enumerate(layer):
+                for child in out[index[node]]:
                     into.setdefault(child, []).append(row)
-        if not into:
-            break
-        src_rows, starts = [], []
-        for head, rows in into.items():
-            starts.append(len(src_rows))
-            for row in rows:
-                edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
-                src_rows.append(row)
-        layer = list(into)
-        u_row = layer.index(u) if u in into else None
-        steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp), u_row))
-    graph._region_cache[source, u, max_path_length] = ForwardRegion(tuple(steps), edge_rows)
-    return graph._region_cache[source, u, max_path_length]
+            if not into:
+                break
+            src_rows, starts = [], []
+            for head, rows in into.items():
+                node_rows.setdefault(head, []).append((depth, len(starts)))
+                starts.append(len(src_rows))
+                for row in rows:
+                    edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
+                    src_rows.append(row)
+            layer = list(into)
+            steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp)))
+        graph._ball_cache[key] = ForwardBall(tuple(steps), edge_rows, node_rows)
+    return graph._ball_cache[key]
 
 
 def _prefixes(graph, masks, source, u, length):
@@ -535,12 +530,14 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
     """Build a graph from an edge-list file plus an optional feature file.
 
     Nodes missing from the feature file (or all nodes, when no feature file is
-    given) get zero vectors of ``feature_dim`` so the graph stays usable for
-    inference, which never reads features.
+    given) share one read-only zero vector of ``feature_dim`` so the graph
+    stays usable for inference, which never reads features.
     """
     features = read_node_features(feature_path) if feature_path else {}
     if features:
         feature_dim = len(next(iter(features.values())))
+    zeros = np.zeros(feature_dim)
+    zeros.flags.writeable = False
     graph = SocialGraph()
     edges = []
     for lineno, line in enumerate(read_text(edge_path, GraphError).split("\n"), start=1):
@@ -550,10 +547,11 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
         edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
-    for u, v in edges:
-        for node in (u, v):
-            if not graph.has_node(node):
-                graph.add_node(node, features.get(node, np.zeros(feature_dim)))
+    for node in chain.from_iterable(edges):
+        if node in features and not graph.has_node(node):
+            graph.add_node(node, features[node])
+        elif not graph.has_node(node):
+            graph._append_node(node, zeros)
     for u, v in edges:
         graph.add_edge(u, v)
     return graph

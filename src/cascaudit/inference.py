@@ -22,18 +22,19 @@ comparison.
 
 On an acyclic graph where a node has two followees, an observation off the
 source is scored exactly, with no path cap, by the HMM forward recursion over
-the memoized walks from the source to its tail: O(region edges x Z^2) for
-both hypotheses, rescaled per depth.  Any other (cyclic graph or forest,
-``anchor=False``, a zero denominator, or an entry too far below its depth's
-peak) costs one pass over its capped path enumeration, O(paths x length), in
-log space.  An observation with one candidate, which is every observation on a
-single-followee graph (a walk up the followee chain finds it), costs
-O(path length) in plain floats, with no masks, memoized search or arrays.
-Each candidate looks up its edges in the engine's index of
-accepted observations to form its evidence key: the path depth plus the
-``(position, class)`` pairs of the earlier observations on it.  Each distinct
-key is scored once and expanded back to one entry per path, in path order,
-before the log-sum-exp.
+the source's memoized forward ball, rescaled per layer.  The engine keeps the
+per-depth messages across its stream and recomputes only the depths a newly
+accepted edge made stale, each in O(layer edges x Z^2) for both hypotheses.
+Any other (cyclic graph or forest, ``anchor=False``, a zero denominator, or
+an entry too far below its layer's peak) costs one pass over its capped path
+enumeration, O(paths x length), in log space.  An observation with one
+candidate, which is every observation on a single-followee graph (a walk up
+the followee chain finds it), costs O(path length) in plain floats, with no
+masks, memoized search or arrays.  Each candidate looks up its edges in the
+engine's index of accepted observations to form its evidence key: the path
+depth plus the ``(position, class)`` pairs of the earlier observations on it.
+Each distinct key is scored once and expanded back to one entry per path, in
+path order, before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from cascaudit.graph import (
     PathEnumeration,
     SocialGraph,
     enumerate_paths,
-    forward_region,
+    forward_ball,
 )
 from cascaudit.markov import FAKE, GENUINE, Observation, ObservationStream, SpreadModel
 
@@ -474,9 +475,9 @@ def conditional_obs_prob(
 class PosteriorEngine:
     """Streaming posterior computation for one observation stream.
 
-    Holds the per-trace state (belief, accepted observations and their index
-    by edge) plus caches for matrix powers and path enumerations.  The model
-    and graph are shared immutable inputs; one engine serves one trace.
+    Holds the per-trace state (belief, accepted observations indexed by
+    edge, forward messages) plus caches of matrix powers and enumerations.
+    The model and graph are shared immutable inputs; one engine per trace.
     """
 
     def __init__(
@@ -509,12 +510,17 @@ class PosteriorEngine:
         """Replace the accepted observations, and their index with them."""
         self._accepted: list = []
         self._by_edge: dict = {}  # edge -> classes observed on it, in stream order
+        self._ball = None  # forward ball; per depth, slot -> classes and (message, log scale)
         for obs in observations:
             self._accept(obs)
 
     def _accept(self, obs: Observation) -> None:
         self._accepted.append(obs)
         self._by_edge.setdefault(obs.edge, []).append(obs.cls)
+        if self._ball is not None:
+            for depth, slot in self._ball.edge_rows.get(obs.edge, ()):
+                self._evidence[depth - 1][slot] = self._by_edge[obs.edge]
+                del self._messages[depth - 1:]  # stale from the edge's shallowest depth on
 
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the exact
@@ -528,33 +534,36 @@ class PosteriorEngine:
 
     def _forward_logs(self, obs: Observation) -> Optional[tuple]:
         """(log a_genuine, log a_fake) by the forward recursion, or None where
-        the enumeration scorer runs: cyclic graph or forest, a zero
-        denominator (the uniform fallback needs per-path arrivals), or a
-        rescaled entry so far below its depth's peak that the next step's
-        products could leave the normal doubles and lose mass silently.  Per
-        depth, the stacked transition moves each node's class vector onto its
-        out-edges, an observed edge keeps only its class (nothing on a
-        conflict), and each head sums its in-edges.  The transition is
-        row-stochastic, so a vector's mass is its paths' chain score."""
-        region = forward_region(self.graph, self.source, obs.edge, self.cfg.max_path_length)
-        if region is None:
+        the enumeration scorer runs: cyclic graph or forest, a tail out of
+        reach, a zero denominator (the uniform fallback needs per-path
+        arrivals), or a rescaled entry so far below its layer's peak that the
+        next step's products could leave the normal doubles and lose mass
+        silently.  Per depth, the stacked transition moves each node's class
+        vector onto its out-edges, an observed edge keeps only its class
+        (nothing on a conflict), and each head sums its in-edges.  The
+        transition is row-stochastic, so a vector's mass is its paths' chain
+        score.  A depth's messages depend only on the evidence at it and
+        above, so only depths at or below a newly accepted edge rerun."""
+        ball = forward_ball(self.graph, self.source, self.cfg.max_path_length)
+        if ball is None or obs.u not in ball.node_rows:
             return None
+        if ball is not self._ball:  # the first pass, a new prefix or a mutated graph
+            self._ball, self._evidence, self._messages = ball, [{} for _ in ball.steps], []
+            for edge, classes in self._by_edge.items():
+                for depth, slot in ball.edge_rows.get(edge, ()):
+                    self._evidence[depth - 1][slot] = classes
+        rows = ball.node_rows[obs.u]
         transition, seed, indicators, floors = self._tables.stacked()
 
         def keep(classes):
             return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
 
-        evidence: dict = {}  # depth -> [(edge slot, classes)]
-        for edge, classes in self._by_edge.items():
-            for depth, slot in region.edge_rows.get(edge, ()):
-                evidence.setdefault(depth, []).append((slot, classes))
-        target = self._by_edge.get(obs.edge, ())
-        msg, log_scale = None, np.zeros(2)
-        log_sums = np.full((2, 2), _NEG_INF)  # log (sum chain * arrival, sum chain) per hyp
-        for depth, (src_rows, starts, u_row) in enumerate(region.steps, start=1):
+        messages = self._messages
+        for depth in range(len(messages) + 1, rows[-1][0] + 1):
+            src_rows, starts = ball.steps[depth - 1]
             # the source's row of out-edge classes is the seed
-            edges = (seed[None] if msg is None else msg @ transition)[src_rows]
-            for slot, classes in evidence.get(depth, ()):
+            edges = (seed[None] if depth == 1 else messages[-1][0] @ transition)[src_rows]
+            for slot, classes in self._evidence[depth - 1].items():
                 edges[slot] *= keep(classes)
             msg = np.add.reduceat(edges, starts)
             blocks = msg.reshape(len(msg), 2, -1)
@@ -563,12 +572,15 @@ class PosteriorEngine:
             blocks /= peak[:, None]
             if ((blocks > 0.0) & (blocks < floors[:, None])).any():
                 return None
-            log_scale += np.log(peak)
-            if u_row is not None:
-                vec = (msg[u_row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
-                with np.errstate(divide="ignore"):
-                    logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
-                log_sums = np.logaddexp(log_sums, logs)
+            messages.append((msg, (messages[-1][1] if messages else 0.0) + np.log(peak)))
+        target = self._by_edge.get(obs.edge, ())
+        log_sums = np.full((2, 2), _NEG_INF)  # log (sum chain * arrival, sum chain) per hyp
+        for depth, row in rows:
+            msg, log_scale = messages[depth - 1]
+            vec = (msg[row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
+            with np.errstate(divide="ignore"):
+                logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
+            log_sums = np.logaddexp(log_sums, logs)
         if not np.isfinite(log_sums[1]).all():
             return None
         log_a = log_sums[0] - log_sums[1]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import cascaudit
 from cascaudit import cli
 from cascaudit.cli import main
-from cascaudit.graph import save_graph
+from cascaudit.graph import SocialGraph, save_graph
 from cascaudit.offline import classify_graph_edges
 from cascaudit.markov import (
     FAKE,
@@ -235,6 +235,17 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
                    "--features", feats_path, "--seed", -1, "--out", tmp_path / "m.json")
     _assert_one_line_usage_error(capsys, code, "--seed")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_train_feature_dimension_mismatch_exits_2(tmp_path, capsys):
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
+    lines = feats_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t1.0"  # one component where the rest have two
+    feats_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, "--out", tmp_path / "m.json")
+    assert code == 2 and "feature dimension 1" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -579,6 +590,54 @@ def test_eval_on_a_tree_corpus_reproduces_recorded_outputs(tmp_path, policy):
     digests = tuple(hashlib.sha256((out_dir / fname).read_bytes()).hexdigest()
                     for fname in ("report.json", "per_trace.csv"))
     assert digests == TREE_EVAL_DIGESTS[policy]
+
+
+# eval --policy dp on the layered DAG below, recorded with the per-tail
+# forward regions that preceded the per-source forward ball: the sha256 of
+# report.json, then per trace (verdict, steps, rule) and final_posterior
+DAG_EVAL_REPORT = "88d507dce379595ef3771517fd845cf44df7a5d4389ce2835f777555e2e432d2"
+DAG_EVAL_DECISIONS = [
+    (0, 20, "horizon"), (1, 13, "horizon"), (1, 7, "horizon"), (1, 5, "horizon"),
+    (0, 20, "horizon"), (1, 23, "horizon"), (0, 9, "horizon"), (1, 18, "horizon"),
+    (0, 4, "horizon"), (1, 21, "horizon"), (0, 23, "horizon"), (1, 3, "horizon"),
+    (0, 8, "horizon"), (1, 4, "dp_threshold"), (0, 14, "horizon"), (1, 4, "dp_threshold"),
+    (0, 20, "horizon"), (1, 3, "dp_threshold"), (0, 13, "horizon"), (1, 17, "dp_threshold"),
+]
+DAG_EVAL_POSTERIORS = [
+    0.008942305068677553, 0.7894619844695311, 0.6405100290007016, 0.9513042669607705,
+    3.781122208738615e-07, 0.7493381847029613, 0.05766468287372273, 0.9401130463535452,
+    0.08653531228605134, 0.9250047457282056, 4.150843587315903e-07, 0.9237410965100908,
+    0.052209896033691, 0.9878467951435392, 0.059514510302888804, 0.9881622993144551,
+    0.0005430846129034126, 0.9974436815037462, 0.028615121885434698, 0.9888445389803655,
+]
+
+
+def test_dp_eval_on_a_layered_dag_reproduces_recorded_outputs(tmp_path):
+    # source 0 followed by layer 1; each node of layers 1-4 followed by three
+    # nodes of the next layer, and each of layer 1 also by one of layer 3, so
+    # most tails have several candidate paths, some of two lengths
+    rng = np.random.default_rng(5)
+    layers = [[0]] + [[100 * k + j for j in range(8)] for k in range(1, 6)]
+    edges = [(0, v) for v in layers[1]] + [(a, int(rng.choice(layers[3]))) for a in layers[1]]
+    for up, down in zip(layers[1:], layers[2:]):
+        for a in up:
+            edges += [(a, int(b)) for b in sorted(rng.choice(down, 3, replace=False))]
+    graph = SocialGraph.from_edges(edges)
+    growth = GrowthConfig(max_events=30, min_children=1)
+    traces = [sample_trace(graph, reference_model(), label, seed=s, growth=growth, source=0)
+              for s, label in enumerate([GENUINE, FAKE] * 10)]
+    write_traces(traces, tmp_path / "traces.jsonl")
+    save_graph(graph, tmp_path / "graph.tsv")
+    out_dir = tmp_path / "dag_eval"
+    assert run_cli("eval", "--traces", tmp_path / "traces.jsonl", "--graph", tmp_path / "graph.tsv",
+                   "--seed", 4, "--rho", 0.7, "--policy", "dp", "--out", out_dir) == 0
+    report = hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()
+    rows = [line.split(",") for line in
+            (out_dir / "per_trace.csv").read_text(encoding="utf-8").splitlines()[1:]]
+    assert report == DAG_EVAL_REPORT
+    assert [(int(r[2]), int(r[3]), r[4]) for r in rows] == DAG_EVAL_DECISIONS
+    for row, expected in zip(rows, DAG_EVAL_POSTERIORS, strict=True):
+        assert math.isclose(float(row[5]), expected, rel_tol=1e-12, abs_tol=0.0)
 
 
 def test_eval_with_shared_graph(tmp_path):

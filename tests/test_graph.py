@@ -8,7 +8,7 @@ from cascaudit.graph import (
     SocialGraph,
     _followee_chain,
     enumerate_paths,
-    forward_region,
+    forward_ball,
     load_graph,
     save_graph,
 )
@@ -188,6 +188,24 @@ def test_load_graph_without_features(tmp_path):
     edge_file.write_text("1\t2\n2\t3\n", encoding="utf-8")
     graph = load_graph(edge_file)
     assert graph.has_edge(1, 2) and graph.has_edge(2, 3)
+
+
+def test_load_graph_shares_one_zero_vector_among_featureless_nodes(tmp_path):
+    edge_file, feat_file = tmp_path / "edges.tsv", tmp_path / "features.tsv"
+    edge_file.write_text("1\t2\n2\t3\n3\t4\n", encoding="utf-8")
+    feat_file.write_text("2\t0.5,1.5\n9\t1.0,1.0\n", encoding="utf-8")
+    graph = load_graph(edge_file, feat_file)
+    assert graph.features(2).tolist() == [0.5, 1.5] and graph.features(2).flags.writeable
+    zeros = graph.features(1)
+    assert zeros.tolist() == [0.0, 0.0] and not zeros.flags.writeable
+    assert graph.features(3) is zeros and graph.features(4) is zeros
+    assert not graph.has_node(9)  # a featured node without edges stays out
+    bare = load_graph(edge_file, feature_dim=3)
+    assert bare.features(1).shape == (3,) and not bare.features(1).flags.writeable
+    assert all(bare.features(node) is bare.features(1) for node in (2, 3, 4))
+    feat_file.write_text("2\t0.5,1.5\n3\t1.0\n", encoding="utf-8")
+    with pytest.raises(GraphError, match="feature dimension 1 for 3"):
+        load_graph(edge_file, feat_file)
 
 
 def test_load_graph_bad_record(tmp_path):
@@ -438,7 +456,7 @@ def test_memos_follow_an_edge_added_after_each_query_kind():
         got = [p.vertices for p in enumerate_paths(graph, source, target)]
         return got == all_simple_paths_to_edge(edges, source, target, 8)
 
-    for query in ("enumeration", "shape", "region", "masks"):
+    for query in ("enumeration", "shape", "ball", "masks"):
         edges = [(i, i + 1) for i in range(6)]
         graph = build_graph(edges)
         graph.add_node(9, [0.0, 0.0])
@@ -446,8 +464,8 @@ def test_memos_follow_an_edge_added_after_each_query_kind():
             assert agrees(graph, edges, 0)
         elif query == "shape":
             assert graph._shape() == "single"
-        elif query == "region":
-            assert forward_region(graph, 0, (3, 4), 8) is None
+        elif query == "ball":
+            assert forward_ball(graph, 0, 8) is None
         else:
             graph._walk_masks(3, 8)
         # node 3 gains a second followee, 9, itself reached from 0
@@ -456,14 +474,13 @@ def test_memos_follow_an_edge_added_after_each_query_kind():
             edges.append(edge)
         assert graph._shape() == "dag"
         assert agrees(graph, edges, 0)
-        region = forward_region(graph, 0, (3, 4), 8)
-        depths = {d for d, (_, _, u_row) in enumerate(region.steps, start=1) if u_row is not None}
-        assert depths == {2, 3}  # 0 -> 9 -> 3 and 0 -> 1 -> 2 -> 3
+        ball = forward_ball(graph, 0, 8)
+        assert [depth for depth, _ in ball.node_rows[3]] == [2, 3]  # 0 -> 9 -> 3, 0 -> 1 -> 2 -> 3
         # a cycle through the tail turns the graph cyclic
         graph.add_edge(4, 0)
         edges.append((4, 0))
         assert graph._shape() == "cyclic"
-        assert forward_region(graph, 0, (3, 4), 8) is None
+        assert forward_ball(graph, 0, 8) is None
         assert agrees(graph, edges, 0) and agrees(graph, edges, 1)
 
 

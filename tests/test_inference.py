@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cascaudit.errors import InvalidEvidenceError, UnreachableObservationError
-from cascaudit.graph import PathEnumConfig, enumerate_paths, forward_region
+from cascaudit.errors import GraphError, InvalidEvidenceError, UnreachableObservationError
+from cascaudit.graph import PathEnumConfig, enumerate_paths, forward_ball
 from cascaudit.inference import (
     BeliefState,
     ChainTables,
@@ -734,16 +734,21 @@ def test_single_candidate_on_a_multi_path_dag_takes_the_forward_pass():
 def test_forward_memo_follows_graph_mutation():
     graph = build_graph(_layered_dag_edges())
     assert graph._shape() == "dag"
-    region = forward_region(graph, 0, (31, 40), 8)
-    assert forward_region(graph, 0, (31, 40), 8) is region
+    ball = forward_ball(graph, 0, 8)
+    assert forward_ball(graph, 0, 8) is ball
+    assert forward_ball(graph, 0, 3) is not ball and forward_ball(graph, 10, 8) is not ball
+    with pytest.raises(GraphError, match="source"):
+        forward_ball(graph, 7, 8)
     candidates = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
-    depths = {d for d, (_, _, u_row) in enumerate(region.steps, start=1) if u_row is not None}
-    assert depths == {len(path) - 1 for path in candidates} == {2, 3}
+    depths = [depth for depth, _ in ball.node_rows[31]]
+    assert depths == sorted({len(path) - 1 for path in candidates}) == [2, 3]
     graph.add_node(99, [0.0, 0.0])  # a node without edges leaves the memos exact
-    assert forward_region(graph, 0, (31, 40), 8) is region
+    assert forward_ball(graph, 0, 8) is ball
+    graph.add_edge(0, 99)  # the graph stays acyclic, the memo is rebuilt
+    assert graph._shape() == "dag" and forward_ball(graph, 0, 8) is not ball
     graph.add_edge(41, 10)
     assert graph._shape() == "cyclic"
-    assert forward_region(graph, 0, (31, 40), 8) is None
+    assert forward_ball(graph, 0, 8) is None
 
 
 def test_forward_pass_survives_path_products_below_the_double_range():
@@ -788,3 +793,88 @@ def test_forward_pass_falls_back_before_the_rescaling_drops_a_path():
     assert engine._forward_logs(new) is None
     assert engine.log_conditionals(new) == expected
     assert expected[GENUINE] > -1e-20  # B's class carries on to the target
+
+
+
+def _reach(graph, start) -> set:
+    """The nodes reachable from ``start``, itself included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for v in graph.followers(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def _incremental_case(rng, order):
+    """(graph, source, cfg, model, stream) on a random multi-path DAG whose
+    nodes sit at several depths.  The stream observes every edge below the
+    source once, by its tail's least depth (``"time"``) or shuffled, plus
+    three edges observed again later, mostly with another class."""
+    while True:
+        edges = _random_dag(rng, max_nodes=12)
+        if not edges or build_graph(edges)._shape() != "dag":
+            continue
+        graph = build_graph(edges)
+        source = edges[int(rng.integers(len(edges)))][0]
+        depth, queue = {source: 0}, [source]
+        for u in queue:  # breadth first, so each node gets its least depth
+            for v in graph.followers(u):
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        below = [e for e in edges if e[0] in depth]
+        if len({depth[u] for u, _ in below}) >= 3:
+            break
+    model = random_model(rng, int(rng.integers(2, 4)))
+    cfg = PathEnumConfig(max_path_length=int(rng.integers(2, 7)), max_paths=10**6)
+    if order == "time":
+        below.sort(key=lambda e: depth[e[0]])
+    else:
+        below = [below[int(i)] for i in rng.permutation(len(below))]
+    stream = [obs(*e, int(rng.integers(model.num_classes))) for e in below]
+    for _ in range(3):
+        at = int(rng.integers(1, len(stream) + 1))
+        again = stream[int(rng.integers(at))]
+        cls = (again.cls + int(rng.random() < 0.8)) % model.num_classes
+        stream.insert(at, obs(again.u, again.v, cls))
+    return graph, source, cfg, model, stream
+
+
+@pytest.mark.parametrize("order", ["time", "shuffled"])
+def test_incremental_forward_state_equals_a_fresh_pass(order):
+    rng = derive_rng(97 if order == "time" else 98)
+    seen = dict.fromkeys(("forward", "reused", "recomputed", "conflict", "reset", "mutated"), 0)
+    while min(seen.values()) < 40:
+        graph, source, cfg, model, stream = _incremental_case(rng, order)
+        engine = PosteriorEngine(model, graph, source, cfg)
+        reset_at, mutate_at = (int(rng.integers(1, len(stream))) for _ in range(2))
+        for step, new in enumerate(stream):
+            if step == reset_at:  # a new prefix, one observation shorter
+                engine.accepted = engine.accepted[:-1]
+                seen["reset"] += 1
+            if step == mutate_at:  # a new source edge that keeps the graph acyclic
+                heads = [w for w in graph.nodes() if w != source
+                         and not graph.has_edge(source, w) and source not in _reach(graph, w)]
+                if heads:
+                    graph.add_edge(source, heads[int(rng.integers(len(heads)))])
+                    seen["mutated"] += 1
+            ball = forward_ball(graph, source, cfg.max_path_length)
+            held = len(engine._messages) if engine._ball is ball else 0
+            fresh = PosteriorEngine(model, graph, source, cfg)
+            fresh.accepted = engine.accepted
+            try:
+                expected = fresh.log_conditionals(new)
+            except UnreachableObservationError:
+                with pytest.raises(UnreachableObservationError):
+                    engine.log_conditionals(new)
+                continue
+            logs = engine.log_conditionals(new)
+            assert logs == expected, (stream, step)
+            assert _relative_gap(logs, fresh._enumeration_logs(new)) <= 1e-12, (stream, step)
+            if new.u != source and engine._forward_logs(new) is not None:
+                seen["forward"] += 1
+                seen["reused" if held >= ball.node_rows[new.u][-1][0] else "recomputed"] += 1
+                seen["conflict"] += any(len(set(c)) > 1 for c in engine._by_edge.values())
+            engine._accept(new)
