@@ -8,7 +8,7 @@ The package follows one pipeline:
 * ``policy``    -- stopping rules: DP thresholds, SPRT, convergence
 * ``offline``   -- training: edge classifier and parameter estimation
 * ``cli``       -- command-line pipeline (simulate / train / detect / eval /
-  thresholds)
+  thresholds) and the evaluation path it shares with the Monte Carlo risk
 """
 
 from cascaudit.errors import (

@@ -4,6 +4,11 @@ Exit codes: 0 success, 2 usage or parse failure, 3 degenerate data,
 4 unconverged threshold solver.  Every command is deterministic given its
 flags and ``--seed``: all randomness derives from that one seed by counters,
 and outputs are byte-stable across reruns.
+
+``simulate``, ``eval`` and the Monte Carlo risk (:func:`risk_estimate`) share
+one evaluation path: :func:`simulate_corpus` draws a labeled corpus,
+:func:`detect_corpus` runs the detector on each trace, and
+:func:`count_errors` turns the results into the report and the risk terms.
 """
 
 from __future__ import annotations
@@ -11,16 +16,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from cascaudit.errors import (
     CascauditError,
     DegenerateDataError,
     EstimationError,
+    ModelError,
+    TraceError,
 )
 from cascaudit.graph import PathEnumConfig, load_graph
-from cascaudit.inference import ChainTables, write_trajectory
+from cascaudit.inference import BeliefState, ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -47,6 +56,7 @@ from cascaudit.offline import (
 from cascaudit.policy import (
     ConvergencePolicy,
     CostSpec,
+    DecisionOutcome,
     DpThresholdPolicy,
     SprtConfig,
     SprtPolicy,
@@ -105,26 +115,151 @@ def _make_policy(args, model: SpreadModel, costs: CostSpec):
     return DpThresholdPolicy(table), None
 
 
+# ---- the evaluation path: detection over a corpus, its errors and its risk --------
+
+
+def simulate_corpus(model: SpreadModel, n: int, seed: int, growth: GrowthConfig,
+                    label=None) -> list:
+    """``n`` synthetic cascades of ``model``.  Each label is ``label``, or else
+    drawn from the model's prior; trace ``i`` grows from seed
+    ``derive_seed(seed, i, 1)`` with node ids from ``i * TRACE_ID_STRIDE``."""
+    draws = derive_rng(seed, 0).random(n)
+    return [
+        sample_trace(
+            None,
+            model,
+            label if label is not None else int(draws[i] < model.prior_fake),
+            derive_seed(seed, i, 1),
+            dataclasses.replace(growth, id_base=i * TRACE_ID_STRIDE),
+        )
+        for i in range(n)
+    ]
+
+
+@dataclass(frozen=True)
+class TraceResult:
+    """One trace's detection: its label, the stopping decision, and the belief
+    at the stopping step."""
+
+    label: int
+    outcome: DecisionOutcome
+    belief: BeliefState
+
+
+def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, graph=None,
+                  cfg: PathEnumConfig = PathEnumConfig(), on_unreachable: str = "skip",
+                  prior=None) -> list:
+    """One :class:`TraceResult` per trace.  Trace ``i`` is subsampled to keep
+    ``rho`` of its events with seed ``derive_seed(seed, i, 2)`` and detected
+    on ``graph``, or on its own implied graph when ``graph`` is None; every
+    run shares one set of chain tables."""
+    tables = ChainTables(model)
+    results = []
+    for index, trace in enumerate(traces):
+        stream = subsample(trace, rho, derive_seed(seed, index, 2))
+        outcome, belief = run_detection(
+            model, graph if graph is not None else trace.implied_graph(), stream, policy,
+            cfg=cfg, on_unreachable=on_unreachable, prior=prior, tables=tables,
+        )
+        results.append(TraceResult(trace.label, outcome, belief))
+    return results
+
+
+def count_errors(results) -> dict:
+    """Error rates and detection times of labeled results: the metrics of
+    ``report.json``, from which the risk is also built."""
+    n = len(results)
+    n_fake = sum(1 for r in results if r.label == FAKE)
+    n_genuine = n - n_fake
+    fp = sum(1 for r in results if r.label == GENUINE and r.outcome.verdict == 1)
+    fn = sum(1 for r in results if r.label == FAKE and r.outcome.verdict == 0)
+    steps_fake = sum(r.outcome.step for r in results if r.label == FAKE)
+    steps_genuine = sum(r.outcome.step for r in results if r.label == GENUINE)
+    per_rule = {}
+    for r in results:
+        per_rule[r.outcome.rule] = per_rule.get(r.outcome.rule, 0) + 1
+    return {
+        "accuracy": 1.0 - (fp + fn) / n,
+        "fp": fp / n_genuine if n_genuine else 0.0,
+        "fn": fn / n_fake if n_fake else 0.0,
+        "mean_detection_events": (steps_fake + steps_genuine) / n,
+        "mean_events_fake": steps_fake / n_fake if n_fake else None,
+        "mean_events_genuine": steps_genuine / n_genuine if n_genuine else None,
+        "per_rule": per_rule,
+        "n": n,
+        "n_fake": n_fake,
+        "n_genuine": n_genuine,
+    }
+
+
+@dataclass(frozen=True)
+class RiskReport:
+    """Empirical risk decomposition with binomial standard errors."""
+
+    risk: float
+    pe_false_alarm: float       # P(verdict fake | genuine)
+    pe_miss: float              # P(verdict genuine | fake)
+    se_false_alarm: float
+    se_miss: float
+    mean_steps_fake: float      # E[steps * 1{fake}] over all traces
+    n_genuine: int
+    n_fake: int
+
+
+def summarize_risk(count: dict, costs: CostSpec, prior: float) -> RiskReport:
+    """The evaluation objective from an error count of :func:`count_errors`:
+
+    risk = false_alarm * (1 - prior) * fp + miss * prior * fn
+         + per_step * prior * mean_events_fake
+    """
+    pe_fa, pe_miss = count["fp"], count["fn"]
+    n0, n1 = count["n_genuine"], count["n_fake"]
+    mean_steps_fake = prior * count["mean_events_fake"] if n1 else 0.0
+    return RiskReport(
+        risk=(
+            costs.false_alarm * (1.0 - prior) * pe_fa
+            + costs.miss * prior * pe_miss
+            + costs.per_step * mean_steps_fake
+        ),
+        pe_false_alarm=pe_fa,
+        pe_miss=pe_miss,
+        se_false_alarm=math.sqrt(pe_fa * (1 - pe_fa) / n0) if n0 else 0.0,
+        se_miss=math.sqrt(pe_miss * (1 - pe_miss) / n1) if n1 else 0.0,
+        mean_steps_fake=mean_steps_fake,
+        n_genuine=n0,
+        n_fake=n1,
+    )
+
+
+def risk_estimate(policy, model: SpreadModel, n_traces: int, seed: int, costs: CostSpec,
+                  growth: GrowthConfig = GrowthConfig()) -> tuple:
+    """Monte Carlo estimate of the sequential risk for ``policy``.
+
+    Simulates a labeled corpus from the model's prior mixture as ``simulate``
+    does, detects on each fully observed trace over its implied graph, and
+    returns ``(RiskReport, list[TraceResult])``.
+    """
+    if n_traces < 1:
+        raise ModelError("n_traces must be >= 1")
+    results = detect_corpus(model, simulate_corpus(model, n_traces, seed, growth), policy,
+                            1.0, seed)
+    return summarize_risk(count_errors(results), costs, model.prior_fake), results
+
+
 # ---- simulate ---------------------------------------------------------------------
 
 
 def cmd_simulate(args) -> int:
     model, _ = _load_model_arg(args)
+    growth = GrowthConfig(
+        max_events=args.max_events,
+        mean_children=args.mean_children,
+        max_children=args.max_children,
+        min_children=args.min_children,
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    label_rng = derive_rng(args.seed, 0)
-    draws = label_rng.random(args.n)
-    traces = []
-    for i in range(args.n):
-        label = args.label if args.label is not None else int(draws[i] < model.prior_fake)
-        growth = GrowthConfig(
-            max_events=args.max_events,
-            mean_children=args.mean_children,
-            max_children=args.max_children,
-            min_children=args.min_children,
-            id_base=i * TRACE_ID_STRIDE,
-        )
-        traces.append(sample_trace(None, model, label, derive_seed(args.seed, i, 1), growth))
+    traces = simulate_corpus(model, args.n, args.seed, growth, args.label)
     write_traces(traces, out_dir / "traces.jsonl")
     union = {}
     for trace in traces:
@@ -151,9 +286,11 @@ def cmd_train(args) -> int:
     if not corpus.has_both_labels():
         raise DegenerateDataError("training needs both genuine and fake traces")
 
-    have_recorded = all(
-        ev.cls is not None for trace in traces for ev in trace.events
-    )
+    classes = {ev.cls for trace in traces for ev in trace.events}
+    have_recorded = None not in classes
+    if have_recorded and not classes <= set(range(args.zclasses)):
+        bad = min(classes - set(range(args.zclasses)))
+        raise TraceError(f"event class {bad} is outside 0..{args.zclasses - 1} (--zclasses)")
     classifier = None
     class_map = None
     if graph is not None and args.features:
@@ -240,47 +377,11 @@ def cmd_eval(args) -> int:
     if policy is None:
         return code
 
-    rows = []
-    tables = ChainTables(model)
-    for index, trace in enumerate(traces):
-        stream = subsample(trace, args.rho, derive_seed(args.seed, index, 2))
-        graph = shared_graph if shared_graph is not None else trace.implied_graph()
-        outcome, belief = run_detection(
-            model, graph, stream, policy, cfg=_enum_cfg(args),
-            on_unreachable=args.on_unreachable, prior=args.prior, tables=tables,
-        )
-        rows.append((index, trace.label, outcome, belief))
-
-    n = len(rows)
-    n_fake = sum(1 for _, label, _, _ in rows if label == FAKE)
-    n_genuine = n - n_fake
-    fp = sum(1 for _, label, outcome, _ in rows if label == GENUINE and outcome.verdict == 1)
-    fn = sum(1 for _, label, outcome, _ in rows if label == FAKE and outcome.verdict == 0)
-    fp_rate = fp / n_genuine if n_genuine else 0.0
-    fn_rate = fn / n_fake if n_fake else 0.0
-    accuracy = 1.0 - (fp + fn) / n
-    steps = [outcome.step for _, _, outcome, _ in rows]
-    steps_fake = [o.step for _, lab, o, _ in rows if lab == FAKE]
-    steps_genuine = [o.step for _, lab, o, _ in rows if lab == GENUINE]
-    per_rule = {}
-    for _, _, outcome, _ in rows:
-        per_rule[outcome.rule] = per_rule.get(outcome.rule, 0) + 1
-
-    report = {
-        "accuracy": accuracy,
-        "fp": fp_rate,
-        "fn": fn_rate,
-        "mean_detection_events": sum(steps) / n,
-        "mean_events_fake": sum(steps_fake) / n_fake if n_fake else None,
-        "mean_events_genuine": sum(steps_genuine) / n_genuine if n_genuine else None,
-        "per_rule": per_rule,
-        "n": n,
-        "n_fake": n_fake,
-        "n_genuine": n_genuine,
-        "seed": args.seed,
-        "rho": args.rho,
-        "policy": args.policy,
-    }
+    results = detect_corpus(
+        model, traces, policy, args.rho, args.seed, graph=shared_graph, cfg=_enum_cfg(args),
+        on_unreachable=args.on_unreachable, prior=args.prior,
+    )
+    report = {**count_errors(results), "seed": args.seed, "rho": args.rho, "policy": args.policy}
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,35 +390,36 @@ def cmd_eval(args) -> int:
         fh.write("\n")
     with open(out_dir / "per_trace.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,label,verdict,steps,rule,final_posterior\n")
-        for index, label, outcome, belief in rows:
+        for index, result in enumerate(results):
+            outcome = result.outcome
             fh.write(
-                f"{index},{label},{outcome.verdict},{outcome.step},"
-                f"{outcome.rule},{belief.posterior!r}\n"
+                f"{index},{result.label},{outcome.verdict},{outcome.step},"
+                f"{outcome.rule},{result.belief.posterior!r}\n"
             )
-    _write_accuracy_curve(rows, costs, out_dir / "accuracy_curve.csv")
+    _write_accuracy_curve(results, costs, out_dir / "accuracy_curve.csv")
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
-def _write_accuracy_curve(rows, costs, path) -> None:
+def _write_accuracy_curve(results, costs, path) -> None:
     """Accuracy of a forced decision after l events, for l = 1..max steps.
 
     Traces that already stopped keep their verdict; still-running traces
     decide with the cost-optimal verdict at their current posterior.
     """
-    horizon = max(outcome.step for _, _, outcome, _ in rows)
+    horizon = max(result.outcome.step for result in results)
+    trajectories = [result.belief.trajectory() for result in results]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("events,accuracy\n")
         for ell in range(1, horizon + 1):
             correct = 0
-            for _, label, outcome, belief in rows:
-                if outcome.step <= ell:
-                    verdict = outcome.verdict
+            for result, trajectory in zip(results, trajectories):
+                if result.outcome.step <= ell:
+                    verdict = result.outcome.verdict
                 else:
-                    posterior = belief.history[min(ell, len(belief.history)) - 1].posterior
-                    verdict = bayes_verdict(posterior, costs)
-                correct += verdict == label
-            fh.write(f"{ell},{correct / len(rows)!r}\n")
+                    verdict = bayes_verdict(trajectory[ell], costs)
+                correct += verdict == result.label
+            fh.write(f"{ell},{correct / len(results)!r}\n")
 
 
 # ---- thresholds -------------------------------------------------------------------
@@ -439,11 +541,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_counts(args) -> None:
-    """Reject a negative ``--seed`` or ``--n``, which numpy refuses with a traceback."""
-    for flag in ("seed", "n"):
+    """Reject a negative ``--seed`` or ``--n``, which numpy refuses with a
+    traceback, and a ``--zclasses`` below the two classes a chain needs."""
+    for flag, least in (("seed", 0), ("n", 0), ("zclasses", 2)):
         value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise CascauditError(f"--{flag} must be >= 0, got {value}")
+        if value is not None and value < least:
+            raise CascauditError(f"--{flag} must be >= {least}, got {value}")
 
 
 def main(argv=None) -> int:

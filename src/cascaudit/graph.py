@@ -123,18 +123,17 @@ class PathEnumeration:
 
 
 class SocialGraph:
-    """Directed graph with node features and optional per-edge class labels.
+    """Directed graph with node features.
 
-    Mutation (:meth:`add_node` / :meth:`add_edge`) happens at ingestion time,
-    before any inference runs; afterwards the graph is treated as immutable,
-    and :meth:`freeze` makes that explicit.  Follower lists are appended
-    unsorted and sorted once, on the first query after a mutation or at
-    :meth:`freeze`.  Queries fill memos (sorted followers, the walk-length
-    masks of the nodes within the path bound of a tail, the lazy
-    ``source ~> u`` prefix search, whole path enumerations, forward balls)
-    and are single-threaded: do not query one graph from several threads.
-    Any new edge clears the memos (a test when none is filled); a new node,
-    without edges, leaves them exact.
+    The CLI mutates a graph (:meth:`add_node` / :meth:`add_edge`) only while
+    loading it, and :meth:`freeze` forbids later mutation.  Follower lists
+    are appended unsorted and sorted once, on the first query after a
+    mutation or at :meth:`freeze`.  Queries fill memos (sorted followers, the
+    walk-length masks of the nodes within the path bound of a tail, the lazy
+    ``source ~> u`` prefix search, forward balls) and are single-threaded: do
+    not query one graph from several threads.  Any new edge clears the memos
+    (a test when none is filled); a new node, without edges, leaves them
+    exact.
     """
 
     def __init__(self):
@@ -145,16 +144,13 @@ class SocialGraph:
         self._unsorted: set = set()     # dense indices whose follower list grew unsorted
         self._pred: dict = {}           # node -> list of predecessors
         self._edges: set = set()        # (u, v) original-id pairs
-        self.edge_classes: dict = {}    # (u, v) -> class index, filled by training
         self._frozen = False
-        self._path_cache: dict = {}
         self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
         self._ball_cache: dict = {}
         self._shape_memo: Optional[str] = None
 
     def _clear_memos(self):
-        self._path_cache.clear()
         self._mask_cache.clear()
         self._prefix_cache.clear()
         self._ball_cache.clear()
@@ -220,8 +216,8 @@ class SocialGraph:
         self._out[self._index[u]].append(v)
         self._unsorted.add(self._index[u])
         self._pred[v].append(u)
-        if (self._shape_memo is not None or self._path_cache or self._mask_cache
-                or self._prefix_cache or self._ball_cache):
+        if (self._shape_memo is not None or self._mask_cache or self._prefix_cache
+                or self._ball_cache):
             self._clear_memos()
 
     def freeze(self) -> "SocialGraph":
@@ -268,11 +264,6 @@ class SocialGraph:
 
     def edges(self) -> list:
         return sorted(self._edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
-
-    def validate_edge_classes(self, num_classes: int) -> None:
-        for edge, cls in self.edge_classes.items():
-            if not 0 <= cls < num_classes:
-                raise GraphError(f"edge {edge!r} has class {cls} >= {num_classes}")
 
     def _walk_masks(self, target: NodeId, max_path_length: int) -> dict:
         """Node -> bitmask whose bit ``k`` is set when a walk of exactly
@@ -332,11 +323,6 @@ def enumerate_paths(
     if not graph.has_edge(u, v):
         raise GraphError(f"target edge {target_edge!r} is not in the graph")
 
-    key = (source, (u, v), cfg.max_path_length, cfg.max_paths)
-    cached = graph._path_cache.get(key)
-    if cached is not None:
-        return cached
-
     found: list = []
     truncated = False
     if graph._shape() == "single":
@@ -364,9 +350,7 @@ def enumerate_paths(
         # sort, and the prefixes alone rank the paths, since no prefix is a
         # proper prefix of another (each visits u only at its end)
         found.sort(key=lambda prefix: [_id_key(x) for x in prefix.vertices])
-    result = PathEnumeration(prefixes=tuple(found), target_edge=(u, v), truncated=truncated)
-    graph._path_cache[key] = result
-    return result
+    return PathEnumeration(prefixes=tuple(found), target_edge=(u, v), truncated=truncated)
 
 
 def _followee_chain(pred, source, u, v, max_path_length) -> list:

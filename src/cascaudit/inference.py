@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -96,29 +96,22 @@ def _logsumexp(a: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Audit record of one update: the two conditionals and the new belief."""
-
-    step: int
-    a_genuine: float
-    a_fake: float
-    posterior: float
-    log_lr: float
-
-
-@dataclass(frozen=True)
 class BeliefState:
     """Running posterior, represented canonically by the log likelihood ratio.
 
     The posterior is always derived from ``log_lr`` through the prior-odds
     identity ``posterior = prior * lr / (prior * lr + 1 - prior)``, so the
-    identity holds exactly at every step.
+    identity holds exactly at every step.  A state made by an update records
+    that update's two conditionals and links the state before it, so an
+    update costs O(1) and the audit history is read back along the links.
     """
 
     prior: float
     log_lr: float = 0.0
     step: int = 0
-    history: tuple = ()
+    a_genuine: Optional[float] = None
+    a_fake: Optional[float] = None
+    previous: Optional["BeliefState"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.prior <= 1.0:
@@ -128,10 +121,20 @@ class BeliefState:
     def posterior(self) -> float:
         return posterior_from_log_lr(self.log_lr, self.prior)
 
+    @property
+    def history(self) -> tuple:
+        """The state after each update, oldest first; built on each read."""
+        states = []
+        state = self
+        while state.previous is not None:
+            states.append(state)
+            state = state.previous
+        return tuple(reversed(states))
+
     def trajectory(self) -> list:
         """Posterior sequence: index 0 is the prior, index l the belief after
         observation l."""
-        return [self.prior] + [rec.posterior for rec in self.history]
+        return [self.prior] + [state.posterior for state in self.history]
 
 
 def posterior_from_log_lr(log_lr: float, prior: float) -> float:
@@ -162,19 +165,13 @@ def _update_from_logs(belief, log_a_genuine, log_a_fake) -> BeliefState:
         # previous evidence already ruled one hypothesis out and this
         # observation rules out the other
         raise InvalidEvidenceError("contradictory evidence stream")
-    step = belief.step + 1
-    record = StepRecord(
-        step=step,
-        a_genuine=math.exp(log_a_genuine),
-        a_fake=math.exp(log_a_fake),
-        posterior=posterior_from_log_lr(log_lr, belief.prior),
-        log_lr=log_lr,
-    )
     return BeliefState(
         prior=belief.prior,
         log_lr=log_lr,
-        step=step,
-        history=belief.history + (record,),
+        step=belief.step + 1,
+        a_genuine=math.exp(log_a_genuine),
+        a_fake=math.exp(log_a_fake),
+        previous=belief,
     )
 
 
@@ -677,8 +674,8 @@ def write_trajectory(belief: BeliefState, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("step,a0,a1,posterior,log_lr\n")
         fh.write(f"0,,,{belief.prior!r},0.0\n")
-        for rec in belief.history:
+        for state in belief.history:
             fh.write(
-                f"{rec.step},{rec.a_genuine!r},{rec.a_fake!r},"
-                f"{rec.posterior!r},{rec.log_lr!r}\n"
+                f"{state.step},{state.a_genuine!r},{state.a_fake!r},"
+                f"{state.posterior!r},{state.log_lr!r}\n"
             )

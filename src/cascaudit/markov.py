@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -306,8 +307,8 @@ class GrowthConfig:
     def __post_init__(self):
         if self.max_events < 1:
             raise TraceError("max_events must be >= 1")
-        if self.mean_children <= 0:
-            raise TraceError("mean_children must be positive")
+        if not 0 < self.mean_children < math.inf:
+            raise TraceError("mean_children must be positive and finite")
         if not 0 <= self.min_children <= self.max_children:
             raise TraceError("need 0 <= min_children <= max_children")
 

@@ -30,16 +30,7 @@ import numpy as np
 from cascaudit.errors import DegenerateDataError, ModelError, read_text
 from cascaudit.graph import PathEnumConfig, SocialGraph
 from cascaudit.inference import ChainTables, PosteriorEngine
-from cascaudit.markov import (
-    FAKE,
-    GENUINE,
-    GrowthConfig,
-    ObservationStream,
-    SpreadModel,
-    sample_trace,
-    subsample,
-)
-from cascaudit.rng import derive_rng, derive_seed
+from cascaudit.markov import FAKE, GENUINE, ObservationStream, SpreadModel
 
 RULE_DP = "dp_threshold"
 RULE_SPRT = "sprt"
@@ -105,6 +96,7 @@ class DecisionOutcome:
 
 
 _TABLE_FIELDS = ("ci", "cii", "c", "pi_low", "pi_up", "converged", "sweeps")
+MIN_GRID_STEP = 1e-5  # at most 10^5 grid intervals; the solver keeps two such arrays per outcome
 
 
 @dataclass(frozen=True)
@@ -233,8 +225,8 @@ def solve_thresholds(
     ``next_obs_model`` is either a fixed sequence of ``(a_genuine, a_fake)``
     pairs or a callable ``pi -> sequence`` for posterior-dependent models.
     """
-    if not 0.0 < grid_step <= 0.1:
-        raise ModelError("grid_step must be in (0, 0.1]")
+    if not MIN_GRID_STEP <= grid_step <= 0.1:
+        raise ModelError(f"grid_step must be in [{MIN_GRID_STEP}, 0.1]")
     if max_sweeps < 1:
         raise ModelError("max_sweeps must be >= 1")
     n = round(1.0 / grid_step)
@@ -453,97 +445,3 @@ def run_detection(
     )
     outcome = decide(policy, engine.beliefs(stream.observations, on_unreachable))
     return outcome, engine.belief
-
-
-# ---- Monte Carlo risk evaluation --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceResult:
-    label: int
-    outcome: DecisionOutcome
-    final_posterior: float
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    """Empirical risk decomposition with binomial standard errors."""
-
-    risk: float
-    pe_false_alarm: float       # P(verdict fake | genuine)
-    pe_miss: float              # P(verdict genuine | fake)
-    se_false_alarm: float
-    se_miss: float
-    mean_steps_fake: float      # E[steps * 1{fake}] over all traces
-    n_genuine: int
-    n_fake: int
-
-
-def summarize_risk(results: Sequence[TraceResult], costs: CostSpec, prior: float) -> RiskReport:
-    """Combine per-trace outcomes into the evaluation objective.
-
-    risk = false_alarm * (1 - prior) * pe_fa + miss * prior * pe_miss
-         + per_step * E[steps on fake traces]
-    with the fake-trace step expectation weighted by ``prior``.
-    """
-    genuine = [r for r in results if r.label == GENUINE]
-    fake = [r for r in results if r.label == FAKE]
-    n0, n1 = len(genuine), len(fake)
-    pe_fa = sum(r.outcome.verdict == 1 for r in genuine) / n0 if n0 else 0.0
-    pe_miss = sum(r.outcome.verdict == 0 for r in fake) / n1 if n1 else 0.0
-    mean_steps_fake = (
-        prior * (sum(r.outcome.step for r in fake) / n1) if n1 else 0.0
-    )
-    risk = (
-        costs.false_alarm * (1.0 - prior) * pe_fa
-        + costs.miss * prior * pe_miss
-        + costs.per_step * mean_steps_fake
-    )
-    return RiskReport(
-        risk=risk,
-        pe_false_alarm=pe_fa,
-        pe_miss=pe_miss,
-        se_false_alarm=math.sqrt(pe_fa * (1 - pe_fa) / n0) if n0 else 0.0,
-        se_miss=math.sqrt(pe_miss * (1 - pe_miss) / n1) if n1 else 0.0,
-        mean_steps_fake=mean_steps_fake,
-        n_genuine=n0,
-        n_fake=n1,
-    )
-
-
-def risk_estimate(
-    policy,
-    model: SpreadModel,
-    n_traces: int,
-    seed: int,
-    costs: CostSpec,
-    keep_fraction: float = 1.0,
-    growth: GrowthConfig = GrowthConfig(),
-    cfg: PathEnumConfig = PathEnumConfig(),
-    anchor: bool = True,
-) -> tuple:
-    """Monte Carlo estimate of the sequential risk for ``policy``.
-
-    Simulates labeled synthetic cascades from the model's prior mixture, runs
-    the streaming detector on each (with per-trace derived seeds), and returns
-    ``(RiskReport, list[TraceResult])``.
-    """
-    if n_traces < 1:
-        raise ModelError("n_traces must be >= 1")
-    label_rng = derive_rng(seed, 0)
-    labels = (label_rng.random(n_traces) < model.prior_fake).astype(int)
-    tables = ChainTables(model)
-    results = []
-    for i in range(n_traces):
-        label = int(labels[i])
-        trace = sample_trace(None, model, label, derive_seed(seed, i, 1), growth)
-        stream = subsample(trace, keep_fraction, derive_seed(seed, i, 2))
-        graph = trace.implied_graph()
-        outcome, belief = run_detection(
-            model, graph, stream, policy, cfg, prior=model.prior_fake, anchor=anchor,
-            tables=tables,
-        )
-        results.append(
-            TraceResult(label=label, outcome=outcome, final_posterior=belief.posterior)
-        )
-    return summarize_risk(results, costs, model.prior_fake), results

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 import cascaudit
 from cascaudit import cli
-from cascaudit.cli import main
+from cascaudit.cli import TraceResult, count_errors, main, risk_estimate, summarize_risk
 from cascaudit.graph import SocialGraph, save_graph
+from cascaudit.inference import BeliefState
 from cascaudit.offline import classify_graph_edges
 from cascaudit.markov import (
     FAKE,
@@ -34,6 +35,7 @@ from cascaudit.markov import (
     write_stream,
     write_traces,
 )
+from cascaudit.policy import CostSpec, DecisionOutcome, SprtConfig, SprtPolicy
 
 WIDE = GrowthConfig(max_events=20, min_children=2, mean_children=3.0)
 
@@ -236,6 +238,32 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
                    "--features", feats_path, "--seed", -1, "--out", tmp_path / "m.json")
     _assert_one_line_usage_error(capsys, code, "--seed")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--zclasses", 0], "--zclasses must be >= 2"),
+    (["train", "--zclasses", 1], "--zclasses must be >= 2"),
+    (["train", "--zclasses", -1], "--zclasses must be >= 2"),
+    (["train", "--zclasses", 2], "event class 2 is outside 0..1"),
+    (["simulate", "--mean-children", "nan"], "mean_children must be positive and finite"),
+    (["simulate", "--mean-children", "inf"], "mean_children must be positive and finite"),
+    (["thresholds", "--grid-step", 1e-9], "grid_step must be in [1e-05, 0.1]"),
+], ids=["zclasses-0", "zclasses-1", "zclasses-negative", "class-above-zclasses",
+        "mean-children-nan", "mean-children-inf", "grid-step-tiny"])
+def test_hostile_flag_exits_2_with_one_line(tmp_path, capsys, argv, message):
+    command, *flags = argv
+    out = tmp_path / "out"
+    required = {
+        "train": ["--traces", _write_featured_corpus(tmp_path, recorded=True)[0], "--seed", 1],
+        "simulate": ["--seed", 1, "--n", 3],
+        "thresholds": [],
+    }[command]
+    code = run_cli(command, *flags, *required, "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+    assert not out.exists()
 
 
 def test_train_feature_dimension_mismatch_exits_2(tmp_path, capsys):
@@ -447,19 +475,65 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_benchmark_trace_targets_resolve_to_callables():
-    # the benchmark drops every per-layer metric whose traced functions are
-    # all missing, so a rename or removal must show up here first
+def _bench_traced():
     traced_path = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
     spec = importlib.util.spec_from_file_location("bench_traced", traced_path)
     traced = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(traced)
+    return traced
+
+
+def test_benchmark_trace_targets_resolve_to_callables():
+    # the benchmark drops every per-layer metric whose traced functions are
+    # all missing, so a rename or removal must show up here first
+    traced = _bench_traced()
     assert traced.TARGETS
     for module_name, attr, _ in traced.TARGETS:
         owner = importlib.import_module(module_name)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+# the two targets that no bench command reaches: the engine builds no path
+# contexts, and train classifies edges only for an unclassified corpus
+UNREACHED_TARGETS = {
+    "cascaudit.inference.build_path_contexts",
+    "cascaudit.cli.classify_graph_edges",
+}
+
+
+def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
+    # a target that resolves but is no longer called records no span, and the
+    # benchmark's per-layer metric then reads zero: run every bench command
+    # in-process under the benchmark's own wrappers
+    traced = _bench_traced()
+    for module_name, attr, _ in traced.TARGETS:
+        owner = importlib.import_module(module_name)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, leaf, getattr(owner, leaf))  # restored at teardown
+    recorder = traced.Recorder()
+    assert traced.install(recorder) == []
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    sim, model = tmp_path / "sim", tmp_path / "model.json"
+    commands = [
+        ["simulate", "--n", 4, "--seed", 1, "--min-children", 1, "--max-events", 20, "--out", sim],
+        ["train", "--traces", traces_path, "--graph", edges_path, "--features", feats_path,
+         "--seed", 6, "--out", model],
+        ["thresholds", "--model", model, "--out", tmp_path / "table.csv"],
+        ["eval", "--traces", sim / "traces.jsonl", "--seed", 1, "--policy", "dp",
+         "--out", tmp_path / "eval_implied"],
+        ["eval", "--traces", sim / "traces.jsonl", "--graph", sim / "graph.tsv", "--seed", 1,
+         "--policy", "dp", "--out", tmp_path / "eval_shared"],
+        ["detect", "--graph", graph_path, "--stream", stream_path, "--policy", "dp"],
+    ]
+    for argv in commands:
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    targets = {f"{module_name}.{attr}" for module_name, attr, _ in traced.TARGETS}
+    assert targets - set(recorder.names) <= UNREACHED_TARGETS
 
 
 def test_detect_deterministic_output(tmp_path, capsys):
@@ -680,6 +754,70 @@ def test_eval_sprt_errors_within_wald_bounds(tmp_path):
     se_fn = (fn * (1 - fn) / report["n_fake"]) ** 0.5
     assert fp <= (1 - fn) / 19.0 + 3 * se_fp
     assert fn <= (1 / 19.0) * (1 - fp) + 3 * se_fn
+
+
+# ---- Monte Carlo risk ----
+
+
+RISK_COSTS = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.05)
+
+
+def test_summarize_risk_oracle_policy_is_free():
+    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
+    results = [
+        TraceResult(label=lab, outcome=DecisionOutcome(step=3, verdict=lab, rule="sprt"),
+                    belief=BeliefState(prior=float(lab)))
+        for lab in (0, 1, 0, 1, 1)
+    ]
+    report = summarize_risk(count_errors(results), costs, prior=0.5)
+    assert report.risk == 0.0
+    assert report.pe_false_alarm == 0.0
+    assert report.pe_miss == 0.0
+
+
+def test_summarize_risk_counts_errors():
+    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
+    results = [
+        TraceResult(0, DecisionOutcome(step=2, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
+        TraceResult(0, DecisionOutcome(step=2, verdict=0, rule="sprt"), BeliefState(prior=0.1)),
+        TraceResult(1, DecisionOutcome(step=4, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
+    ]
+    report = summarize_risk(count_errors(results), costs, prior=0.5)
+    assert report.pe_false_alarm == 0.5
+    assert report.pe_miss == 0.0
+    assert report.mean_steps_fake == pytest.approx(0.5 * 4.0)
+    assert report.risk == pytest.approx(10 * 0.5 * 0.5)
+
+
+def test_sprt_risk_respects_wald_bounds_smoke(ref_model):
+    # single-path cascades, fully observed: the likelihood ratio is exact and
+    # the boundary-crossing bounds must hold up to Monte Carlo noise
+    costs = RISK_COSTS
+    policy = SprtPolicy(SprtConfig.from_error_targets(0.05, 0.05), costs)
+    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
+    report, results = risk_estimate(
+        policy, ref_model, n_traces=300, seed=5150, costs=costs, growth=growth
+    )
+    assert report.pe_false_alarm <= (1 - report.pe_miss) / 19.0 + 3 * report.se_false_alarm
+    assert report.pe_miss <= (1 / 19.0) * (1 - report.pe_false_alarm) + 3 * report.se_miss
+
+
+def test_tighter_boundaries_do_not_increase_errors(ref_model):
+    costs = RISK_COSTS
+    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
+    loose = SprtPolicy(SprtConfig.from_error_targets(0.15, 0.15), costs)
+    tight = SprtPolicy(SprtConfig.from_error_targets(0.03, 0.03), costs)
+    report_loose, _ = risk_estimate(loose, ref_model, 300, seed=42, costs=costs, growth=growth)
+    report_tight, _ = risk_estimate(tight, ref_model, 300, seed=42, costs=costs, growth=growth)
+    noise = 3 * math.sqrt(
+        report_loose.se_false_alarm**2
+        + report_loose.se_miss**2
+        + report_tight.se_false_alarm**2
+        + report_tight.se_miss**2
+    )
+    total_loose = report_loose.pe_false_alarm + report_loose.pe_miss
+    total_tight = report_tight.pe_false_alarm + report_tight.pe_miss
+    assert total_tight <= total_loose + noise
 
 
 # ---- thresholds ----

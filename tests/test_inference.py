@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -84,6 +85,25 @@ def test_first_reference_observation_matches_published_curve(ref_model):
     assert updated.posterior == pytest.approx(0.876 / (0.876 + 0.120), abs=1e-3)
     # the corresponding published trajectory point, from unrounded parameters
     assert updated.posterior == pytest.approx(0.8797, abs=1e-3)
+
+
+def test_update_links_the_previous_belief_instead_of_copying_its_history():
+    # an update is O(1): the new state links the old one, and the history is
+    # read back along the links; a copied history made a stream quadratic
+    first = update(BeliefState(prior=0.5), 0.2, 0.8)
+    belief = first
+    for _ in range(19_999):
+        belief = update(belief, 0.4, 0.6)
+    assert belief.previous.previous.step == 19_998
+    history = belief.history
+    assert len(history) == 20_000
+    assert history[0] is first and history[-1] is belief
+    assert [state.step for state in history[:3]] == [1, 2, 3]
+    assert (first.a_genuine, first.a_fake) == pytest.approx((0.2, 0.8))
+    assert belief.trajectory() == [0.5] + [state.posterior for state in history]
+    # the link takes no part in equality or repr, so neither walks the stream
+    assert belief == dataclasses.replace(belief, previous=None)
+    assert "previous" not in repr(belief)
 
 
 def test_update_rejects_double_zero():

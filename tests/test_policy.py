@@ -18,15 +18,12 @@ from cascaudit.policy import (
     SprtConfig,
     SprtPolicy,
     ThresholdTable,
-    TraceResult,
     bayes_verdict,
     decide,
-    risk_estimate,
     run_detection,
     single_step_outcomes,
     solve_thresholds,
     stop_cost,
-    summarize_risk,
     wald_bounds,
 )
 from cascaudit.rng import derive_rng
@@ -411,61 +408,3 @@ def test_run_detection_with_convergence_policy(ref_model):
     assert 1 <= outcome.step <= 40
     assert outcome.rule in ("convergence", "horizon")
     assert belief.step >= outcome.step
-
-
-def test_summarize_risk_oracle_policy_is_free():
-    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
-    results = [
-        TraceResult(label=lab, outcome=DecisionOutcome(step=3, verdict=lab, rule="sprt"),
-                    final_posterior=float(lab))
-        for lab in (0, 1, 0, 1, 1)
-    ]
-    report = summarize_risk(results, costs, prior=0.5)
-    assert report.risk == 0.0
-    assert report.pe_false_alarm == 0.0
-    assert report.pe_miss == 0.0
-
-
-def test_summarize_risk_counts_errors():
-    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
-    results = [
-        TraceResult(0, DecisionOutcome(step=2, verdict=1, rule="sprt"), 0.9),
-        TraceResult(0, DecisionOutcome(step=2, verdict=0, rule="sprt"), 0.1),
-        TraceResult(1, DecisionOutcome(step=4, verdict=1, rule="sprt"), 0.9),
-    ]
-    report = summarize_risk(results, costs, prior=0.5)
-    assert report.pe_false_alarm == 0.5
-    assert report.pe_miss == 0.0
-    assert report.mean_steps_fake == pytest.approx(0.5 * 4.0)
-    assert report.risk == pytest.approx(10 * 0.5 * 0.5)
-
-
-def test_sprt_risk_respects_wald_bounds_smoke(ref_model):
-    # single-path cascades, fully observed: the likelihood ratio is exact and
-    # the boundary-crossing bounds must hold up to Monte Carlo noise
-    costs = EQUAL_COSTS
-    policy = SprtPolicy(SprtConfig.from_error_targets(0.05, 0.05), costs)
-    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
-    report, results = risk_estimate(
-        policy, ref_model, n_traces=300, seed=5150, costs=costs, growth=growth
-    )
-    assert report.pe_false_alarm <= (1 - report.pe_miss) / 19.0 + 3 * report.se_false_alarm
-    assert report.pe_miss <= (1 / 19.0) * (1 - report.pe_false_alarm) + 3 * report.se_miss
-
-
-def test_tighter_boundaries_do_not_increase_errors(ref_model):
-    costs = EQUAL_COSTS
-    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
-    loose = SprtPolicy(SprtConfig.from_error_targets(0.15, 0.15), costs)
-    tight = SprtPolicy(SprtConfig.from_error_targets(0.03, 0.03), costs)
-    report_loose, _ = risk_estimate(loose, ref_model, 300, seed=42, costs=costs, growth=growth)
-    report_tight, _ = risk_estimate(tight, ref_model, 300, seed=42, costs=costs, growth=growth)
-    noise = 3 * math.sqrt(
-        report_loose.se_false_alarm**2
-        + report_loose.se_miss**2
-        + report_tight.se_false_alarm**2
-        + report_tight.se_miss**2
-    )
-    total_loose = report_loose.pe_false_alarm + report_loose.pe_miss
-    total_tight = report_tight.pe_false_alarm + report_tight.pe_miss
-    assert total_tight <= total_loose + noise
