@@ -18,8 +18,8 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from cascaudit.errors import (
     CascauditError,
@@ -136,8 +136,7 @@ def simulate_corpus(model: SpreadModel, n: int, seed: int, growth: GrowthConfig,
     ]
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """One trace's detection: its label, the stopping decision, and the belief
     at the stopping step."""
 
@@ -192,8 +191,7 @@ def count_errors(results) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(NamedTuple):
     """Empirical risk decomposition with binomial standard errors."""
 
     risk: float
@@ -236,13 +234,14 @@ def risk_estimate(policy, model: SpreadModel, n_traces: int, seed: int, costs: C
     """Monte Carlo estimate of the sequential risk for ``policy``.
 
     Simulates a labeled corpus from the model's prior mixture as ``simulate``
-    does, detects on each fully observed trace over its implied graph, and
-    returns ``(RiskReport, list[TraceResult])``.
+    does, detects on each fully observed trace over its implied graph, with a
+    path bound of ``growth.max_events`` edges so that no event of a trace is
+    out of reach, and returns ``(RiskReport, list[TraceResult])``.
     """
     if n_traces < 1:
         raise ModelError("n_traces must be >= 1")
     results = detect_corpus(model, simulate_corpus(model, n_traces, seed, growth), policy,
-                            1.0, seed)
+                            1.0, seed, cfg=PathEnumConfig(max_path_length=growth.max_events))
     return summarize_risk(count_errors(results), costs, model.prior_fake), results
 
 
@@ -304,7 +303,7 @@ def cmd_train(args) -> int:
                 standardize=args.standardize,
             ),
         )
-        classifier = dataclasses.replace(classifier, num_classes=args.zclasses)
+        classifier = classifier._replace(num_classes=args.zclasses)
         if not have_recorded:  # the classifier's classes serve only unclassified corpora
             class_map = classify_graph_edges(classifier, graph)
 

@@ -125,10 +125,11 @@ class PathEnumeration:
 class SocialGraph:
     """Directed graph with node features.
 
-    The CLI mutates a graph (:meth:`add_node` / :meth:`add_edge`) only while
-    loading it, and :meth:`freeze` forbids later mutation.  Follower lists
-    are appended unsorted and sorted once, on the first query after a
-    mutation or at :meth:`freeze`.  Queries fill memos (sorted followers, the
+    The CLI builds each graph in one pass with :meth:`from_edges` and never
+    mutates it; :meth:`add_node` / :meth:`add_edge` grow a graph one item at
+    a time, and :meth:`freeze` forbids later mutation.  Follower lists are
+    appended unsorted and sorted once, on the first query after a mutation
+    or at :meth:`freeze`.  Queries fill memos (sorted followers, the
     walk-length masks of the nodes within the path bound of a tail, the lazy
     ``source ~> u`` prefix search, forward balls) and are single-threaded: do
     not query one graph from several threads.  Any new edge clears the memos
@@ -178,9 +179,6 @@ class SocialGraph:
                 f"feature dimension {vec.shape[0]} for {node_id!r} does not match "
                 f"graph dimension {self._features[0].shape[0]}"
             )
-        self._append_node(node_id, vec)
-
-    def _append_node(self, node_id: NodeId, vec: np.ndarray) -> None:
         self._index[node_id] = len(self._ids)
         self._ids.append(node_id)
         self._features.append(vec)
@@ -188,18 +186,41 @@ class SocialGraph:
         self._pred[node_id] = []
 
     @classmethod
-    def from_edges(cls, edges: Sequence[Edge], nodes=(), feature_dim: int = 1) -> "SocialGraph":
-        """The graph of ``edges`` whose nodes, ``nodes`` first and then each
-        endpoint in order of first appearance, share one read-only zero
-        feature vector of ``feature_dim``."""
+    def from_edges(cls, edges: Sequence[Edge], nodes=(), feature_dim: int = 1,
+                   features: Optional[dict] = None) -> "SocialGraph":
+        """The graph of ``edges``, built in one pass over them, with the nodes
+        ``nodes`` first and then each endpoint in order of first appearance.
+
+        A node in the table ``features`` takes its vector there, which must
+        have ``feature_dim`` entries; every other node shares one read-only
+        zero vector of ``feature_dim``.  As with :meth:`add_edge`, a self-loop
+        raises :class:`GraphError` and a repeated edge is skipped.
+        """
         graph = cls()
+        ids = graph._ids = list(dict.fromkeys(chain(nodes, chain.from_iterable(edges))))
+        index = graph._index = dict(zip(ids, range(len(ids))))
         zeros = np.zeros(feature_dim)
         zeros.flags.writeable = False
-        for node in chain(nodes, chain.from_iterable(edges)):
-            if node not in graph._index:
-                graph._append_node(node, zeros)
-        for u, v in edges:
-            graph.add_edge(u, v)
+        graph._features = [zeros] * len(ids)
+        for node, vec in (features or {}).items():
+            if node in index:
+                vec = np.asarray(vec, dtype=float)
+                if vec.shape != (feature_dim,):
+                    raise GraphError(
+                        f"feature dimension {vec.size} for {node!r} does not match "
+                        f"graph dimension {feature_dim}"
+                    )
+                graph._features[index[node]] = vec
+        out = graph._out = [[] for _ in ids]
+        pred = graph._pred = {node: [] for node in ids}
+        unique = dict.fromkeys(edges)
+        for u, v in unique:
+            if u == v:
+                raise GraphError(f"self-loop on {u!r}")
+            out[index[u]].append(v)
+            pred[v].append(u)
+        graph._edges = set(unique)
+        graph._unsorted = {i for i, followers in enumerate(out) if len(followers) > 1}
         return graph
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
@@ -515,14 +536,12 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
 
     Nodes missing from the feature file (or all nodes, when no feature file is
     given) share one read-only zero vector of ``feature_dim`` so the graph
-    stays usable for inference, which never reads features.
+    stays usable for inference, which never reads features.  With a feature
+    file, ``feature_dim`` is the length of its first vector.
     """
-    features = read_node_features(feature_path) if feature_path else {}
+    features = read_node_features(feature_path) if feature_path else None
     if features:
         feature_dim = len(next(iter(features.values())))
-    zeros = np.zeros(feature_dim)
-    zeros.flags.writeable = False
-    graph = SocialGraph()
     edges = []
     for lineno, line in enumerate(read_text(edge_path, GraphError).split("\n"), start=1):
         if not line:
@@ -531,14 +550,7 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
         edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
-    for node in chain.from_iterable(edges):
-        if node in features and not graph.has_node(node):
-            graph.add_node(node, features[node])
-        elif not graph.has_node(node):
-            graph._append_node(node, zeros)
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
+    return SocialGraph.from_edges(edges, feature_dim=feature_dim, features=features)
 
 
 def save_graph(graph: SocialGraph, edge_path, feature_path=None) -> None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -178,8 +178,7 @@ def _update_from_logs(belief, log_a_genuine, log_a_fake) -> BeliefState:
 # ---- path contexts ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OnPathObservation:
+class OnPathObservation(NamedTuple):
     """A previous observation that lies on a candidate path."""
 
     index: int      # position in the observation stream (0-based)
@@ -187,8 +186,7 @@ class OnPathObservation:
     cls: int
 
 
-@dataclass(frozen=True)
-class PathContext:
+class PathContext(NamedTuple):
     """A candidate path together with the previous observations lying on it,
     sorted by position along the path."""
 
@@ -638,8 +636,7 @@ class PosteriorEngine:
                 logger.warning("skipping unreachable observation %d on edge %r", idx, obs.edge)
 
 
-@dataclass(frozen=True)
-class PosteriorRun:
+class PosteriorRun(NamedTuple):
     """Outcome of running the engine over a whole stream."""
 
     belief: BeliefState

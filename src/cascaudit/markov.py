@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -114,8 +114,7 @@ class SpreadModel:
             raise ModelError(f"model file is malformed: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ModelDiagnostics:
+class ModelDiagnostics(NamedTuple):
     """Structured validation outcome; empty ``issues`` means the model is sound."""
 
     ok: bool
@@ -209,8 +208,7 @@ def reference_model(prior_fake: float = 0.5) -> SpreadModel:
 # ---- traces and observation streams ------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One retweet: an edge, its class (None when unclassified), its parent edge."""
 
     edge: tuple
@@ -258,8 +256,7 @@ class Trace:
         return SocialGraph.from_edges([ev.edge for ev in self.events], (self.source,), feature_dim)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """An observed retweet: edge identity plus edge class."""
 
     u: object
@@ -417,7 +414,7 @@ def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStrea
             break
     observations = tuple(
         Observation(u=ev.edge[0], v=ev.edge[1], cls=int(ev.cls))
-        for ev, keep in zip(trace.events, mask)
+        for ev, keep in zip(trace.events, mask.tolist())
         if keep
     )
     return ObservationStream(source=trace.source, observations=observations)

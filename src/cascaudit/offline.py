@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class TrainingCorpus:
         return GENUINE in labels and FAKE in labels
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
+class TrainingConfig(NamedTuple):
     """Hinge-loss subgradient descent settings; the seed is mandatory."""
 
     seed: int
@@ -61,8 +60,7 @@ class TrainingConfig:
     standardize: bool = False
 
 
-@dataclass(frozen=True)
-class EdgeClassifier:
+class EdgeClassifier(NamedTuple):
     """Linear scorer over concatenated (followee, follower) features.
 
     ``weights``/``bias`` define the margin; ``cal_low``/``cal_high`` are the

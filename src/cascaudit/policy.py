@@ -96,7 +96,10 @@ class DecisionOutcome:
 
 
 _TABLE_FIELDS = ("ci", "cii", "c", "pi_low", "pi_up", "converged", "sweeps")
-MIN_GRID_STEP = 1e-5  # at most 10^5 grid intervals; the solver keeps two such arrays per outcome
+# At most 10^5 grid intervals.  For k static outcomes the solver holds five
+# arrays of k x grid points (weights, brackets, offsets, the stacked buffer
+# and one gathered temporary per sweep), about 13 MB each for k = 16.
+MIN_GRID_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -240,13 +243,23 @@ def solve_thresholds(
         raise ModelError("next_obs_model must be a sequence of (a_genuine, a_fake) pairs")
 
     if static_outcomes is not None:
-        # each outcome's weight and updated posterior do not depend on the
-        # values, so they are computed once, not in every sweep
-        moves = []
-        for a_genuine, a_fake in static_outcomes:
-            weight = grid * a_fake + (1.0 - grid) * a_genuine
-            with np.errstate(invalid="ignore", divide="ignore"):
-                moves.append((weight, np.where(weight > 0, grid * a_fake / weight, grid)))
+        # Each outcome's weight, updated posterior and interpolation bracket
+        # do not depend on the values, so they are found once per solve, not
+        # in every sweep.  Row k of ``brackets`` holds, per grid point, the
+        # index j with grid[j] <= x < grid[j + 1], where x is outcome k's
+        # updated posterior clamped to [0, 1] as np.interp clamps it (x = 1 is
+        # its own bracket, with a zero slope past it); row k of ``offsets``
+        # holds x - grid[j].
+        a_genuine, a_fake = static_outcomes[:, :1], static_outcomes[:, 1:]  # columns
+        weights = grid * a_fake + (1.0 - grid) * a_genuine
+        with np.errstate(invalid="ignore", divide="ignore"):
+            offsets = np.where(weights > 0, grid * a_fake / weights, grid)
+        np.clip(offsets, 0.0, 1.0, out=offsets)  # x, made an offset in place below
+        brackets = np.searchsorted(grid, offsets, side="right") - 1
+        offsets -= grid[brackets]
+        grid_steps = np.diff(grid)
+        slopes = np.zeros(n + 1)
+        stacked = np.empty_like(offsets)  # one buffer, reused by every sweep
 
     values = stop_values.copy()
     converged = False
@@ -254,8 +267,16 @@ def solve_thresholds(
     for sweeps in range(1, max_sweeps + 1):
         continuation = costs.per_step * grid
         if static_outcomes is not None:
-            for weight, updated in moves:
-                continuation += weight * np.interp(updated, grid, values)
+            # np.interp(updated, grid, values) of every outcome at once, with
+            # its float operations: slope * offset + value, and the value
+            # itself on an exact grid hit (a zero offset)
+            np.divide(np.diff(values), grid_steps, out=slopes[:-1])
+            np.take(slopes, brackets, out=stacked)
+            stacked *= offsets
+            stacked += values[brackets]
+            stacked *= weights
+            for row in stacked:  # in outcome order, as one sum per outcome
+                continuation += row
         else:
             for i, pi in enumerate(grid):
                 total = 0.0
@@ -409,17 +430,18 @@ def decide(policy, beliefs: Iterable) -> DecisionOutcome:
     sequence holds no state after the prior.
     """
     states = iter(beliefs)
-    prev = next(states, None)
+    prior = next(states, None)
+    posterior = None if prior is None else prior.posterior
     state = None
     for state in states:
-        verdict = policy.check(state.step, state.posterior, state.log_lr, prev.posterior)
+        prev_posterior, posterior = posterior, state.posterior  # each read once
+        verdict = policy.check(state.step, posterior, state.log_lr, prev_posterior)
         if verdict is not None:
             return DecisionOutcome(step=state.step, verdict=verdict, rule=policy.rule)
-        prev = state
     if state is None:
         raise DegenerateDataError("no observation could be processed")
     return DecisionOutcome(
-        step=state.step, verdict=policy.horizon_verdict(state.posterior), rule=RULE_HORIZON
+        step=state.step, verdict=policy.horizon_verdict(posterior), rule=RULE_HORIZON
     )
 
 

@@ -182,3 +182,37 @@ def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
         else:
             result.append(_logsumexp(log_nums + log_arrivals) - log_denom)
     return tuple(result)
+
+
+def solve_thresholds_interp(costs, outcomes, grid_step, max_sweeps=10_000, tol=1e-7):
+    """``(values, sweeps, converged, pi_low, pi_up)`` of the stationary
+    stopping recursion over fixed ``(a_genuine, a_fake)`` outcomes, with one
+    ``np.interp`` call per outcome and sweep: the threshold solver as it was
+    before it found each outcome's interpolation bracket once per solve."""
+    n = round(1.0 / grid_step)
+    grid = np.linspace(0.0, 1.0, n + 1)
+    stop_values = np.minimum(costs.miss * grid, costs.false_alarm * (1.0 - grid))
+    moves = []
+    for a_genuine, a_fake in np.asarray(outcomes, dtype=float):
+        weight = grid * a_fake + (1.0 - grid) * a_genuine
+        with np.errstate(invalid="ignore", divide="ignore"):
+            moves.append((weight, np.where(weight > 0, grid * a_fake / weight, grid)))
+    values = stop_values.copy()
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        continuation = costs.per_step * grid
+        for weight, updated in moves:
+            continuation += weight * np.interp(updated, grid, values)
+        new_values = np.minimum(stop_values, continuation)
+        delta = float(np.abs(new_values - values).max())
+        values = new_values
+        if delta < tol:
+            converged = True
+            break
+    ratio = costs.decision_ratio
+    atol = max(10.0 * tol, 1e-9) * max(1.0, costs.false_alarm, costs.miss)
+    low_side = (grid <= ratio + 1e-15) & (np.abs(values - costs.miss * grid) <= atol)
+    up_side = (grid >= ratio - 1e-15) & (np.abs(values - costs.false_alarm * (1.0 - grid)) <= atol)
+    pi_low = float(grid[low_side].max()) if low_side.any() else 0.0
+    pi_up = float(grid[up_side].min()) if up_side.any() else 1.0
+    return values, sweeps, converged, pi_low, pi_up

@@ -208,6 +208,66 @@ def test_load_graph_shares_one_zero_vector_among_featureless_nodes(tmp_path):
         load_graph(edge_file, feat_file)
 
 
+def _grown(edges, nodes=(), features=None, feature_dim=1):
+    """The graph of ``edges`` grown one node and one edge at a time."""
+    graph = SocialGraph()
+    for node in dict.fromkeys([*nodes, *(node for edge in edges for node in edge)]):
+        graph.add_node(node, (features or {}).get(node, np.zeros(feature_dim)))
+    for u, v in edges:
+        graph.add_edge(u, v)
+    return graph
+
+
+def _assert_same_graph(built, grown):
+    assert built._ids == grown._ids and built._index == grown._index
+    assert built.nodes() == grown.nodes() and built.edges() == grown.edges()
+    assert built.edge_count == grown.edge_count
+    for node in grown._ids:
+        assert built.followers(node) == grown.followers(node)
+        assert built._pred[node] == grown._pred[node]  # followees, in insertion order
+        assert built.features(node).tolist() == grown.features(node).tolist()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bulk_build_matches_a_graph_grown_edge_by_edge(tmp_path, seed):
+    rng = derive_rng(seed)
+    ids = [*range(10), "a", "b", "c"]
+    edges = [tuple(ids[int(i)] for i in rng.choice(len(ids), 2, replace=False))
+             for _ in range(int(rng.integers(1, 40)))]
+    edges += [edges[int(i)] for i in rng.integers(len(edges), size=5)]  # repeated edges
+    features = {node: rng.random(3) for node in ids if rng.random() < 0.5}
+    features.setdefault("unlinked", rng.random(3))
+    built = SocialGraph.from_edges(edges, ("s",), feature_dim=3, features=features)
+    _assert_same_graph(built, _grown(edges, ("s",), features, feature_dim=3))
+    zeros = built.features("s")
+    assert zeros.tolist() == [0.0] * 3 and not zeros.flags.writeable
+    for node in built._ids:
+        assert built.features(node) is features.get(node, zeros)
+    assert not built.has_node("unlinked")
+
+    edge_file, feat_file = tmp_path / "edges.tsv", tmp_path / "features.tsv"
+    edge_file.write_text("".join(f"{u}\t{v}\n" for u, v in edges), encoding="utf-8")
+    feat_file.write_text("".join(f"{node}\t{','.join(map(repr, vec.tolist()))}\n"
+                                 for node, vec in features.items()), encoding="utf-8")
+    loaded = load_graph(edge_file, feat_file)
+    _assert_same_graph(loaded, _grown(edges, (), features, feature_dim=3))
+    featureless = [node for node in loaded._ids if node not in features]
+    assert all(loaded.features(node) is loaded.features(featureless[0]) for node in featureless)
+
+
+def test_bulk_build_keeps_the_edge_checks(tmp_path):
+    graph = SocialGraph.from_edges([(0, 1), (0, 1), (1, 0)])
+    assert graph.edges() == [(0, 1), (1, 0)] and graph.followers(0) == [1]
+    with pytest.raises(GraphError, match="self-loop on 2"):
+        SocialGraph.from_edges([(0, 1), (2, 2)])
+    edge_file = tmp_path / "edges.tsv"
+    edge_file.write_text("0\t1\n2\t2\n", encoding="utf-8")
+    with pytest.raises(GraphError, match="self-loop on 2"):
+        load_graph(edge_file)
+    with pytest.raises(GraphError, match="dimension 2 for 1 does not match graph dimension 3"):
+        SocialGraph.from_edges([(0, 1)], feature_dim=3, features={1: np.ones(2)})
+
+
 def test_load_graph_bad_record(tmp_path):
     edge_file = tmp_path / "edges.tsv"
     edge_file.write_text("1 2\n", encoding="utf-8")

@@ -28,6 +28,9 @@ from cascaudit.policy import (
 )
 from cascaudit.rng import derive_rng
 
+from .oracles import solve_thresholds_interp
+from .conftest import random_model
+
 # posterior trajectory published for an eight-event fake-news run; the deltas
 # never drop below 1e-3, so the convergence rule stays live through step 8
 FAKE_NEWS_CURVE = [
@@ -252,6 +255,40 @@ def test_reference_model_table_is_golden(ref_model, costs, pi_low, pi_up, sweeps
     table = solve_thresholds(costs, single_step_outcomes(ref_model))
     assert (table.pi_low, table.pi_up, table.sweeps) == (pi_low, pi_up, sweeps)
     assert hashlib.sha256(table.values.tobytes()).hexdigest() == values_sha256
+
+
+@pytest.mark.parametrize("grid_step", [0.1, 0.01, 0.001, 0.0003])
+@pytest.mark.parametrize("seed", range(16))
+def test_stacked_sweep_matches_per_outcome_interp_bit_for_bit(grid_step, seed):
+    # kinds by seed % 4: marginalized outcomes, one context's row, two
+    # outcomes of zero weight (their updated posterior is the grid point
+    # itself, an exact hit), and three hostile pairs: a negative a_genuine,
+    # a negative a_fake (updated posteriors above 1 and below 0) and both
+    # entries above 1
+    rng = np.random.default_rng([seed, round(grid_step * 1e4)])
+    model = random_model(rng, int(rng.integers(2, 5)))
+    kind = seed % 4
+    last_class = int(rng.integers(model.num_classes)) if kind == 1 else None
+    outcomes = np.array(single_step_outcomes(model, last_class))
+    if kind == 2:
+        outcomes[rng.integers(len(outcomes), size=2)] = 0.0
+    if kind == 3:
+        low, high = rng.uniform(-0.3, -0.01, size=2), rng.uniform(0.1, 1.3, size=2)
+        hostile = [(low[0], high[0]), (high[1], low[1]), rng.uniform(1.0, 1.3, size=2)]
+        outcomes[rng.choice(len(outcomes), size=3, replace=False)] = hostile
+        grid = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
+        weight = grid * outcomes[:, 1:] + (1.0 - grid) * outcomes[:, :1]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            updated = np.where(weight > 0, grid * outcomes[:, 1:] / weight, grid)
+        assert ((updated < 0) | (updated > 1)).any()  # np.interp clamps these
+    costs = CostSpec(*rng.uniform(0.0, 20.0, size=2), float(rng.uniform(0.0, 1.0)))
+    max_sweeps = int(rng.choice([5, 300]))
+    values, sweeps, converged, pi_low, pi_up = solve_thresholds_interp(
+        costs, outcomes, grid_step, max_sweeps)
+    table = solve_thresholds(costs, outcomes, grid_step=grid_step, max_sweeps=max_sweeps)
+    assert table.values.tobytes() == values.tobytes()
+    assert (table.sweeps, table.converged, table.pi_low, table.pi_up) == (
+        sweeps, converged, pi_low, pi_up)
 
 
 def test_unconverged_flag(ref_model):
