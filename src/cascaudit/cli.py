@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from cascaudit.errors import (
     CascauditError,
@@ -33,6 +33,7 @@ from cascaudit.inference import BeliefState, ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
     GENUINE,
+    MAX_CLASSES,
     GrowthConfig,
     SpreadModel,
     load_model,
@@ -43,15 +44,6 @@ from cascaudit.markov import (
     save_model,
     subsample,
     write_traces,
-)
-from cascaudit.offline import (
-    TrainingConfig,
-    TrainingCorpus,
-    build_spread_model,
-    classify_graph_edges,
-    estimate_alpha,
-    estimate_eta,
-    train_classifier,
 )
 from cascaudit.policy import (
     ConvergencePolicy,
@@ -67,6 +59,39 @@ from cascaudit.policy import (
     solve_thresholds,
 )
 from cascaudit.rng import derive_rng, derive_seed
+
+if TYPE_CHECKING:
+    from cascaudit.offline import (
+        TrainingConfig,
+        TrainingCorpus,
+        build_spread_model,
+        classify_graph_edges,
+        estimate_alpha,
+        estimate_eta,
+        train_classifier,
+    )
+
+# Only ``train`` uses cascaudit.offline, so no other command imports it: these
+# names are bound into this module on first use, by ``cmd_train`` or by an
+# attribute lookup, and stay replaceable here like the names imported above.
+_OFFLINE_NAMES = ("TrainingConfig", "TrainingCorpus", "build_spread_model",
+                  "classify_graph_edges", "estimate_alpha", "estimate_eta", "train_classifier")
+
+
+def _bind_offline() -> None:
+    """Bind the names of :data:`_OFFLINE_NAMES` that are not bound yet."""
+    from cascaudit import offline
+
+    namespace = globals()
+    for name in _OFFLINE_NAMES:
+        namespace.setdefault(name, getattr(offline, name))
+
+
+def __getattr__(name: str):
+    if name in _OFFLINE_NAMES:
+        _bind_offline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -275,6 +300,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _bind_offline()
     traces = read_traces(args.traces)
     if not traces:
         raise DegenerateDataError("corpus is empty")
@@ -493,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--traces", required=True, help="trace JSONL corpus")
     train.add_argument("--graph", default=None, help="edge-list TSV")
     train.add_argument("--features", default=None, help="node-feature TSV")
-    train.add_argument("--zclasses", type=int, default=4)
+    train.add_argument("--zclasses", type=int, default=4,
+                       help=f"number of edge classes, 2..{MAX_CLASSES}")
     train.add_argument("--seed", type=int, required=True)
     train.add_argument("--epochs", type=int, default=50)
     train.add_argument("--learning-rate", type=float, default=0.01)
@@ -539,20 +566,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """Reject a negative ``--seed`` or ``--n``, which numpy refuses with a
-    traceback, and a ``--zclasses`` below the two classes a chain needs."""
-    for flag, least in (("seed", 0), ("n", 0), ("zclasses", 2)):
+# (flag, test, requirement) per checked flag; a flag a command lacks is skipped
+_FLAG_RULES = (
+    ("seed", lambda v: v >= 0, ">= 0"),
+    ("n", lambda v: v >= 0, ">= 0"),
+    ("zclasses", lambda v: v >= 2, ">= 2"),
+    ("zclasses", lambda v: v <= MAX_CLASSES, f"<= {MAX_CLASSES}"),
+    ("epochs", lambda v: v >= 1, ">= 1"),
+    ("learning_rate", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("l2", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+)
+
+
+def _check_flags(args) -> None:
+    """Reject a flag value that would fail late or write nonsense: a negative
+    ``--seed`` or ``--n``, which numpy refuses with a traceback; a
+    ``--zclasses`` outside ``2..MAX_CLASSES``, whose count tables are
+    allocated first; and ``train`` settings that leave the classifier
+    untrained or its weights not finite."""
+    for flag, test, requirement in _FLAG_RULES:
         value = getattr(args, flag, None)
-        if value is not None and value < least:
-            raise CascauditError(f"--{flag} must be >= {least}, got {value}")
+        if value is not None and not test(value):
+            raise CascauditError(f"--{flag.replace('_', '-')} must be {requirement}, got {value}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         return args.func(args)
     except (DegenerateDataError, EstimationError) as exc:
         _err(str(exc))

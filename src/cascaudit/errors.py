@@ -1,5 +1,9 @@
-"""Exception hierarchy shared across the package, and the one text reader
-that turns undecodable input into one of its errors."""
+"""Exception hierarchy shared across the package, the one text reader that
+turns undecodable input into one of its errors, and the one log call."""
+
+import sys
+
+INFO, WARNING = 20, 30  # the levels of :mod:`logging`, named without importing it
 
 
 class CascauditError(Exception):
@@ -52,3 +56,18 @@ def read_text(path, error: type) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def log(name: str, level: int, msg: str, *args) -> None:
+    """Emit ``msg % args`` at ``level`` on ``logging.getLogger(name)``, and
+    import :mod:`logging` only for a record that can be seen.
+
+    Until :mod:`logging` is imported no handler or level can have been set,
+    and the default root level, WARNING, drops every lower record; so such a
+    record is dropped here without the import.
+    """
+    if level < WARNING and "logging" not in sys.modules:
+        return
+    import logging
+
+    logging.getLogger(name).log(level, msg, *args, stacklevel=2)

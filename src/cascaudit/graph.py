@@ -517,18 +517,39 @@ def _parse_id(token: str):
 
 
 def read_node_features(path) -> dict:
-    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}."""
-    table: dict = {}
+    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}.
+
+    Every record has the length of the first.  The fields of all records are
+    converted in one array, whose rows are the vectors.
+    """
+    ids, linenos, rows = [], [], []
     for lineno, line in enumerate(read_text(path, GraphError).split("\n"), start=1):
         if not line:
             continue
         try:
             raw_id, raw_vec = line.split("\t")
-            vec = np.array([float(x) for x in raw_vec.split(",")], dtype=float)
         except ValueError as exc:
             raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
-        table[_parse_id(raw_id)] = vec
-    return table
+        node, row = _parse_id(raw_id), raw_vec.split(",")
+        if rows and len(row) != len(rows[0]):
+            raise GraphError(
+                f"{path}:{lineno}: feature dimension {len(row)} for {node!r} does not match "
+                f"the first record's {len(rows[0])}"
+            )
+        ids.append(node)
+        linenos.append(lineno)
+        rows.append(row)
+    try:
+        vectors = np.array(rows, dtype=float)
+    except ValueError:
+        # convert row by row only to name the first line with a field that is no float
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
+        raise
+    return dict(zip(ids, vectors))
 
 
 def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGraph:

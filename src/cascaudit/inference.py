@@ -39,7 +39,6 @@ path order, before the log-sum-exp.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -47,9 +46,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from cascaudit.errors import (
+    WARNING,
     InvalidEvidenceError,
     ModelError,
     UnreachableObservationError,
+    log,
 )
 from cascaudit.graph import (
     DirectedPath,
@@ -60,8 +61,6 @@ from cascaudit.graph import (
     forward_ball,
 )
 from cascaudit.markov import FAKE, GENUINE, Observation, ObservationStream, SpreadModel
-
-logger = logging.getLogger(__name__)
 
 _NEG_INF = float("-inf")
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
@@ -395,7 +394,8 @@ def _log_a(tables, hyp, distinct, key_of_path, cls, anchor) -> float:
         key_of_path,
     )
     if log_denom == _NEG_INF:
-        logger.warning(
+        log(
+            __name__, WARNING,
             "all %d candidate paths have zero score; falling back to a uniform mixture",
             len(log_arrivals),
         )
@@ -409,8 +409,9 @@ def _one_log_a(tables, hyp, depth, entries, cls, anchor) -> float:
     log_num = _log_chain(tables, hyp, entries, anchor)
     log_arrival = _log_arrival(tables, hyp, depth, entries, cls)
     if log_num == _NEG_INF:
-        logger.warning(
-            "all %d candidate paths have zero score; falling back to a uniform mixture", 1
+        log(
+            __name__, WARNING,
+            "all %d candidate paths have zero score; falling back to a uniform mixture", 1,
         )
         return log_arrival + 0.0 - 0.0
     return (log_num + log_arrival) + 0.0 - (log_num + 0.0)
@@ -437,7 +438,8 @@ def path_score(
     distinct, key_of_path = _distinct_keys(_context_keys(contexts))
     log_nums, log_denom = _log_weights(ChainTables(model), hyp, distinct, key_of_path, anchor)
     if log_denom == _NEG_INF:
-        logger.warning("all %d path scores are zero; returning uniform weights", len(contexts))
+        log(__name__, WARNING, "all %d path scores are zero; returning uniform weights",
+            len(contexts))
         return np.full(len(contexts), 1.0 / len(contexts))
     return np.exp(log_nums - log_denom)
 
@@ -633,7 +635,8 @@ class PosteriorEngine:
                 if on_unreachable == "fail":
                     raise
                 self.skipped.append(idx)
-                logger.warning("skipping unreachable observation %d on edge %r", idx, obs.edge)
+                log(__name__, WARNING, "skipping unreachable observation %d on edge %r",
+                    idx, obs.edge)
 
 
 class PosteriorRun(NamedTuple):

@@ -12,22 +12,24 @@ the entire statistical signal the detector works with.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import ModelError, TraceError, read_text
+from cascaudit.errors import INFO, ModelError, TraceError, log, read_text
 from cascaudit.graph import SocialGraph
 from cascaudit.rng import derive_rng
-
-logger = logging.getLogger(__name__)
 
 GENUINE, FAKE = 0, 1
 
 _ROW_SUM_TOL = 1e-9
+
+# The largest number of edge classes Z.  The threshold solve holds Z^2
+# outcomes per posterior grid point: 33 MB per array at Z = 64 on the
+# default grid of 1001 points.
+MAX_CLASSES = 64
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,8 @@ class SpreadModel:
         alpha = np.asarray(self.transition_probs, dtype=float)
         object.__setattr__(self, "initial_probs", eta)
         object.__setattr__(self, "transition_probs", alpha)
-        if self.num_classes < 2:
-            raise ModelError("need at least two edge classes")
+        if not 2 <= self.num_classes <= MAX_CLASSES:
+            raise ModelError(f"need 2..{MAX_CLASSES} edge classes, got {self.num_classes}")
         diagnostics = validate_model(self)
         if not diagnostics.ok:
             raise ModelError("; ".join(diagnostics.issues))
@@ -79,7 +81,8 @@ class SpreadModel:
         ]
         worst = max(deviations)
         if worst > _ROW_SUM_TOL:
-            logger.info("renormalizing model rows (worst row-sum deviation %.3g)", worst)
+            log(__name__, INFO, "renormalizing model rows (worst row-sum deviation %.3g)",
+                worst)
         eta = eta / eta.sum(axis=-1, keepdims=True)
         alpha = alpha / alpha.sum(axis=-1, keepdims=True)
         return cls(

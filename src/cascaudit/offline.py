@@ -18,18 +18,15 @@ synthetic path) or from classifier-assigned classes (the real-data path).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from cascaudit.errors import DegenerateDataError, EstimationError, TraceError
+from cascaudit.errors import WARNING, DegenerateDataError, EstimationError, TraceError, log
 from cascaudit.graph import SocialGraph
 from cascaudit.markov import FAKE, GENUINE, SpreadModel, Trace
 from cascaudit.rng import derive_rng
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -190,7 +187,7 @@ def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClas
     cal_low = float(np.percentile(margins, 1.0))
     cal_high = float(np.percentile(margins, 99.0))
     if cal_high - cal_low < 1e-12:
-        logger.warning("degenerate margin spread; calibration widened artificially")
+        log(__name__, WARNING, "degenerate margin spread; calibration widened artificially")
         cal_high = cal_low + 1.0
     return EdgeClassifier(
         weights=weights,
@@ -302,7 +299,7 @@ def estimate_alpha(
             if total > 0:
                 estimates[label][z] = counts[label][z] / total
             else:
-                logger.warning("no transitions out of class %d under label %d", z, label)
+                log(__name__, WARNING, "no transitions out of class %d under label %d", z, label)
     return estimates
 
 
@@ -323,9 +320,8 @@ def build_spread_model(
             if alpha[label][z].sum() == 0.0:
                 if fill_unseen == "error":
                     raise EstimationError(f"transition row [{label}][{z}] was never observed")
-                logger.warning(
-                    "filling unseen transition row [%d][%d] uniformly", label, z
-                )
+                log(__name__, WARNING, "filling unseen transition row [%d][%d] uniformly",
+                    label, z)
                 alpha[label][z] = 1.0 / num_classes
     return SpreadModel.from_unnormalized(
         initial_probs=eta_hat, transition_probs=alpha, prior_fake=prior_fake

@@ -232,6 +232,8 @@ def solve_thresholds(
         raise ModelError(f"grid_step must be in [{MIN_GRID_STEP}, 0.1]")
     if max_sweeps < 1:
         raise ModelError("max_sweeps must be >= 1")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ModelError(f"tol must be positive and finite, got {tol}")
     n = round(1.0 / grid_step)
     grid = np.linspace(0.0, 1.0, n + 1)
     stop_values = np.minimum(costs.miss * grid, costs.false_alarm * (1.0 - grid))

@@ -26,6 +26,7 @@ from cascaudit.offline import classify_graph_edges
 from cascaudit.markov import (
     FAKE,
     GENUINE,
+    MAX_CLASSES,
     GrowthConfig,
     load_model,
     read_traces,
@@ -249,8 +250,20 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
     (["simulate", "--mean-children", "nan"], "mean_children must be positive and finite"),
     (["simulate", "--mean-children", "inf"], "mean_children must be positive and finite"),
     (["thresholds", "--grid-step", 1e-9], "grid_step must be in [1e-05, 0.1]"),
+    # only the guarded path: a huge --zclasses must be refused before any allocation
+    (["train", "--zclasses", 100_000_000], "--zclasses must be <= 64"),
+    (["train", "--learning-rate", "nan"], "--learning-rate must be finite and > 0"),
+    (["train", "--learning-rate", 0], "--learning-rate must be finite and > 0"),
+    (["train", "--l2", "nan"], "--l2 must be finite and >= 0"),
+    (["train", "--l2", -1e-4], "--l2 must be finite and >= 0"),
+    (["train", "--epochs", 0], "--epochs must be >= 1"),
+    (["train", "--epochs", -1], "--epochs must be >= 1"),
+    (["thresholds", "--tol", "nan"], "tol must be positive and finite"),
+    (["thresholds", "--tol", 0], "tol must be positive and finite"),
 ], ids=["zclasses-0", "zclasses-1", "zclasses-negative", "class-above-zclasses",
-        "mean-children-nan", "mean-children-inf", "grid-step-tiny"])
+        "mean-children-nan", "mean-children-inf", "grid-step-tiny", "zclasses-huge",
+        "learning-rate-nan", "learning-rate-zero", "l2-nan", "l2-negative", "epochs-zero",
+        "epochs-negative", "tol-nan", "tol-zero"])
 def test_hostile_flag_exits_2_with_one_line(tmp_path, capsys, argv, message):
     command, *flags = argv
     out = tmp_path / "out"
@@ -438,6 +451,19 @@ def test_detect_rejects_malformed_model_with_exit_2(tmp_path, capsys, document):
     assert captured.err.startswith("cascaudit: error: model file")
 
 
+def test_model_file_above_the_class_maximum_exits_2(tmp_path, capsys):
+    z = MAX_CLASSES + 1
+    row = [1.0 / z] * z
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"Z": z, "eta0": row, "eta1": row, "alpha0": [row] * z,
+                                      "alpha1": [row] * z}), encoding="utf-8")
+    code = run_cli("thresholds", "--model", model_path, "--out", tmp_path / "table.csv")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"need 2..{MAX_CLASSES} edge classes, got {z}" in captured.err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_detect_rejects_nan_cost_without_verdict(tmp_path, capsys):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
     for flags in (("--ci", "nan"), ("--c", "inf"), ("--epsilon", "nan"),
@@ -474,6 +500,53 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _loaded_after_command(tmp_path, *argv) -> list:
+    """Which of ``logging`` and ``cascaudit.offline`` a fresh process holds
+    after running one CLI command, which must exit 0."""
+    src = str(Path(cascaudit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
+             "print(code, sorted({'logging', 'cascaudit.offline'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                            capture_output=True, text=True, check=True, cwd=tmp_path)
+    code, loaded = result.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert code == "0", result.stderr
+    return loaded
+
+
+def test_detect_loads_neither_logging_nor_offline(tmp_path):
+    # the reference model's renormalization record is below WARNING and
+    # nothing configured logging, so it is dropped without the import
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=4)
+    assert _loaded_after_command(tmp_path, "detect", "--graph", graph_path,
+                                 "--stream", stream_path) == "[]"
+
+
+def test_eval_without_unreachable_observations_loads_neither_logging_nor_offline(tmp_path):
+    traces = [sample_trace(None, reference_model(), i % 2, seed=30 + i, growth=WIDE)
+              for i in range(6)]
+    write_traces(traces, tmp_path / "traces.jsonl")
+    assert _loaded_after_command(
+        tmp_path, "eval", "--traces", tmp_path / "traces.jsonl", "--seed", 2, "--policy",
+        "convergence", "--max-path-len", WIDE.max_events, "--on-unreachable", "fail",
+        "--out", tmp_path / "ev",
+    ) == "[]"
+
+
+def test_offline_names_bind_on_first_lookup_and_keep_a_replacement(monkeypatch):
+    from cascaudit import offline
+
+    monkeypatch.delitem(vars(cli), "estimate_eta", raising=False)
+    monkeypatch.delitem(vars(cli), "train_classifier", raising=False)
+    assert cli.estimate_eta is offline.estimate_eta
+    monkeypatch.setattr(cli, "train_classifier", len)
+    cli._bind_offline()
+    assert cli.train_classifier is len
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cli.no_such_name
 
 
 def _bench_traced():

@@ -10,6 +10,7 @@ from cascaudit.graph import (
     enumerate_paths,
     forward_ball,
     load_graph,
+    read_node_features,
     save_graph,
 )
 from cascaudit.rng import derive_rng
@@ -181,6 +182,27 @@ def test_edge_list_round_trip(tmp_path, demo_graph):
     assert loaded.edges() == demo_graph.edges()
     assert loaded.nodes() == demo_graph.nodes()
     assert loaded.feature_dim == demo_graph.feature_dim
+
+
+def test_feature_records_parse_in_one_array_and_errors_name_the_line(tmp_path):
+    feat_file = tmp_path / "features.tsv"
+    feat_file.write_text("a\t0.1,-2e3\n\n7\t1_0, inf\na\t3,4\n", encoding="utf-8")
+    table = read_node_features(feat_file)
+    assert list(table) == ["a", 7]  # a repeated id keeps its last record
+    assert table["a"].tolist() == [3.0, 4.0] and table[7].tolist() == [10.0, np.inf]
+    for text, message in (
+        ("", None),
+        ("1\t0.5,1\n2\t0.5\n", r":2: feature dimension 1 for 2 does not match .* 2$"),
+        ("1\t0.5,x\n2\t0.5\n", r":2: feature dimension 1 for 2"),  # lengths first
+        ("1\t0.5,1\n2\t0.5,1\n3\tx,1\n", r":3: bad feature record: .*'x'"),
+        ("1\t0.5,1\n2 0.5,1\n", r":2: bad feature record"),
+    ):
+        feat_file.write_text(text, encoding="utf-8")
+        if message is None:
+            assert read_node_features(feat_file) == {}
+            continue
+        with pytest.raises(GraphError, match=message):
+            read_node_features(feat_file)
 
 
 def test_load_graph_without_features(tmp_path):

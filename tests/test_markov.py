@@ -9,6 +9,7 @@ from cascaudit.inference import ChainTables
 from cascaudit.markov import (
     FAKE,
     GENUINE,
+    MAX_CLASSES,
     GrowthConfig,
     REFERENCE_INITIAL_FAKE,
     REFERENCE_INITIAL_GENUINE,
@@ -106,6 +107,26 @@ def test_reference_model_rows_normalized(ref_model):
     assert ref_model.num_classes == 4
     np.testing.assert_allclose(ref_model.initial_probs.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(ref_model.transition_probs.sum(axis=2), 1.0, atol=1e-12)
+
+
+def test_reference_model_logs_its_renormalization(caplog):
+    with caplog.at_level("INFO", logger="cascaudit.markov"):
+        reference_model()
+    [record] = caplog.records
+    assert record.name == "cascaudit.markov" and record.levelname == "INFO"
+    assert record.getMessage().startswith("renormalizing model rows")
+    assert record.funcName == "from_unnormalized"  # the caller, not the log helper
+
+
+@pytest.mark.parametrize("z", [2, MAX_CLASSES])
+def test_class_counts_up_to_the_maximum_are_accepted(z):
+    assert SpreadModel(z, np.full((2, z), 1.0 / z), np.full((2, z, z), 1.0 / z)).num_classes == z
+
+
+@pytest.mark.parametrize("z", [1, MAX_CLASSES + 1])
+def test_class_counts_outside_the_bounds_are_rejected(z):
+    with pytest.raises(ModelError, match=f"need 2..{MAX_CLASSES} edge classes, got {z}"):
+        SpreadModel(z, np.full((2, z), 1.0 / z), np.full((2, z, z), 1.0 / z))
 
 
 def test_raw_reference_tables_need_renormalization():

@@ -160,6 +160,13 @@ def test_stop_cost_bounded_by_peak(pi, fa, miss):
     assert chosen == pytest.approx(value, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-7])
+def test_solver_rejects_a_tolerance_that_is_not_positive_and_finite(ref_model, tol):
+    # a NaN tolerance never stops the sweeps, and one of zero or less barely does
+    with pytest.raises(ModelError, match="tol must be positive and finite"):
+        solve_thresholds(EQUAL_COSTS, single_step_outcomes(ref_model), tol=tol)
+
+
 def test_sprt_config_validation():
     with pytest.raises(ModelError):
         SprtConfig(lower=1.5, upper=2.0)
