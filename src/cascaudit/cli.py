@@ -14,7 +14,6 @@ one evaluation path: :func:`simulate_corpus` draws a labeled corpus,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -155,7 +154,7 @@ def simulate_corpus(model: SpreadModel, n: int, seed: int, growth: GrowthConfig,
             model,
             label if label is not None else int(draws[i] < model.prior_fake),
             derive_seed(seed, i, 1),
-            dataclasses.replace(growth, id_base=i * TRACE_ID_STRIDE),
+            growth._replace(id_base=i * TRACE_ID_STRIDE),
         )
         for i in range(n)
     ]

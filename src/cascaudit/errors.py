@@ -1,9 +1,53 @@
-"""Exception hierarchy shared across the package, the one text reader that
-turns undecodable input into one of its errors, and the one log call."""
+"""Exception hierarchy shared across the package, the base of its validated
+records, the one text reader that turns undecodable input into one of its
+errors, and the one log call."""
 
 import sys
 
 INFO, WARNING = 20, 30  # the levels of :mod:`logging`, named without importing it
+
+
+class Record:
+    """Base of the validated records: immutable objects whose ``__init__``
+    checks its arguments and then writes them to the instance ``__dict__``.
+
+    ``_fields`` names the constructor's parameters in order.  Equality, hash
+    and repr use the fields of ``_compare``, which defaults to ``_fields``.
+    A changed copy is ``record._replace(**changes)``, which validates again,
+    the same idiom as the value-only ``NamedTuple`` records.  Assignment and
+    deletion raise :class:`AttributeError`.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if "_compare" not in cls.__dict__:
+            cls._compare = cls._fields
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compare)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _replace(self, **changes):
+        values = {name: getattr(self, name) for name in self._fields}
+        return type(self)(**{**values, **changes})
 
 
 class CascauditError(Exception):

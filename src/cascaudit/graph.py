@@ -36,14 +36,13 @@ concurrently; a new edge clears any memo a query filled.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, tee
 from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import GraphError, read_text
+from cascaudit.errors import GraphError, Record, read_text
 
 NodeId = Hashable
 Edge = tuple  # (u, v) in original ids
@@ -54,42 +53,39 @@ def _id_key(node_id: NodeId) -> tuple:
     return (isinstance(node_id, str), node_id)
 
 
-@dataclass(frozen=True)
-class DirectedPath:
+class DirectedPath(Record):
     """A simple directed path, held as its vertex sequence; ``edges`` is
     derived from it once, at construction."""
 
-    vertices: tuple
-    edges: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("vertices",)
 
-    def __post_init__(self):
-        if len(self.vertices) < 2:
+    def __init__(self, vertices: tuple):
+        if len(vertices) < 2:
             raise GraphError("a path needs at least one edge")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphError(f"path revisits a vertex: {self.vertices!r}")
-        object.__setattr__(self, "edges", tuple(zip(self.vertices[:-1], self.vertices[1:])))
+        if len(set(vertices)) != len(vertices):
+            raise GraphError(f"path revisits a vertex: {vertices!r}")
+        self.__dict__.update(vertices=vertices, edges=tuple(zip(vertices[:-1], vertices[1:])))
 
     def __len__(self) -> int:
         """Length in edges."""
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class PathEnumConfig:
+class PathEnumConfig(Record):
     """Bounds for path enumeration.
 
     ``max_path_length`` caps the number of edges per path; ``max_paths`` caps
     how many paths are returned (shortest first when the cap binds).
     """
 
-    max_path_length: int = 8
-    max_paths: int = 512
+    _fields = ("max_path_length", "max_paths")
 
-    def __post_init__(self):
-        if self.max_path_length < 1:
+    def __init__(self, max_path_length: int = 8, max_paths: int = 512):
+        if max_path_length < 1:
             raise GraphError("max_path_length must be >= 1")
-        if self.max_paths < 1:
+        if max_paths < 1:
             raise GraphError("max_paths must be >= 1")
+        self.__dict__.update(max_path_length=max_path_length, max_paths=max_paths)
 
 
 class Prefix(NamedTuple):
@@ -99,15 +95,15 @@ class Prefix(NamedTuple):
     edges: tuple
 
 
-@dataclass(frozen=True)
-class PathEnumeration:
+class PathEnumeration(Record):
     """Result of a bounded enumeration: each candidate path is a prefix
     ``source ~> u`` followed by ``target_edge`` ``(u, v)``, in path order,
     plus a truncation flag."""
 
-    prefixes: tuple
-    target_edge: tuple
-    truncated: bool = False
+    _fields = ("prefixes", "target_edge", "truncated")
+
+    def __init__(self, prefixes: tuple, target_edge: tuple, truncated: bool = False):
+        self.__dict__.update(prefixes=prefixes, target_edge=target_edge, truncated=truncated)
 
     @cached_property
     def paths(self) -> tuple:

@@ -40,7 +40,6 @@ path order, before the log-sum-exp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,6 +48,7 @@ from cascaudit.errors import (
     WARNING,
     InvalidEvidenceError,
     ModelError,
+    Record,
     UnreachableObservationError,
     log,
 )
@@ -94,8 +94,7 @@ def _logsumexp(a: np.ndarray) -> float:
 # ---- belief state -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(Record):
     """Running posterior, represented canonically by the log likelihood ratio.
 
     The posterior is always derived from ``log_lr`` through the prior-odds
@@ -103,18 +102,19 @@ class BeliefState:
     identity holds exactly at every step.  A state made by an update records
     that update's two conditionals and links the state before it, so an
     update costs O(1) and the audit history is read back along the links.
+    The link takes no part in equality, hash or repr.
     """
 
-    prior: float
-    log_lr: float = 0.0
-    step: int = 0
-    a_genuine: Optional[float] = None
-    a_fake: Optional[float] = None
-    previous: Optional["BeliefState"] = field(default=None, compare=False, repr=False)
+    _fields = ("prior", "log_lr", "step", "a_genuine", "a_fake", "previous")
+    _compare = _fields[:-1]
 
-    def __post_init__(self):
-        if not 0.0 <= self.prior <= 1.0:
-            raise ModelError(f"prior {self.prior} outside [0, 1]")
+    def __init__(self, prior: float, log_lr: float = 0.0, step: int = 0,
+                 a_genuine: Optional[float] = None, a_fake: Optional[float] = None,
+                 previous: Optional[BeliefState] = None):
+        if not 0.0 <= prior <= 1.0:
+            raise ModelError(f"prior {prior} outside [0, 1]")
+        self.__dict__.update(prior=prior, log_lr=log_lr, step=step, a_genuine=a_genuine,
+                             a_fake=a_fake, previous=previous)
 
     @property
     def posterior(self) -> float:

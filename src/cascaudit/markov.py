@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import INFO, ModelError, TraceError, log, read_text
+from cascaudit.errors import INFO, ModelError, Record, TraceError, log, read_text
 from cascaudit.graph import SocialGraph
 from cascaudit.rng import derive_rng
 
@@ -32,8 +31,7 @@ _ROW_SUM_TOL = 1e-9
 MAX_CLASSES = 64
 
 
-@dataclass(frozen=True)
-class SpreadModel:
+class SpreadModel(Record):
     """Parameters of the two edge-type chains plus the fake-news prior.
 
     ``initial_probs[hyp]`` is the class distribution of source-adjacent edges
@@ -43,18 +41,18 @@ class SpreadModel:
     rounded published tables.
     """
 
-    num_classes: int
-    initial_probs: np.ndarray      # shape (2, Z)
-    transition_probs: np.ndarray   # shape (2, Z, Z)
-    prior_fake: float = 0.5
+    _fields = ("num_classes", "initial_probs", "transition_probs", "prior_fake")
 
-    def __post_init__(self):
-        eta = np.asarray(self.initial_probs, dtype=float)
-        alpha = np.asarray(self.transition_probs, dtype=float)
-        object.__setattr__(self, "initial_probs", eta)
-        object.__setattr__(self, "transition_probs", alpha)
-        if not 2 <= self.num_classes <= MAX_CLASSES:
-            raise ModelError(f"need 2..{MAX_CLASSES} edge classes, got {self.num_classes}")
+    def __init__(self, num_classes: int,
+                 initial_probs: np.ndarray,     # shape (2, Z)
+                 transition_probs: np.ndarray,  # shape (2, Z, Z)
+                 prior_fake: float = 0.5):
+        self.__dict__.update(num_classes=num_classes,
+                             initial_probs=np.asarray(initial_probs, dtype=float),
+                             transition_probs=np.asarray(transition_probs, dtype=float),
+                             prior_fake=prior_fake)
+        if not 2 <= num_classes <= MAX_CLASSES:
+            raise ModelError(f"need 2..{MAX_CLASSES} edge classes, got {num_classes}")
         diagnostics = validate_model(self)
         if not diagnostics.ok:
             raise ModelError("; ".join(diagnostics.issues))
@@ -219,13 +217,13 @@ class TraceEvent(NamedTuple):
     parent_edge: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """A full cascade in generation order, optionally labeled."""
 
-    label: Optional[int]
-    source: object
-    events: tuple
+    _fields = ("label", "source", "events")
+
+    def __init__(self, label: Optional[int], source, events: tuple):
+        self.__dict__.update(label=label, source=source, events=events)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -271,12 +269,13 @@ class Observation(NamedTuple):
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class ObservationStream:
+class ObservationStream(Record):
     """The detector's input: an ordered, possibly subsampled event sequence."""
 
-    source: object
-    observations: tuple
+    _fields = ("source", "observations")
+
+    def __init__(self, source, observations: tuple):
+        self.__dict__.update(source=source, observations=observations)
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -285,8 +284,7 @@ class ObservationStream:
 # ---- simulation ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
+class GrowthConfig(Record):
     """Branching behavior of the simulator.
 
     Each infected node retweets to ``k`` followers with ``k`` drawn from a
@@ -298,19 +296,19 @@ class GrowthConfig:
     ``id_base``.
     """
 
-    max_events: int = 200
-    mean_children: float = 1.6
-    max_children: int = 6
-    min_children: int = 0
-    id_base: int = 0
+    _fields = ("max_events", "mean_children", "max_children", "min_children", "id_base")
 
-    def __post_init__(self):
-        if self.max_events < 1:
+    def __init__(self, max_events: int = 200, mean_children: float = 1.6,
+                 max_children: int = 6, min_children: int = 0, id_base: int = 0):
+        if max_events < 1:
             raise TraceError("max_events must be >= 1")
-        if not 0 < self.mean_children < math.inf:
+        if not 0 < mean_children < math.inf:
             raise TraceError("mean_children must be positive and finite")
-        if not 0 <= self.min_children <= self.max_children:
+        if not 0 <= min_children <= max_children:
             raise TraceError("need 0 <= min_children <= max_children")
+        self.__dict__.update(max_events=max_events, mean_children=mean_children,
+                             max_children=max_children, min_children=min_children,
+                             id_base=id_base)
 
 
 def _child_count(rng: np.random.Generator, growth: GrowthConfig) -> int:

@@ -22,12 +22,11 @@ forced stops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from cascaudit.errors import DegenerateDataError, ModelError, read_text
+from cascaudit.errors import DegenerateDataError, ModelError, Record, read_text
 from cascaudit.graph import PathEnumConfig, SocialGraph
 from cascaudit.inference import ChainTables, PosteriorEngine
 from cascaudit.markov import FAKE, GENUINE, ObservationStream, SpreadModel
@@ -38,8 +37,7 @@ RULE_CONVERGENCE = "convergence"
 RULE_HORIZON = "horizon"
 
 
-@dataclass(frozen=True)
-class CostSpec:
+class CostSpec(Record):
     """Error and delay costs.
 
     ``false_alarm`` is the cost of declaring genuine news fake (type I),
@@ -47,17 +45,16 @@ class CostSpec:
     the cost of each step a fake item keeps spreading.
     """
 
-    false_alarm: float = 10.0
-    miss: float = 10.0
-    per_step: float = 0.05
+    _fields = ("false_alarm", "miss", "per_step")
 
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.false_alarm, self.miss, self.per_step))):
+    def __init__(self, false_alarm: float = 10.0, miss: float = 10.0, per_step: float = 0.05):
+        if not all(map(math.isfinite, (false_alarm, miss, per_step))):
             raise ModelError("costs must be finite")
-        if self.false_alarm < 0 or self.miss < 0 or self.per_step < 0:
+        if false_alarm < 0 or miss < 0 or per_step < 0:
             raise ModelError("costs must be nonnegative")
-        if self.false_alarm + self.miss <= 0:
+        if false_alarm + miss <= 0:
             raise ModelError("at least one error cost must be positive")
+        self.__dict__.update(false_alarm=false_alarm, miss=miss, per_step=per_step)
 
     @property
     def decision_ratio(self) -> float:
@@ -75,21 +72,19 @@ def bayes_verdict(pi: float, costs: CostSpec) -> int:
     return 1 if costs.miss * pi > costs.false_alarm * (1.0 - pi) else 0
 
 
-@dataclass(frozen=True)
-class DecisionOutcome:
+class DecisionOutcome(Record):
     """A stopping decision: when, what, and which rule fired."""
 
-    step: int
-    verdict: int
-    rule: str
+    _fields = ("step", "verdict", "rule")
 
-    def __post_init__(self):
-        if self.step < 1:
+    def __init__(self, step: int, verdict: int, rule: str):
+        if step < 1:
             raise ModelError("stopping step must be >= 1")
-        if self.verdict not in (0, 1):
+        if verdict not in (0, 1):
             raise ModelError("verdict must be 0 (genuine) or 1 (fake)")
-        if self.rule not in (RULE_DP, RULE_SPRT, RULE_CONVERGENCE, RULE_HORIZON):
-            raise ModelError(f"unknown rule {self.rule!r}")
+        if rule not in (RULE_DP, RULE_SPRT, RULE_CONVERGENCE, RULE_HORIZON):
+            raise ModelError(f"unknown rule {rule!r}")
+        self.__dict__.update(step=step, verdict=verdict, rule=rule)
 
 
 # ---- dynamic-programming threshold solver ---------------------------------------
@@ -102,25 +97,21 @@ _TABLE_FIELDS = ("ci", "cii", "c", "pi_low", "pi_up", "converged", "sweeps")
 MIN_GRID_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class ThresholdTable:
+class ThresholdTable(Record):
     """Grid solution of the stopping value function plus the two thresholds."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    pi_low: float
-    pi_up: float
-    costs: CostSpec
-    converged: bool
-    sweeps: int
+    _fields = ("grid", "values", "pi_low", "pi_up", "costs", "converged", "sweeps")
 
-    def __post_init__(self):
-        if len(self.grid) != len(self.values):
+    def __init__(self, grid: np.ndarray, values: np.ndarray, pi_low: float, pi_up: float,
+                 costs: CostSpec, converged: bool, sweeps: int):
+        if len(grid) != len(values):
             raise ModelError("grid and values must align")
-        if not 0.0 <= self.pi_low <= self.pi_up <= 1.0:
-            raise ModelError(f"need 0 <= pi_low <= pi_up <= 1, got ({self.pi_low}, {self.pi_up})")
-        if np.any(np.asarray(self.values) < 0):
+        if not 0.0 <= pi_low <= pi_up <= 1.0:
+            raise ModelError(f"need 0 <= pi_low <= pi_up <= 1, got ({pi_low}, {pi_up})")
+        if np.any(np.asarray(values) < 0):
             raise ModelError("stopping values must be nonnegative")
+        self.__dict__.update(grid=grid, values=values, pi_low=pi_low, pi_up=pi_up, costs=costs,
+                             converged=converged, sweeps=sweeps)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -329,16 +320,15 @@ def wald_bounds(p_target: float, q_target: float) -> tuple:
     return q_target / (1.0 - p_target), (1.0 - q_target) / p_target
 
 
-@dataclass(frozen=True)
-class SprtConfig:
+class SprtConfig(Record):
     """Likelihood-ratio stopping boundaries with ``lower <= 1 <= upper``."""
 
-    lower: float
-    upper: float
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        if not (0.0 < self.lower <= 1.0 <= self.upper < math.inf):
-            raise ModelError(f"need 0 < lower <= 1 <= upper < inf, got ({self.lower}, {self.upper})")
+    def __init__(self, lower: float, upper: float):
+        if not (0.0 < lower <= 1.0 <= upper < math.inf):
+            raise ModelError(f"need 0 < lower <= 1 <= upper < inf, got ({lower}, {upper})")
+        self.__dict__.update(lower=lower, upper=upper)
 
     @classmethod
     def from_error_targets(cls, p_target: float, q_target: float) -> "SprtConfig":
@@ -407,8 +397,8 @@ class ConvergencePolicy:
     def __init__(self, epsilon: float, threshold: float):
         if not 0 < epsilon < math.inf:
             raise ModelError("epsilon must be positive and finite")
-        if not math.isfinite(threshold):
-            raise ModelError("decision threshold must be finite")
+        if not 0.0 <= threshold <= 1.0:
+            raise ModelError(f"decision threshold must be in [0, 1], got {threshold}")
         self.epsilon = epsilon
         self.threshold = threshold
 

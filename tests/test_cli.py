@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -167,7 +166,7 @@ def _write_featured_corpus(tmp_path, recorded):
     traces = corpus.traces
     if recorded:
         traces = [
-            dataclasses.replace(trace, events=tuple(
+            trace._replace(events=tuple(
                 ev._replace(cls=(2 * trace.label + i) % 4)
                 for i, ev in enumerate(trace.events)
             ))
@@ -260,17 +259,24 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
     (["train", "--epochs", -1], "--epochs must be >= 1"),
     (["thresholds", "--tol", "nan"], "tol must be positive and finite"),
     (["thresholds", "--tol", 0], "tol must be positive and finite"),
+    (["detect", "--policy", "convergence", "--decision-threshold", 2],
+     "decision threshold must be in [0, 1]"),
+    (["detect", "--policy", "convergence", "--decision-threshold", -1],
+     "decision threshold must be in [0, 1]"),
 ], ids=["zclasses-0", "zclasses-1", "zclasses-negative", "class-above-zclasses",
         "mean-children-nan", "mean-children-inf", "grid-step-tiny", "zclasses-huge",
         "learning-rate-nan", "learning-rate-zero", "l2-nan", "l2-negative", "epochs-zero",
-        "epochs-negative", "tol-nan", "tol-zero"])
+        "epochs-negative", "tol-nan", "tol-zero", "decision-threshold-2",
+        "decision-threshold-negative"])
 def test_hostile_flag_exits_2_with_one_line(tmp_path, capsys, argv, message):
     command, *flags = argv
     out = tmp_path / "out"
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE)
     required = {
         "train": ["--traces", _write_featured_corpus(tmp_path, recorded=True)[0], "--seed", 1],
         "simulate": ["--seed", 1, "--n", 3],
         "thresholds": [],
+        "detect": ["--graph", graph_path, "--stream", stream_path],
     }[command]
     code = run_cli(command, *flags, *required, "--out", out)
     captured = capsys.readouterr()
@@ -503,13 +509,15 @@ def test_cli_import_does_not_load_scipy():
 
 
 def _loaded_after_command(tmp_path, *argv) -> list:
-    """Which of ``logging`` and ``cascaudit.offline`` a fresh process holds
-    after running one CLI command, which must exit 0."""
+    """Which of ``logging``, ``cascaudit.offline``, ``dataclasses`` and
+    ``numpy.ma`` a fresh process holds after running one CLI command, which
+    must exit 0."""
     src = str(Path(cascaudit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
-             "print(code, sorted({'logging', 'cascaudit.offline'} & set(sys.modules)))")
+             "print(code, sorted({'logging', 'cascaudit.offline', 'dataclasses', 'numpy.ma'}"
+             " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
                             capture_output=True, text=True, check=True, cwd=tmp_path)
     code, loaded = result.stdout.strip().splitlines()[-1].split(" ", 1)
@@ -534,6 +542,20 @@ def test_eval_without_unreachable_observations_loads_neither_logging_nor_offline
         "convergence", "--max-path-len", WIDE.max_events, "--on-unreachable", "fail",
         "--out", tmp_path / "ev",
     ) == "[]"
+
+
+@pytest.mark.parametrize("command", ["simulate", "train", "thresholds"])
+def test_no_command_loads_dataclasses_or_numpy_ma(tmp_path, command):
+    # np.percentile would import numpy.ma through np.unique
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
+    argv = {
+        "simulate": ["--n", 4, "--seed", 1, "--out", tmp_path / "sim"],
+        "train": ["--traces", traces_path, "--graph", edges_path, "--features", feats_path,
+                  "--seed", 6, "--out", tmp_path / "m.json"],
+        "thresholds": ["--out", tmp_path / "table.csv"],
+    }[command]
+    loaded = _loaded_after_command(tmp_path, command, *argv)
+    assert "dataclasses" not in loaded and "numpy.ma" not in loaded
 
 
 def test_offline_names_bind_on_first_lookup_and_keep_a_replacement(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -102,7 +101,7 @@ def test_update_links_the_previous_belief_instead_of_copying_its_history():
     assert (first.a_genuine, first.a_fake) == pytest.approx((0.2, 0.8))
     assert belief.trajectory() == [0.5] + [state.posterior for state in history]
     # the link takes no part in equality or repr, so neither walks the stream
-    assert belief == dataclasses.replace(belief, previous=None)
+    assert belief == belief._replace(previous=None)
     assert "previous" not in repr(belief)
 
 

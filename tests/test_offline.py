@@ -16,6 +16,7 @@ from cascaudit.offline import (
     EdgeClassifier,
     TrainingConfig,
     TrainingCorpus,
+    _percentile,
     build_spread_model,
     build_trace_feature,
     classify_graph_edges,
@@ -173,6 +174,19 @@ def test_classifier_round_trip():
 
 
 # ---- score binning ----
+
+
+def test_calibration_percentiles_equal_numpy_bit_for_bit():
+    rng = derive_rng(17)
+    arrays = [rng.normal(size=int(n)) * 10.0 ** int(e)
+              for n, e in zip(rng.integers(1, 400, size=200), rng.integers(-6, 7, size=200))]
+    arrays += [np.array([0.7]), np.array([2.5, -1.0]), np.array([3.0, 3.0]),
+               rng.integers(-3, 4, size=101).astype(float), np.repeat([1.5, -0.5, 2.0], 40)]
+    for values in arrays:
+        ordered = np.sort(values)
+        for q in (1.0, 99.0):
+            expected = np.float64(np.percentile(values, q))
+            assert np.float64(_percentile(ordered, q)).tobytes() == expected.tobytes()
 
 
 def test_score_binning_quarters():

@@ -436,9 +436,12 @@ def test_decide_consumes_beliefs_only_up_to_the_verdict():
 
 
 def test_convergence_policy_rejects_non_finite_parameters():
-    for epsilon, threshold in ((math.nan, 0.5), (math.inf, 0.5), (0.001, math.nan)):
+    for epsilon, threshold in ((math.nan, 0.5), (math.inf, 0.5), (0.001, math.nan),
+                               (0.001, math.inf), (0.001, 2.0), (0.001, -1.0)):
         with pytest.raises(ModelError):
             ConvergencePolicy(epsilon=epsilon, threshold=threshold)
+    for threshold in (0.0, 1.0):
+        assert ConvergencePolicy(epsilon=0.001, threshold=threshold).threshold == threshold
 
 
 def test_run_detection_with_convergence_policy(ref_model):
