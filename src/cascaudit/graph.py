@@ -409,33 +409,37 @@ class ForwardBall(NamedTuple):
 def forward_ball(graph: SocialGraph, source: NodeId, max_path_length: int):
     """The memoized :class:`ForwardBall` of radius ``max_path_length - 1``
     around ``source``, or None unless the graph is acyclic with a node of two
-    followees (then a missing source errors as in enumerate_paths)."""
+    followees (then a missing source errors as in enumerate_paths).  The
+    memo holds only balls of a DAG's nodes and any new edge clears it, so a
+    hit needs no other check."""
+    key = (source, max_path_length)
+    ball = graph._ball_cache.get(key)
+    if ball is not None:
+        return ball
     if graph._shape() != "dag":
         return None
     if not graph.has_node(source):
         raise GraphError(f"source {source!r} is not a node")
-    key = (source, max_path_length)
-    if key not in graph._ball_cache:
-        out, index = graph._sorted_out(), graph._index
-        layer, steps, edge_rows, node_rows = [source], [], {}, {}
-        for depth in range(1, max_path_length):
-            into: dict = {}  # head -> rows of its tails, in layer order
-            for row, node in enumerate(layer):
-                for child in out[index[node]]:
-                    into.setdefault(child, []).append(row)
-            if not into:
-                break
-            src_rows, starts = [], []
-            for head, rows in into.items():
-                node_rows.setdefault(head, []).append((depth, len(starts)))
-                starts.append(len(src_rows))
-                for row in rows:
-                    edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
-                    src_rows.append(row)
-            layer = list(into)
-            steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp)))
-        graph._ball_cache[key] = ForwardBall(tuple(steps), edge_rows, node_rows)
-    return graph._ball_cache[key]
+    out, index = graph._sorted_out(), graph._index
+    layer, steps, edge_rows, node_rows = [source], [], {}, {}
+    for depth in range(1, max_path_length):
+        into: dict = {}  # head -> rows of its tails, in layer order
+        for row, node in enumerate(layer):
+            for child in out[index[node]]:
+                into.setdefault(child, []).append(row)
+        if not into:
+            break
+        src_rows, starts = [], []
+        for head, rows in into.items():
+            node_rows.setdefault(head, []).append((depth, len(starts)))
+            starts.append(len(src_rows))
+            for row in rows:
+                edge_rows.setdefault((layer[row], head), []).append((depth, len(src_rows)))
+                src_rows.append(row)
+        layer = list(into)
+        steps.append((np.array(src_rows, dtype=np.intp), np.array(starts, dtype=np.intp)))
+    ball = graph._ball_cache[key] = ForwardBall(tuple(steps), edge_rows, node_rows)
+    return ball
 
 
 def _prefixes(graph, masks, source, u, length):

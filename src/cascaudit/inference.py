@@ -345,6 +345,12 @@ def _distinct_keys(keys) -> tuple:
     return list(slots), np.array(key_of_path, dtype=np.intp)
 
 
+def _keep(indicators: np.ndarray, classes: list):
+    """Factor of an edge observed with ``classes``: its class's indicator
+    row, or 0.0 when two observations of the edge disagree."""
+    return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
+
+
 def _per_path(per_key: list, key_of_path) -> np.ndarray:
     """Per-key scores expanded to one entry per path, in path order."""
     values = np.array(per_key)
@@ -512,18 +518,22 @@ class PosteriorEngine:
             self._accept(obs)
 
     def _accept(self, obs: Observation) -> None:
+        edge = (obs.u, obs.v)
         self._accepted.append(obs)
-        self._by_edge.setdefault(obs.edge, []).append(obs.cls)
+        classes = self._by_edge.setdefault(edge, [])
+        classes.append(obs.cls)
         if self._ball is not None:
-            for depth, slot in self._ball.edge_rows.get(obs.edge, ()):
-                self._evidence[depth - 1][slot] = self._by_edge[obs.edge]
-                del self._messages[depth - 1:]  # stale from the edge's shallowest depth on
+            rows = self._ball.edge_rows.get(edge)
+            if rows:
+                for depth, slot in rows:
+                    self._evidence[depth - 1][slot] = classes
+                del self._messages[rows[0][0] - 1:]  # stale from the edge's shallowest depth on
 
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the exact
         forward recursion where it applies, else by the enumeration scorer."""
         if self.anchor and obs.u != self.source and self.graph._shape() == "dag":
-            if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(*obs.edge):
+            if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(obs.u, obs.v):
                 logs = self._forward_logs(obs)
                 if logs is not None:
                     return logs
@@ -540,7 +550,12 @@ class PosteriorEngine:
         (nothing on a conflict), and each head sums its in-edges.  The
         transition is row-stochastic, so a vector's mass is its paths' chain
         score.  A depth's messages depend only on the evidence at it and
-        above, so only depths at or below a newly accepted edge rerun."""
+        above, so only depths at or below a newly accepted edge rerun.
+
+        Each ``(depth, row)`` of the tail then adds its log arrival and log
+        chain mass per hypothesis, in depth order.  The sum starts from the
+        first row's logs plus 0.0, which is bit for bit what ``np.logaddexp``
+        from -inf gives, so a tail at one depth pays no ``logaddexp``."""
         ball = forward_ball(self.graph, self.source, self.cfg.max_path_length)
         if ball is None or obs.u not in ball.node_rows:
             return None
@@ -551,17 +566,13 @@ class PosteriorEngine:
                     self._evidence[depth - 1][slot] = classes
         rows = ball.node_rows[obs.u]
         transition, seed, indicators, floors = self._tables.stacked()
-
-        def keep(classes):
-            return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
-
         messages = self._messages
         for depth in range(len(messages) + 1, rows[-1][0] + 1):
             src_rows, starts = ball.steps[depth - 1]
             # the source's row of out-edge classes is the seed
             edges = (seed[None] if depth == 1 else messages[-1][0] @ transition)[src_rows]
             for slot, classes in self._evidence[depth - 1].items():
-                edges[slot] *= keep(classes)
+                edges[slot] *= _keep(indicators, classes)
             msg = np.add.reduceat(edges, starts)
             blocks = msg.reshape(len(msg), 2, -1)
             peak = np.maximum.reduce(blocks, axis=(0, 2))
@@ -570,32 +581,43 @@ class PosteriorEngine:
             if ((blocks > 0.0) & (blocks < floors[:, None])).any():
                 return None
             messages.append((msg, (messages[-1][1] if messages else 0.0) + np.log(peak)))
-        target = self._by_edge.get(obs.edge, ())
-        log_sums = np.full((2, 2), _NEG_INF)  # log (sum chain * arrival, sum chain) per hyp
-        for depth, row in rows:
-            msg, log_scale = messages[depth - 1]
-            vec = (msg[row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
-            with np.errstate(divide="ignore"):
-                logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
-            log_sums = np.logaddexp(log_sums, logs)
-        if not np.isfinite(log_sums[1]).all():
+        target = self._by_edge.get((obs.u, obs.v))
+        kept = _keep(indicators, target) if target else None
+        logs = np.empty((2, 2))  # log (chain x arrival, chain) per hypothesis
+        log_sums = None
+        with np.errstate(divide="ignore"):
+            for depth, row in rows:
+                msg, log_scale = messages[depth - 1]
+                vec = msg[row] @ transition
+                if kept is not None:
+                    vec *= kept
+                vec = vec.reshape(2, -1)
+                logs[0] = vec[:, obs.cls]
+                vec.sum(axis=1, out=logs[1])
+                np.log(logs, out=logs)
+                logs += log_scale
+                if log_sums is None:
+                    log_sums = logs + 0.0
+                else:
+                    np.logaddexp(log_sums, logs, out=log_sums)
+        arrival, chain = log_sums.tolist()
+        if not (math.isfinite(chain[GENUINE]) and math.isfinite(chain[FAKE])):
             return None
-        log_a = log_sums[0] - log_sums[1]
-        return float(log_a[GENUINE]), float(log_a[FAKE])
+        return arrival[GENUINE] - chain[GENUINE], arrival[FAKE] - chain[FAKE]
 
     def _enumeration_logs(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) scored over the enumerated candidate
         paths, once per distinct evidence key; exact up to the path cap."""
         if not 0 <= obs.cls < self.model.num_classes:
             raise ModelError(f"observed class {obs.cls} out of range")
+        if not self.graph.has_edge(obs.u, obs.v):  # a source-adjacent edge too
+            raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
         if obs.u == self.source:
             return (
                 _safe_log(float(self.model.initial_probs[GENUINE][obs.cls])),
                 _safe_log(float(self.model.initial_probs[FAKE][obs.cls])),
             )
-        enumeration = ()
-        if self.graph.has_edge(obs.u, obs.v):
-            enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
+        enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
         if not enumeration:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
         if len(enumeration) == 1:

@@ -11,8 +11,12 @@ the entire statistical signal the detector works with.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from functools import partial
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -478,6 +482,38 @@ def _event_from_json(record) -> TraceEvent:
     return TraceEvent(edge=(u, v), cls=cls, parent_edge=parent)
 
 
+_GET_EDGE = itemgetter("u", "v")
+_ID_TYPE_SET = frozenset(_ID_TYPES)
+_CLASS_TYPE_SET = frozenset((int, type(None)))
+_new_event = partial(tuple.__new__, TraceEvent)  # TraceEvent(*fields), minus a Python call
+
+
+def _events_from_json(events) -> tuple:
+    """A trace record's events, as :func:`_event_from_json` parses them.
+
+    Each field is gathered and its types checked for all events at once.  If
+    any check fails, the events are parsed again one at a time, so the error
+    is the one :func:`_event_from_json` raises for the first bad event.
+    """
+    if type(events) is list and {*map(type, events)} <= {dict}:
+        try:
+            edges = list(map(_GET_EDGE, events))
+        except KeyError:
+            edges = None
+        if edges is not None:
+            classes = [event.get("class") for event in events]
+            parents = [event.get("parent") for event in events]
+            linked = [parent for parent in parents if parent is not None]
+            if ({*map(type, chain.from_iterable(edges))} <= _ID_TYPE_SET
+                    and {*map(type, classes)} <= _CLASS_TYPE_SET
+                    and {*map(type, linked)} <= {list}
+                    and {*map(len, linked)} <= {2}
+                    and {*map(type, chain.from_iterable(linked))} <= _ID_TYPE_SET):
+                parents = [None if parent is None else tuple(parent) for parent in parents]
+                return tuple(map(_new_event, zip(edges, classes, parents)))
+    return tuple(map(_event_from_json, events))
+
+
 def write_traces(traces: Sequence[Trace], path) -> None:
     """One JSON record per line per trace."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -499,6 +535,23 @@ def write_traces(traces: Sequence[Trace], path) -> None:
 
 
 def read_traces(path) -> list:
+    """The traces of a JSONL file, one record per nonblank line.
+
+    The cyclic garbage collector is paused while the records are parsed (and
+    restored as it was): they hold no reference cycles, and the collections
+    that their many small containers would trigger cost about a fifth of the
+    parse.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_traces(path)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _parse_traces(path) -> list:
     traces = []
     for lineno, line in enumerate(read_text(path, TraceError).split("\n"), start=1):
         line = line.strip()
@@ -506,7 +559,7 @@ def read_traces(path) -> list:
             continue
         try:
             record = json.loads(line)
-            events = tuple(map(_event_from_json, record["events"]))
+            events = _events_from_json(record["events"])
             traces.append(
                 Trace(
                     label=_label_from_json(record.get("label")),

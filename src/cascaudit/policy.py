@@ -252,25 +252,30 @@ def solve_thresholds(
         offsets -= grid[brackets]
         grid_steps = np.diff(grid)
         slopes = np.zeros(n + 1)
-        stacked = np.empty_like(offsets)  # one buffer, reused by every sweep
+        # buffers reused by every sweep: row 0 of ``ext`` holds per_step * grid
+        # and row 1 + k outcome k's weighted value, so one reduction over
+        # the rows adds them in outcome order, as one sum per outcome
+        ext = np.empty((len(offsets) + 1, n + 1))
+        np.multiply(costs.per_step, grid, out=ext[0])
+        stacked, gathered = ext[1:], np.empty_like(offsets)
 
     values = stop_values.copy()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        continuation = costs.per_step * grid
         if static_outcomes is not None:
             # np.interp(updated, grid, values) of every outcome at once, with
             # its float operations: slope * offset + value, and the value
-            # itself on an exact grid hit (a zero offset)
+            # itself on an exact grid hit (a zero offset); ``brackets`` is in
+            # range, so mode="clip" only skips the bounds check
             np.divide(np.diff(values), grid_steps, out=slopes[:-1])
-            np.take(slopes, brackets, out=stacked)
+            np.take(slopes, brackets, out=stacked, mode="clip")
             stacked *= offsets
-            stacked += values[brackets]
+            stacked += np.take(values, brackets, out=gathered, mode="clip")
             stacked *= weights
-            for row in stacked:  # in outcome order, as one sum per outcome
-                continuation += row
+            continuation = np.add.reduce(ext, axis=0)
         else:
+            continuation = costs.per_step * grid
             for i, pi in enumerate(grid):
                 total = 0.0
                 for a_genuine, a_fake in next_obs_model(float(pi)):

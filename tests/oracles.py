@@ -7,7 +7,8 @@ posteriors as normalized products of exhaustively computed conditionals.
 No matrix powers, no log space, no caching, no imports from the engine's
 computation path -- except :func:`log_conditionals_per_path`, the engine's
 earlier per-path scorer, kept as the bit-for-bit reference for scoring once
-per evidence key.
+per evidence key, and :func:`forward_arrival_logs`, the forward recursion's
+earlier arrival fold, kept as the bit-for-bit reference for its rewrite.
 """
 
 import itertools
@@ -182,6 +183,32 @@ def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
         else:
             result.append(_logsumexp(log_nums + log_arrivals) - log_denom)
     return tuple(result)
+
+
+def forward_arrival_logs(engine, obs):
+    """(log a_genuine, log a_fake) of ``obs`` from the forward messages that
+    ``engine._forward_logs(obs)`` left, or None when the chain mass is not
+    finite: the arrival fold as the engine ran it before it started from the
+    first row, with a ``np.logaddexp`` from -inf for every row of the tail, a
+    log of a two-row list, and ``np.errstate`` entered per row."""
+    rows = engine._ball.node_rows[obs.u]
+    transition, _, indicators, _ = engine._tables.stacked()
+
+    def keep(classes):
+        return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
+
+    target = engine._by_edge.get(obs.edge, ())
+    log_sums = np.full((2, 2), -np.inf)
+    for depth, row in rows:
+        msg, log_scale = engine._messages[depth - 1]
+        vec = (msg[row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
+        with np.errstate(divide="ignore"):
+            logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
+        log_sums = np.logaddexp(log_sums, logs)
+    if not np.isfinite(log_sums[1]).all():
+        return None
+    log_a = log_sums[0] - log_sums[1]
+    return float(log_a[0]), float(log_a[1])
 
 
 def solve_thresholds_interp(costs, outcomes, grid_step, max_sweeps=10_000, tol=1e-7):

@@ -27,6 +27,7 @@ from cascaudit.markov import (
     GENUINE,
     MAX_CLASSES,
     GrowthConfig,
+    TraceEvent,
     load_model,
     read_traces,
     reference_model,
@@ -385,6 +386,26 @@ def test_detect_with_a_source_that_is_not_a_node_exits_2(tmp_path, capsys, graph
                            encoding="utf-8")
     assert run_cli("detect", "--graph", graph_path, "--stream", stream_path) == 2
     assert "source 9 is not a node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", [1, 777], ids=["node", "not-a-node"])
+@pytest.mark.parametrize("mode, exit_code", [("skip", 3), ("fail", 2)])
+def test_detect_gives_no_verdict_on_source_edges_off_the_graph(tmp_path, capsys, source, mode,
+                                                               exit_code):
+    # each observation leaves the source on an edge the graph does not hold:
+    # all are unreachable, so "skip" leaves nothing to decide on
+    graph_path, stream_path = tmp_path / "graph.tsv", tmp_path / "stream.json"
+    graph_path.write_text("1\t2\n2\t3\n", encoding="utf-8")
+    observations = [_observation((source, v), 3) for v in (99, 98, 97)]
+    stream_path.write_text(json.dumps({"source": source, "observations": observations}),
+                           encoding="utf-8")
+    code = run_cli("detect", "--graph", graph_path, "--stream", stream_path,
+                   "--on-unreachable", mode)
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert "verdict" not in captured.out
+    expected = "no observation could be processed" if mode == "skip" else "no source path"
+    assert expected in captured.err
 
 
 def test_detect_empty_stream_exits_2(tmp_path):
@@ -781,6 +802,10 @@ DAG_EVAL_POSTERIORS = [
     0.0005430846129034126, 0.9974436815037462, 0.028615121885434698, 0.9888445389803655,
 ]
 
+# sha256 of that eval's per_trace.csv, recorded before the forward recursion
+# started its arrival fold from the first row: every posterior bit for bit
+DAG_EVAL_PER_TRACE = "3f9e8a0d2b87560435792e7ad77762eb1a09ba702137d9c71a053e5a14e3bfba"
+
 
 def test_dp_eval_on_a_layered_dag_reproduces_recorded_outputs(tmp_path):
     # source 0 followed by layer 1; each node of layers 1-4 followed by three
@@ -808,6 +833,8 @@ def test_dp_eval_on_a_layered_dag_reproduces_recorded_outputs(tmp_path):
     assert [(int(r[2]), int(r[3]), r[4]) for r in rows] == DAG_EVAL_DECISIONS
     for row, expected in zip(rows, DAG_EVAL_POSTERIORS, strict=True):
         assert math.isclose(float(row[5]), expected, rel_tol=1e-12, abs_tol=0.0)
+    per_trace = hashlib.sha256((out_dir / "per_trace.csv").read_bytes()).hexdigest()
+    assert per_trace == DAG_EVAL_PER_TRACE
 
 
 def test_eval_with_shared_graph(tmp_path):
@@ -831,6 +858,31 @@ def test_eval_with_shared_graph(tmp_path):
                    "--seed", 3, "--rho", 0.6, "--out", out_dir) == 0
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["n"] == 12
+
+
+def test_eval_skips_source_edges_off_the_graph(tmp_path):
+    # the corpus again, with a source edge missing from the graph after each
+    # trace's first event: "skip" drops them all and leaves every output as
+    # it was, "fail" stops the eval
+    from .conftest import DEMO_CROSS_EDGES, DEMO_TREE_EDGES, build_graph
+
+    graph = build_graph(DEMO_TREE_EDGES + DEMO_CROSS_EDGES)
+    growth = GrowthConfig(max_events=15, min_children=1)
+    traces = [sample_trace(graph, reference_model(), label, seed=s, growth=growth, source=1)
+              for s, label in enumerate([GENUINE, FAKE] * 4)]
+    off = [t._replace(events=t.events[:1] + (TraceEvent((1, 900 + i), 3),) + t.events[1:])
+           for i, t in enumerate(traces)]
+    save_graph(graph, tmp_path / "graph.tsv")
+    outputs = {}
+    for name, corpus in (("on", traces), ("off", off)):
+        write_traces(corpus, tmp_path / f"{name}.jsonl")
+        argv = ["eval", "--traces", tmp_path / f"{name}.jsonl", "--graph", tmp_path / "graph.tsv",
+                "--seed", 3, "--rho", 1.0, "--policy", "convergence"]
+        assert run_cli(*argv, "--out", tmp_path / name) == 0
+        outputs[name] = [(tmp_path / name / f).read_bytes()
+                         for f in ("report.json", "per_trace.csv", "accuracy_curve.csv")]
+    assert outputs["off"] == outputs["on"]
+    assert run_cli(*argv, "--on-unreachable", "fail", "--out", tmp_path / "fail") == 2
 
 
 def test_eval_sprt_errors_within_wald_bounds(tmp_path):

@@ -47,6 +47,7 @@ from .conftest import (
 )
 from .oracles import (
     conditional_prob_brute,
+    forward_arrival_logs,
     log_conditionals_per_path,
     path_contexts_brute,
     posterior_brute,
@@ -727,6 +728,56 @@ def _fallback_case(case):
     return zero, dag, True, [obs(31, 40, 1)], obs(31, 40, 0)
 
 
+def _bits(logs):
+    return None if logs is None else tuple(map(float.hex, logs))
+
+
+def test_forward_arrival_fold_equals_the_earlier_fold_bit_for_bit():
+    # tails at one depth and at several, observed targets (agreeing or not),
+    # conflicting edges and models with zero entries; the earlier fold ran a
+    # np.logaddexp from -inf for every row, the engine starts from the first
+    # row's logs plus 0.0
+    rng = derive_rng(71)
+    seen = dict.fromkeys(("several_depths", "target_seen", "conflict", "zero", "no_mass"), 0)
+    forward = 0
+    while forward < 400 or min(seen.values()) < 20:
+        edges = _random_dag(rng, max_nodes=10)
+        graph = build_graph(edges)
+        if not edges or graph._shape() != "dag":
+            continue
+        source = edges[int(rng.integers(len(edges)))][0]
+        targets = [e for e in edges if e[0] != source]
+        if not targets:
+            continue
+        model = random_model(rng, int(rng.integers(2, 4)))
+        if rng.random() < 0.3:  # zero entries, each row keeping its largest
+            for table in (model.initial_probs, *model.transition_probs):
+                below_max = table < table.max(axis=-1, keepdims=True)
+                table[below_max & (rng.random(table.shape) < 0.4)] = 0.0
+                table /= table.sum(axis=-1, keepdims=True)
+        cfg = PathEnumConfig(max_path_length=int(rng.integers(2, 8)), max_paths=10**6)
+        prefix = [obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
+                  for _ in range(int(rng.integers(0, 8)))]
+        target = targets[int(rng.integers(len(targets)))]
+        if rng.random() < 0.3:
+            prefix.append(obs(*target, int(rng.integers(model.num_classes))))
+        engine = PosteriorEngine(model, graph, source, cfg)
+        engine.accepted = [prefix[int(i)] for i in rng.permutation(len(prefix))]
+        new = obs(*target, int(rng.integers(model.num_classes)))
+        logs = engine._forward_logs(new)
+        ball = forward_ball(graph, source, cfg.max_path_length)
+        if new.u not in ball.node_rows or len(engine._messages) < ball.node_rows[new.u][-1][0]:
+            assert logs is None  # out of reach, or the floor check sent it to enumeration
+            continue
+        assert _bits(logs) == _bits(forward_arrival_logs(engine, new)), (edges, source, prefix, new)
+        forward += 1
+        seen["several_depths"] += len(ball.node_rows[new.u]) > 1
+        seen["target_seen"] += new.edge in engine._by_edge
+        seen["conflict"] += any(len(set(c)) > 1 for c in engine._by_edge.values())
+        seen["zero"] += logs is not None and -math.inf in logs
+        seen["no_mass"] += logs is None
+
+
 @pytest.mark.parametrize("case", ["cyclic", "unanchored", "forest", "zero_chain"])
 def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
     model, edges, anchor, prefix, new = _fallback_case(case)
@@ -737,6 +788,14 @@ def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
     if anchor:
         assert engine._forward_logs(new) is None
     assert ("zero score" in caplog.text) == (case == "zero_chain")
+
+
+@pytest.mark.parametrize("source", [1, 777])
+def test_a_source_edge_off_the_graph_is_unreachable(source):
+    # the source rule needs the edge too; 777 is not a node at all
+    engine = PosteriorEngine(reference_model(), build_graph([(1, 2), (2, 3)]), source)
+    with pytest.raises(UnreachableObservationError):
+        engine.log_conditionals(obs(source, 99, 3))
 
 
 def test_single_candidate_on_a_multi_path_dag_takes_the_forward_pass():

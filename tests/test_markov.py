@@ -1,3 +1,4 @@
+import gc
 import json
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from cascaudit.markov import (
     SpreadModel,
     Trace,
     TraceEvent,
+    _event_from_json,
     load_model,
     read_stream,
     read_traces,
@@ -392,6 +394,109 @@ def test_read_traces_rejects_non_integer_classes(tmp_path, cls):
     path.write_text(_one_event_trace_line(cls) + "\n", encoding="utf-8")
     with pytest.raises(TraceError, match="bad.jsonl:1"):
         read_traces(path)
+
+
+_GOOD_EVENT = {"u": 0, "v": 1, "class": 2, "parent": None}
+
+# (event or record, message after "bad trace record: "), recorded with the
+# parser that checked one event at a time; the bulk check must keep them
+_BAD_TRACE_RECORDS = {
+    "missing-u": ({"v": 1, "class": 2}, "'u'"),
+    "missing-v": ({"u": 0, "class": 2}, "'v'"),
+    "float-u": ({"u": 1.5, "v": 1},
+                "edge (1.5, 1) has a node id that is not an integer or string"),
+    "bool-v": ({"u": 0, "v": True},
+               "edge (0, True) has a node id that is not an integer or string"),
+    "null-u": ({"u": None, "v": 1},
+               "edge (None, 1) has a node id that is not an integer or string"),
+    "list-v": ({"u": 0, "v": [1]},
+               "edge (0, [1]) has a node id that is not an integer or string"),
+    "bool-class": ({"u": 0, "v": 1, "class": True},
+                   "event class True is not an integer or null"),
+    "float-class": ({"u": 0, "v": 1, "class": 2.0},
+                    "event class 2.0 is not an integer or null"),
+    "string-class": ({"u": 0, "v": 1, "class": "x"},
+                     "event class 'x' is not an integer or null"),
+    "short-parent": ({"u": 1, "v": 2, "class": 1, "parent": [0]},
+                     "parent edge [0] is not a [u, v] pair of node ids"),
+    "long-parent": ({"u": 1, "v": 2, "class": 1, "parent": [0, 1, 2]},
+                    "parent edge [0, 1, 2] is not a [u, v] pair of node ids"),
+    "float-parent-end": ({"u": 1, "v": 2, "class": 1, "parent": [0, 1.0]},
+                         "parent edge [0, 1.0] is not a [u, v] pair of node ids"),
+    "dict-parent": ({"u": 1, "v": 2, "class": 1, "parent": {"u": 0}},
+                    "parent edge {'u': 0} is not a [u, v] pair of node ids"),
+    "string-parent": ({"u": 1, "v": 2, "class": 1, "parent": "01"},
+                      "parent edge '01' is not a [u, v] pair of node ids"),
+    "bad-parent-and-u": ({"u": 1.5, "v": 2, "class": 1, "parent": [0]},
+                         "parent edge [0] is not a [u, v] pair of node ids"),
+    "bad-u-and-class": ({"u": 1.5, "v": 2, "class": "x"},
+                        "edge (1.5, 2) has a node id that is not an integer or string"),
+    "list-event": ([0, 1], "list indices must be integers or slices, not str"),
+    "int-event": (7, "'int' object is not subscriptable"),
+    "null-event": (None, "'NoneType' object is not subscriptable"),
+}
+_BAD_TRACE_FIELDS = {
+    "missing-events": ({"label": 1, "source": 0}, "'events'"),
+    "int-events": ({"label": 1, "source": 0, "events": 5}, "'int' object is not iterable"),
+    "dict-events": ({"label": 1, "source": 0, "events": {"u": 0}},
+                    "string indices must be integers, not 'str'"),
+    "null-events": ({"label": 1, "source": 0, "events": None},
+                    "'NoneType' object is not iterable"),
+    "float-source": ({"label": 1, "source": 1.0, "events": [_GOOD_EVENT]},
+                     "node id 1.0 is not an integer or string"),
+    "string-label": ({"label": "x", "source": 0, "events": [_GOOD_EVENT]},
+                     "label 'x' is not an integer or null"),
+    "list-record": ([1, 2], "list indices must be integers or slices, not str"),
+}
+
+
+def _second_record_file(tmp_path, record):
+    path = tmp_path / "traces.jsonl"
+    first = {"label": 0, "source": 0, "events": [_GOOD_EVENT]}
+    path.write_text(json.dumps(first) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case", [*_BAD_TRACE_RECORDS, *_BAD_TRACE_FIELDS])
+def test_read_traces_errors_name_the_first_bad_field(tmp_path, case):
+    if case in _BAD_TRACE_RECORDS:
+        event, message = _BAD_TRACE_RECORDS[case]
+        record = {"label": 1, "source": 0, "events": [_GOOD_EVENT, event]}
+    else:
+        record, message = _BAD_TRACE_FIELDS[case]
+    path = _second_record_file(tmp_path, record)
+    with pytest.raises(TraceError) as info:
+        read_traces(path)
+    assert str(info.value) == f"{path}:2: bad trace record: {message}"
+
+
+def test_read_traces_builds_the_records_of_the_per_event_parser(tmp_path):
+    events = [_GOOD_EVENT, {"u": 1, "v": "b", "class": None, "parent": [0, 1]},
+              {"u": "b", "v": 3, "parent": [1, "b"]}, {"u": 0, "v": 4, "class": 0}]
+    [_, trace] = read_traces(_second_record_file(tmp_path, {"source": 0, "events": events}))
+    assert trace.events == (((0, 1), 2, None), ((1, "b"), None, (0, 1)),
+                            (("b", 3), None, (1, "b")), ((0, 4), 0, None))
+    assert trace.events == tuple(map(_event_from_json, events))
+    for event in trace.events:
+        assert type(event) is TraceEvent and type(event.edge) is tuple
+        assert event.parent_edge is None or type(event.parent_edge) is tuple
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_read_traces_restores_the_collector_state(tmp_path, collecting):
+    good = _second_record_file(tmp_path, {"label": 1, "source": 0, "events": [_GOOD_EVENT]})
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"label": 1, "source": 0, "events": [{"u": 0}]}\n', encoding="utf-8")
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert len(read_traces(good)) == 2
+        assert gc.isenabled() is collecting
+        with pytest.raises(TraceError):
+            read_traces(bad)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_subsample_rejects_unclassified_events():
