@@ -14,6 +14,7 @@ one evaluation path: :func:`simulate_corpus` draws a labeled corpus,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -590,6 +591,9 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
+    # The import-time heap (numpy and this package, about 22k objects) lives until exit:
+    # frozen, no collection walks it, not even the interpreter's own at exit.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

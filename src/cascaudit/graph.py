@@ -517,7 +517,13 @@ def _parse_id(token: str):
 
 
 def read_node_features(path) -> dict:
-    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}.
+    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}."""
+    return _read_features(path)[0]
+
+
+def _read_features(path) -> tuple:
+    """The table of :func:`read_node_features`, and the line number and id of
+    the first record with a feature that is not finite (``None`` if none is).
 
     Every record has the length of the first.  The fields of all records are
     converted in one array, whose rows are the vectors.
@@ -549,7 +555,8 @@ def read_node_features(path) -> dict:
             except ValueError as exc:
                 raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
         raise
-    return dict(zip(ids, vectors))
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=-1))
+    return dict(zip(ids, vectors)), (linenos[bad[0]], ids[bad[0]]) if bad.size else None
 
 
 def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGraph:
@@ -558,9 +565,15 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
     Nodes missing from the feature file (or all nodes, when no feature file is
     given) share one read-only zero vector of ``feature_dim`` so the graph
     stays usable for inference, which never reads features.  With a feature
-    file, ``feature_dim`` is the length of its first vector.
+    file, ``feature_dim`` is the length of its first vector, and every
+    feature must be finite.
     """
-    features = read_node_features(feature_path) if feature_path else None
+    features = None
+    if feature_path:
+        features, non_finite = _read_features(feature_path)
+        if non_finite:
+            lineno, node = non_finite
+            raise GraphError(f"{feature_path}:{lineno}: features of node {node!r} are not finite")
     if features:
         feature_dim = len(next(iter(features.values())))
     edges = []

@@ -539,8 +539,9 @@ def read_traces(path) -> list:
 
     The cyclic garbage collector is paused while the records are parsed (and
     restored as it was): they hold no reference cycles, and the collections
-    that their many small containers would trigger cost about a fifth of the
-    parse.
+    that their many small containers would trigger cost about a tenth of the
+    parse, even with the import-time heap frozen as ``cli.main`` leaves it
+    (1.8 of 21.4 ms for 6000 events, median of 15 fresh processes).
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,14 @@ DEMO_TREE_EDGES = [
 DEMO_CROSS_EDGES = [
     (1, 6), (6, 14), (6, 16), (7, 19), (9, 23), (4, 24), (1, 23),
 ]
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_after_test():
+    """``cli.main`` freezes the heap; thaw it after each test, so in-process
+    CLI calls do not pin pytest's heap for the rest of the session."""
+    yield
+    gc.unfreeze()
 
 
 def build_graph(edges, feature_dim=2):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import io
@@ -298,6 +299,23 @@ def test_train_feature_dimension_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("recorded", [True, False], ids=["classified", "unclassified"])
+def test_train_non_finite_feature_exits_2_with_one_line(tmp_path, capsys, recorded):
+    # classified, the model was written with NaN calibration; unclassified, it was a traceback
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded)
+    lines = feats_path.read_text(encoding="utf-8").splitlines()
+    node = lines[1].split("\t")[0]
+    lines[1] = node + "\tinf,0.0"
+    lines[3] = lines[3].split("\t")[0] + "\t0.0,nan"
+    feats_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, "--out", tmp_path / "m.json")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"cascaudit: error: {feats_path}:2: features of node {node} are not finite\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 # ---- detect ----
 
 
@@ -518,24 +536,46 @@ def test_detect_on_mixed_int_and_string_ids(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_process_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(cascaudit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_does_not_load_scipy():
     probe = ("import sys, cascaudit.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=_fresh_process_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_collector_alone():
+    probe = "import gc, cascaudit.cli; print(gc.get_freeze_count(), gc.isenabled())"
+    result = subprocess.run([sys.executable, "-c", probe], env=_fresh_process_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "0 True"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_freezes_the_heap_and_keeps_the_collector_switch(tmp_path, collecting):
+    assert gc.get_freeze_count() == 0
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        assert run_cli("simulate", "--n", 2, "--seed", 1, "--out", tmp_path / "sim") == 0
+        assert gc.get_freeze_count() > 0
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def _loaded_after_command(tmp_path, *argv) -> list:
     """Which of ``logging``, ``cascaudit.offline``, ``dataclasses`` and
     ``numpy.ma`` a fresh process holds after running one CLI command, which
     must exit 0."""
-    src = str(Path(cascaudit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env = _fresh_process_env()
     probe = ("import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
              "print(code, sorted({'logging', 'cascaudit.offline', 'dataclasses', 'numpy.ma'}"
              " & set(sys.modules)))")
