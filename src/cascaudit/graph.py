@@ -28,9 +28,10 @@ when first read.
 On an acyclic graph where a node has two followees, :func:`forward_ball`
 lays out all walks from the source within the path bound by depth instead,
 once per ``(source, max_path_length)``, for the engine's forward recursion,
-which no ``max_paths`` cap limits.  Queries therefore write to the graph's
+which no ``max_paths`` cap limits.  A graph never changes once built, so
+each memo is filled once and never cleared.  Queries write to the graph's
 memos and to the enumerations they return, so they must not run
-concurrently; a new edge clears any memo a query filled.
+concurrently.
 """
 
 from __future__ import annotations
@@ -119,85 +120,29 @@ class PathEnumeration(Record):
 
 
 class SocialGraph:
-    """Directed graph with node features.
+    """Directed graph with node features, built once and never changed.
 
-    The CLI builds each graph in one pass with :meth:`from_edges` and never
-    mutates it; :meth:`add_node` / :meth:`add_edge` grow a graph one item at
-    a time, and :meth:`freeze` forbids later mutation.  Follower lists are
-    appended unsorted and sorted once, on the first query after a mutation
-    or at :meth:`freeze`.  Queries fill memos (sorted followers, the
-    walk-length masks of the nodes within the path bound of a tail, the lazy
-    ``source ~> u`` prefix search, forward balls) and are single-threaded: do
-    not query one graph from several threads.  Any new edge clears the memos
-    (a test when none is filled); a new node, without edges, leaves them
-    exact.
+    ``SocialGraph(edges, nodes, feature_dim, features)`` takes the nodes
+    ``nodes`` first and then each endpoint in order of first appearance, in
+    one pass over ``edges``.  A node in the table ``features`` takes its
+    vector there, which must have ``feature_dim`` entries; every other node
+    shares one read-only zero vector of ``feature_dim``.  A self-loop raises
+    :class:`GraphError` and a repeated edge is skipped.  Follower lists are
+    sorted on the first query that reads them.  Queries fill memos (sorted
+    followers, the walk-length masks of the nodes within the path bound of a
+    tail, the lazy ``source ~> u`` prefix search, forward balls) that stay
+    exact for the graph's lifetime, and are single-threaded: do not query one
+    graph from several threads.
     """
 
-    def __init__(self):
-        self._index: dict = {}          # original id -> dense index
-        self._ids: list = []            # dense index -> original id
-        self._features: list = []       # dense index -> np.ndarray
-        self._out: list = []            # dense index -> list of follower ids
-        self._unsorted: set = set()     # dense indices whose follower list grew unsorted
-        self._pred: dict = {}           # node -> list of predecessors
-        self._edges: set = set()        # (u, v) original-id pairs
-        self._frozen = False
-        self._mask_cache: dict = {}
-        self._prefix_cache: dict = {}
-        self._ball_cache: dict = {}
-        self._shape_memo: Optional[str] = None
-
-    def _clear_memos(self):
-        self._mask_cache.clear()
-        self._prefix_cache.clear()
-        self._ball_cache.clear()
-        self._shape_memo = None
-
-    # ---- mutation ---------------------------------------------------------
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise GraphError("graph is frozen; mutation is pre-inference only")
-
-    def add_node(self, node_id: NodeId, features: Sequence[float]) -> None:
-        """Add a node with its feature vector.
-
-        The first insertion fixes the feature dimension for the whole graph.
-        """
-        self._check_mutable()
-        if node_id in self._index:
-            raise GraphError(f"duplicate node id: {node_id!r}")
-        vec = np.asarray(features, dtype=float)
-        if vec.ndim != 1:
-            raise GraphError(f"features for {node_id!r} must be a flat vector")
-        if self._features and vec.shape[0] != self._features[0].shape[0]:
-            raise GraphError(
-                f"feature dimension {vec.shape[0]} for {node_id!r} does not match "
-                f"graph dimension {self._features[0].shape[0]}"
-            )
-        self._index[node_id] = len(self._ids)
-        self._ids.append(node_id)
-        self._features.append(vec)
-        self._out.append([])
-        self._pred[node_id] = []
-
-    @classmethod
-    def from_edges(cls, edges: Sequence[Edge], nodes=(), feature_dim: int = 1,
-                   features: Optional[dict] = None) -> "SocialGraph":
-        """The graph of ``edges``, built in one pass over them, with the nodes
-        ``nodes`` first and then each endpoint in order of first appearance.
-
-        A node in the table ``features`` takes its vector there, which must
-        have ``feature_dim`` entries; every other node shares one read-only
-        zero vector of ``feature_dim``.  As with :meth:`add_edge`, a self-loop
-        raises :class:`GraphError` and a repeated edge is skipped.
-        """
-        graph = cls()
-        ids = graph._ids = list(dict.fromkeys(chain(nodes, chain.from_iterable(edges))))
-        index = graph._index = dict(zip(ids, range(len(ids))))
+    def __init__(self, edges: Sequence[Edge], nodes=(), feature_dim: int = 1,
+                 features: Optional[dict] = None):
+        ids = self._ids = list(dict.fromkeys(chain(nodes, chain.from_iterable(edges))))
+        index = self._index = dict(zip(ids, range(len(ids))))
+        self.feature_dim = feature_dim
         zeros = np.zeros(feature_dim)
         zeros.flags.writeable = False
-        graph._features = [zeros] * len(ids)
+        self._features = [zeros] * len(ids)
         for node, vec in (features or {}).items():
             if node in index:
                 vec = np.asarray(vec, dtype=float)
@@ -206,41 +151,22 @@ class SocialGraph:
                         f"feature dimension {vec.size} for {node!r} does not match "
                         f"graph dimension {feature_dim}"
                     )
-                graph._features[index[node]] = vec
-        out = graph._out = [[] for _ in ids]
-        pred = graph._pred = {node: [] for node in ids}
+                self._features[index[node]] = vec
+        out = self._out = [[] for _ in ids]  # dense index -> follower ids
+        pred = self._pred = {node: [] for node in ids}  # node -> followees
         unique = dict.fromkeys(edges)
         for u, v in unique:
             if u == v:
                 raise GraphError(f"self-loop on {u!r}")
             out[index[u]].append(v)
             pred[v].append(u)
-        graph._edges = set(unique)
-        graph._unsorted = {i for i, followers in enumerate(out) if len(followers) > 1}
-        return graph
-
-    def add_edge(self, u: NodeId, v: NodeId) -> None:
-        """Add the directed followee -> follower edge (u, v)."""
-        self._check_mutable()
-        if u == v:
-            raise GraphError(f"self-loop on {u!r}")
-        for endpoint in (u, v):
-            if endpoint not in self._index:
-                raise GraphError(f"edge endpoint {endpoint!r} is not a node")
-        if (u, v) in self._edges:
-            return
-        self._edges.add((u, v))
-        self._out[self._index[u]].append(v)
-        self._unsorted.add(self._index[u])
-        self._pred[v].append(u)
-        if (self._shape_memo is not None or self._mask_cache or self._prefix_cache
-                or self._ball_cache):
-            self._clear_memos()
-
-    def freeze(self) -> "SocialGraph":
-        self._sorted_out()
-        self._frozen = True
-        return self
+        self._edges = set(unique)
+        # dense indices whose follower lists still await their sort
+        self._unsorted = {i for i, followers in enumerate(out) if len(followers) > 1}
+        self._mask_cache: dict = {}
+        self._prefix_cache: dict = {}
+        self._ball_cache: dict = {}
+        self._shape_memo: Optional[str] = None
 
     # ---- queries ----------------------------------------------------------
 
@@ -263,10 +189,6 @@ class SocialGraph:
 
     def features(self, node_id: NodeId) -> np.ndarray:
         return self._features[self._index[node_id]]
-
-    @property
-    def feature_dim(self) -> Optional[int]:
-        return self._features[0].shape[0] if self._features else None
 
     @property
     def node_count(self) -> int:
@@ -410,8 +332,7 @@ def forward_ball(graph: SocialGraph, source: NodeId, max_path_length: int):
     """The memoized :class:`ForwardBall` of radius ``max_path_length - 1``
     around ``source``, or None unless the graph is acyclic with a node of two
     followees (then a missing source errors as in enumerate_paths).  The
-    memo holds only balls of a DAG's nodes and any new edge clears it, so a
-    hit needs no other check."""
+    memo holds only balls of a DAG's nodes, so a hit needs no other check."""
     key = (source, max_path_length)
     ball = graph._ball_cache.get(key)
     if ball is not None:
@@ -517,16 +438,11 @@ def _parse_id(token: str):
 
 
 def read_node_features(path) -> dict:
-    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}."""
-    return _read_features(path)[0]
+    """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}.
 
-
-def _read_features(path) -> tuple:
-    """The table of :func:`read_node_features`, and the line number and id of
-    the first record with a feature that is not finite (``None`` if none is).
-
-    Every record has the length of the first.  The fields of all records are
-    converted in one array, whose rows are the vectors.
+    Every record has the length of the first, and every feature is finite.
+    The fields of all records are converted in one array, whose rows are the
+    vectors.
     """
     ids, linenos, rows = [], [], []
     for lineno, line in enumerate(read_text(path, GraphError).split("\n"), start=1):
@@ -556,7 +472,10 @@ def _read_features(path) -> tuple:
                 raise GraphError(f"{path}:{lineno}: bad feature record: {exc}") from exc
         raise
     bad = np.flatnonzero(~np.isfinite(vectors).all(axis=-1))
-    return dict(zip(ids, vectors)), (linenos[bad[0]], ids[bad[0]]) if bad.size else None
+    if bad.size:
+        lineno, node = linenos[bad[0]], ids[bad[0]]
+        raise GraphError(f"{path}:{lineno}: features of node {node!r} are not finite")
+    return dict(zip(ids, vectors))
 
 
 def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGraph:
@@ -568,12 +487,7 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
     file, ``feature_dim`` is the length of its first vector, and every
     feature must be finite.
     """
-    features = None
-    if feature_path:
-        features, non_finite = _read_features(feature_path)
-        if non_finite:
-            lineno, node = non_finite
-            raise GraphError(f"{feature_path}:{lineno}: features of node {node!r} are not finite")
+    features = read_node_features(feature_path) if feature_path else None
     if features:
         feature_dim = len(next(iter(features.values())))
     edges = []
@@ -584,7 +498,7 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
         edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
-    return SocialGraph.from_edges(edges, feature_dim=feature_dim, features=features)
+    return SocialGraph(edges, feature_dim=feature_dim, features=features)
 
 
 def save_graph(graph: SocialGraph, edge_path, feature_path=None) -> None:

@@ -559,7 +559,7 @@ class PosteriorEngine:
         ball = forward_ball(self.graph, self.source, self.cfg.max_path_length)
         if ball is None or obs.u not in ball.node_rows:
             return None
-        if ball is not self._ball:  # the first pass, a new prefix or a mutated graph
+        if ball is not self._ball:  # the first pass, or a new prefix
             self._ball, self._evidence, self._messages = ball, [{} for _ in ball.steps], []
             for edge, classes in self._by_edge.items():
                 for depth, slot in ball.edge_rows.get(edge, ()):

@@ -258,7 +258,7 @@ class Trace(Record):
 
     def implied_graph(self, feature_dim: int = 1) -> SocialGraph:
         """Graph formed by exactly this trace's nodes and edges (zero features)."""
-        return SocialGraph.from_edges([ev.edge for ev in self.events], (self.source,), feature_dim)
+        return SocialGraph([ev.edge for ev in self.events], (self.source,), feature_dim)
 
 
 class Observation(NamedTuple):

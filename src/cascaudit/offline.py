@@ -145,12 +145,16 @@ def build_trace_feature(trace: Trace, graph: SocialGraph) -> np.ndarray:
     return total / len(trace.events)
 
 
+# overflow is checked once, on the fitted classifier, so numpy need not warn of it
+@np.errstate(over="ignore", invalid="ignore")
 def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClassifier:
     """Fit the linear edge scorer on per-trace features.
 
     Minimizes the L2-regularized hinge loss by per-sample subgradient steps
     (epoch-indexed 1/t decay on the learning rate), then calibrates margins so
-    the 1st and 99th percentile of training margins map to 0 and 1.
+    the 1st and 99th percentile of training margins map to 0 and 1.  Raises
+    :class:`EstimationError` when the weights, the bias or the calibration
+    span is not finite, as huge features or a huge learning rate make them.
     """
     if corpus.graph is None:
         raise DegenerateDataError("classifier training needs a graph with features")
@@ -187,6 +191,9 @@ def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClas
     if cal_high - cal_low < 1e-12:
         log(__name__, WARNING, "degenerate margin spread; calibration widened artificially")
         cal_high = cal_low + 1.0
+    if not (np.isfinite(weights).all() and math.isfinite(bias) and math.isfinite(cal_high - cal_low)):
+        raise EstimationError("classifier weights, bias or calibration are not finite; "
+                              "the features or the learning rate are too large")
     return EdgeClassifier(
         weights=weights,
         bias=bias,

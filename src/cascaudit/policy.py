@@ -22,7 +22,7 @@ forced stops.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -174,9 +174,6 @@ class ThresholdTable(Record):
         )
 
 
-NextObsModel = Union[Sequence, Callable[[float], Sequence]]
-
-
 def single_step_outcomes(model: SpreadModel, last_class: Optional[int] = None):
     """Next-observation model: one Markov step of the edge-type chains.
 
@@ -202,7 +199,7 @@ def single_step_outcomes(model: SpreadModel, last_class: Optional[int] = None):
 
 def solve_thresholds(
     costs: CostSpec,
-    next_obs_model: NextObsModel,
+    next_obs_model: Sequence,
     grid_step: float = 0.001,
     max_sweeps: int = 10_000,
     tol: float = 1e-7,
@@ -216,8 +213,8 @@ def solve_thresholds(
     below ``tol``; hitting ``max_sweeps`` first yields a best-effort table
     flagged unconverged.
 
-    ``next_obs_model`` is either a fixed sequence of ``(a_genuine, a_fake)``
-    pairs or a callable ``pi -> sequence`` for posterior-dependent models.
+    ``next_obs_model`` is the fixed sequence of ``(a_genuine, a_fake)``
+    pairs of the next-observation outcomes.
     """
     if not MIN_GRID_STEP <= grid_step <= 0.1:
         raise ModelError(f"grid_step must be in [{MIN_GRID_STEP}, 0.1]")
@@ -229,62 +226,47 @@ def solve_thresholds(
     grid = np.linspace(0.0, 1.0, n + 1)
     stop_values = np.minimum(costs.miss * grid, costs.false_alarm * (1.0 - grid))
 
-    static_outcomes = None if callable(next_obs_model) else np.asarray(next_obs_model, dtype=float)
-    if static_outcomes is not None and (
-        static_outcomes.ndim != 2 or static_outcomes.shape[1] != 2
-    ):
+    outcomes = np.asarray(next_obs_model, dtype=float)
+    if outcomes.ndim != 2 or outcomes.shape[1] != 2:
         raise ModelError("next_obs_model must be a sequence of (a_genuine, a_fake) pairs")
 
-    if static_outcomes is not None:
-        # Each outcome's weight, updated posterior and interpolation bracket
-        # do not depend on the values, so they are found once per solve, not
-        # in every sweep.  Row k of ``brackets`` holds, per grid point, the
-        # index j with grid[j] <= x < grid[j + 1], where x is outcome k's
-        # updated posterior clamped to [0, 1] as np.interp clamps it (x = 1 is
-        # its own bracket, with a zero slope past it); row k of ``offsets``
-        # holds x - grid[j].
-        a_genuine, a_fake = static_outcomes[:, :1], static_outcomes[:, 1:]  # columns
-        weights = grid * a_fake + (1.0 - grid) * a_genuine
-        with np.errstate(invalid="ignore", divide="ignore"):
-            offsets = np.where(weights > 0, grid * a_fake / weights, grid)
-        np.clip(offsets, 0.0, 1.0, out=offsets)  # x, made an offset in place below
-        brackets = np.searchsorted(grid, offsets, side="right") - 1
-        offsets -= grid[brackets]
-        grid_steps = np.diff(grid)
-        slopes = np.zeros(n + 1)
-        # buffers reused by every sweep: row 0 of ``ext`` holds per_step * grid
-        # and row 1 + k outcome k's weighted value, so one reduction over
-        # the rows adds them in outcome order, as one sum per outcome
-        ext = np.empty((len(offsets) + 1, n + 1))
-        np.multiply(costs.per_step, grid, out=ext[0])
-        stacked, gathered = ext[1:], np.empty_like(offsets)
+    # Each outcome's weight, updated posterior and interpolation bracket do
+    # not depend on the values, so they are found once per solve, not in
+    # every sweep.  Row k of ``brackets`` holds, per grid point, the index j
+    # with grid[j] <= x < grid[j + 1], where x is outcome k's updated
+    # posterior clamped to [0, 1] as np.interp clamps it (x = 1 is its own
+    # bracket, with a zero slope past it); row k of ``offsets`` holds
+    # x - grid[j].
+    a_genuine, a_fake = outcomes[:, :1], outcomes[:, 1:]  # columns
+    weights = grid * a_fake + (1.0 - grid) * a_genuine
+    with np.errstate(invalid="ignore", divide="ignore"):
+        offsets = np.where(weights > 0, grid * a_fake / weights, grid)
+    np.clip(offsets, 0.0, 1.0, out=offsets)  # x, made an offset in place below
+    brackets = np.searchsorted(grid, offsets, side="right") - 1
+    offsets -= grid[brackets]
+    grid_steps = np.diff(grid)
+    slopes = np.zeros(n + 1)
+    # buffers reused by every sweep: row 0 of ``ext`` holds per_step * grid
+    # and row 1 + k outcome k's weighted value, so one reduction over the
+    # rows adds them in outcome order, as one sum per outcome
+    ext = np.empty((len(offsets) + 1, n + 1))
+    np.multiply(costs.per_step, grid, out=ext[0])
+    stacked, gathered = ext[1:], np.empty_like(offsets)
 
     values = stop_values.copy()
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
-        if static_outcomes is not None:
-            # np.interp(updated, grid, values) of every outcome at once, with
-            # its float operations: slope * offset + value, and the value
-            # itself on an exact grid hit (a zero offset); ``brackets`` is in
-            # range, so mode="clip" only skips the bounds check
-            np.divide(np.diff(values), grid_steps, out=slopes[:-1])
-            np.take(slopes, brackets, out=stacked, mode="clip")
-            stacked *= offsets
-            stacked += np.take(values, brackets, out=gathered, mode="clip")
-            stacked *= weights
-            continuation = np.add.reduce(ext, axis=0)
-        else:
-            continuation = costs.per_step * grid
-            for i, pi in enumerate(grid):
-                total = 0.0
-                for a_genuine, a_fake in next_obs_model(float(pi)):
-                    weight = pi * a_fake + (1.0 - pi) * a_genuine
-                    if weight <= 0:
-                        continue
-                    updated = pi * a_fake / weight
-                    total += weight * float(np.interp(updated, grid, values))
-                continuation[i] += total
+        # np.interp(updated, grid, values) of every outcome at once, with its
+        # float operations: slope * offset + value, and the value itself on
+        # an exact grid hit (a zero offset); ``brackets`` is in range, so
+        # mode="clip" only skips the bounds check
+        np.divide(np.diff(values), grid_steps, out=slopes[:-1])
+        np.take(slopes, brackets, out=stacked, mode="clip")
+        stacked *= offsets
+        stacked += np.take(values, brackets, out=gathered, mode="clip")
+        stacked *= weights
+        continuation = np.add.reduce(ext, axis=0)
         new_values = np.minimum(stop_values, continuation)
         delta = float(np.abs(new_values - values).max())
         values = new_values

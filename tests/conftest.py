@@ -1,6 +1,5 @@
 import gc
 
-import numpy as np
 import pytest
 
 from cascaudit.graph import SocialGraph
@@ -38,13 +37,7 @@ def _unfreeze_after_test():
 
 
 def build_graph(edges, feature_dim=2):
-    graph = SocialGraph()
-    nodes = sorted({n for e in edges for n in e})
-    for node in nodes:
-        graph.add_node(node, np.zeros(feature_dim))
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
+    return SocialGraph(edges, sorted({n for e in edges for n in e}), feature_dim)
 
 
 def build_chain_graph(length):
@@ -54,7 +47,7 @@ def build_chain_graph(length):
 
 @pytest.fixture(scope="session")
 def demo_graph():
-    return build_graph(DEMO_TREE_EDGES + DEMO_CROSS_EDGES).freeze()
+    return build_graph(DEMO_TREE_EDGES + DEMO_CROSS_EDGES)
 
 
 @pytest.fixture(scope="session")
@@ -77,12 +70,7 @@ def random_digraph(rng, max_nodes=8, edge_prob=0.35):
         for v in range(n)
         if u != v and rng.random() < edge_prob
     ]
-    graph = SocialGraph()
-    for node in range(n):
-        graph.add_node(node, np.zeros(2))
-    for u, v in edges:
-        graph.add_edge(u, v)
-    return graph, edges
+    return SocialGraph(edges, range(n), 2), edges
 
 
 def random_model(rng, num_classes, prior=None):

@@ -147,7 +147,7 @@ def test_c4_posterior_martingale():
     n_traces = 10_000
     max_step = 10
     seed = 404
-    graph = build_chain_graph(CHAIN.max_events).freeze()
+    graph = build_chain_graph(CHAIN.max_events)
     tables = ChainTables(REF)
     label_rng = derive_rng(seed, 0)
     labels = (label_rng.random(n_traces) < 0.5).astype(int)
@@ -182,7 +182,7 @@ def test_c5_likelihood_divergence():
     n_traces = 10_000
     length = 20
     seed = 505
-    graph = build_chain_graph(length).freeze()
+    graph = build_chain_graph(length)
     tables = ChainTables(REF)
     cfg = PathEnumConfig(max_path_length=length + 1)
     fractions = {}
@@ -215,7 +215,7 @@ def test_c6_wald_boundary_error_bounds():
     n_traces = 10_000
     length = 60
     seed = 606
-    graph = build_chain_graph(length).freeze()
+    graph = build_chain_graph(length)
     tables = ChainTables(REF)
     cfg = PathEnumConfig(max_path_length=length + 1)
     costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.05)

@@ -316,6 +316,27 @@ def test_train_non_finite_feature_exits_2_with_one_line(tmp_path, capsys, record
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("case", ["huge-feature", "huge-feature-unclassified", "huge-learning-rate"])
+def test_train_refuses_a_classifier_that_is_not_finite(tmp_path, capsys, recwarn, case):
+    # the model was written with NaN calibration or an infinite bias, or an
+    # unclassified corpus ended in a traceback from score_to_class
+    traces_path, edges_path, feats_path = _write_featured_corpus(
+        tmp_path, recorded=case != "huge-feature-unclassified")
+    flags = ["--learning-rate", 1e308] if case == "huge-learning-rate" else []
+    if not flags:
+        lines = feats_path.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].split("\t")[0] + "\t1e308,0.0"
+        feats_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, *flags, "--out", tmp_path / "m.json")
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("cascaudit: error: ") and captured.err.count("\n") == 1
+    assert "classifier" in captured.err and "not finite" in captured.err
+    assert not (tmp_path / "m.json").exists()
+    assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 # ---- detect ----
 
 
@@ -857,7 +878,7 @@ def test_dp_eval_on_a_layered_dag_reproduces_recorded_outputs(tmp_path):
     for up, down in zip(layers[1:], layers[2:]):
         for a in up:
             edges += [(a, int(b)) for b in sorted(rng.choice(down, 3, replace=False))]
-    graph = SocialGraph.from_edges(edges)
+    graph = SocialGraph(edges)
     growth = GrowthConfig(max_events=30, min_children=1)
     traces = [sample_trace(graph, reference_model(), label, seed=s, growth=growth, source=0)
               for s, label in enumerate([GENUINE, FAKE] * 10)]

@@ -7,8 +7,8 @@ from cascaudit.graph import (
     PathEnumConfig,
     SocialGraph,
     _followee_chain,
+    _id_key,
     enumerate_paths,
-    forward_ball,
     load_graph,
     read_node_features,
     save_graph,
@@ -20,57 +20,27 @@ from .oracles import all_simple_paths_to_edge
 
 
 def test_add_node_basics():
-    graph = SocialGraph()
-    graph.add_node(1, [0.3, 0.7])
+    graph = SocialGraph([], (1,), 2, {1: [0.3, 0.7]})
     assert graph.node_count == 1
     assert graph.has_node(1)
     assert graph.feature_dim == 2
     np.testing.assert_allclose(graph.features(1), [0.3, 0.7])
 
 
-def test_add_node_duplicate_id():
-    graph = SocialGraph()
-    graph.add_node(1, [0.3, 0.7])
-    with pytest.raises(GraphError, match="duplicate"):
-        graph.add_node(1, [0.1, 0.2])
-
-
 def test_add_node_dimension_mismatch():
-    graph = SocialGraph()
-    graph.add_node(1, [0.3, 0.7])
     with pytest.raises(GraphError, match="dimension"):
-        graph.add_node(2, [0.1, 0.2, 0.3])
+        SocialGraph([(1, 2)], (1, 2), 2, {1: [0.3, 0.7], 2: [0.1, 0.2, 0.3]})
 
 
 def test_add_edge_directedness():
-    graph = SocialGraph()
-    graph.add_node(1, [0.0])
-    graph.add_node(2, [0.0])
-    graph.add_edge(1, 2)
+    graph = SocialGraph([(1, 2)])
     assert graph.has_edge(1, 2)
     assert not graph.has_edge(2, 1)
 
 
 def test_add_edge_self_loop():
-    graph = SocialGraph()
-    graph.add_node(1, [0.0])
     with pytest.raises(GraphError, match="self-loop"):
-        graph.add_edge(1, 1)
-
-
-def test_add_edge_missing_endpoint():
-    graph = SocialGraph()
-    graph.add_node(1, [0.0])
-    with pytest.raises(GraphError, match="not a node"):
-        graph.add_edge(1, 9)
-
-
-def test_frozen_graph_rejects_mutation():
-    graph = SocialGraph()
-    graph.add_node(1, [0.0])
-    graph.freeze()
-    with pytest.raises(GraphError, match="frozen"):
-        graph.add_node(2, [0.0])
+        SocialGraph([(1, 1)])
 
 
 def test_directed_path_invariants():
@@ -186,12 +156,13 @@ def test_edge_list_round_trip(tmp_path, demo_graph):
 
 def test_feature_records_parse_in_one_array_and_errors_name_the_line(tmp_path):
     feat_file = tmp_path / "features.tsv"
-    feat_file.write_text("a\t0.1,-2e3\n\n7\t1_0, inf\na\t3,4\n", encoding="utf-8")
+    feat_file.write_text("a\t0.1,-2e3\n\n7\t1_0, 5\na\t3,4\n", encoding="utf-8")
     table = read_node_features(feat_file)
     assert list(table) == ["a", 7]  # a repeated id keeps its last record
-    assert table["a"].tolist() == [3.0, 4.0] and table[7].tolist() == [10.0, np.inf]
+    assert table["a"].tolist() == [3.0, 4.0] and table[7].tolist() == [10.0, 5.0]
     for text, message in (
         ("", None),
+        ("a\t0.1,-2e3\n\n7\t1_0, inf\n8\tnan,1\n", r":3: features of node 7 are not finite$"),
         ("1\t0.5,1\n2\t0.5\n", r":2: feature dimension 1 for 2 does not match .* 2$"),
         ("1\t0.5,x\n2\t0.5\n", r":2: feature dimension 1 for 2"),  # lengths first
         ("1\t0.5,1\n2\t0.5,1\n3\tx,1\n", r":3: bad feature record: .*'x'"),
@@ -231,23 +202,33 @@ def test_load_graph_shares_one_zero_vector_among_featureless_nodes(tmp_path):
 
 
 def _grown(edges, nodes=(), features=None, feature_dim=1):
-    """The graph of ``edges`` grown one node and one edge at a time."""
-    graph = SocialGraph()
-    for node in dict.fromkeys([*nodes, *(node for edge in edges for node in edge)]):
-        graph.add_node(node, (features or {}).get(node, np.zeros(feature_dim)))
+    """The expected graph of ``edges``, grown in plain dicts one node and one
+    edge at a time: (ids in order of first appearance, edges, followers and
+    followees by node in insertion order, the feature vector of each node)."""
+    ids, followers, followees, grown_edges = [], {}, {}, []
+    for node in [*nodes, *(node for edge in edges for node in edge)]:
+        if node not in followers:
+            ids.append(node)
+            followers[node], followees[node] = [], []
     for u, v in edges:
-        graph.add_edge(u, v)
-    return graph
+        if (u, v) not in grown_edges:
+            grown_edges.append((u, v))
+            followers[u].append(v)
+            followees[v].append(u)
+    vectors = {node: list((features or {}).get(node, [0.0] * feature_dim)) for node in ids}
+    return ids, grown_edges, followers, followees, vectors
 
 
 def _assert_same_graph(built, grown):
-    assert built._ids == grown._ids and built._index == grown._index
-    assert built.nodes() == grown.nodes() and built.edges() == grown.edges()
-    assert built.edge_count == grown.edge_count
-    for node in grown._ids:
-        assert built.followers(node) == grown.followers(node)
-        assert built._pred[node] == grown._pred[node]  # followees, in insertion order
-        assert built.features(node).tolist() == grown.features(node).tolist()
+    ids, edges, followers, followees, vectors = grown
+    assert built._ids == ids and built._index == {node: i for i, node in enumerate(ids)}
+    assert built.nodes() == sorted(ids, key=_id_key)
+    assert built.edges() == sorted(edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
+    assert built.edge_count == len(edges)
+    for node in ids:
+        assert built.followers(node) == sorted(followers[node], key=_id_key)
+        assert built._pred[node] == followees[node]  # followees, in insertion order
+        assert built.features(node).tolist() == vectors[node]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -259,7 +240,7 @@ def test_bulk_build_matches_a_graph_grown_edge_by_edge(tmp_path, seed):
     edges += [edges[int(i)] for i in rng.integers(len(edges), size=5)]  # repeated edges
     features = {node: rng.random(3) for node in ids if rng.random() < 0.5}
     features.setdefault("unlinked", rng.random(3))
-    built = SocialGraph.from_edges(edges, ("s",), feature_dim=3, features=features)
+    built = SocialGraph(edges, ("s",), feature_dim=3, features=features)
     _assert_same_graph(built, _grown(edges, ("s",), features, feature_dim=3))
     zeros = built.features("s")
     assert zeros.tolist() == [0.0] * 3 and not zeros.flags.writeable
@@ -278,16 +259,16 @@ def test_bulk_build_matches_a_graph_grown_edge_by_edge(tmp_path, seed):
 
 
 def test_bulk_build_keeps_the_edge_checks(tmp_path):
-    graph = SocialGraph.from_edges([(0, 1), (0, 1), (1, 0)])
+    graph = SocialGraph([(0, 1), (0, 1), (1, 0)])
     assert graph.edges() == [(0, 1), (1, 0)] and graph.followers(0) == [1]
     with pytest.raises(GraphError, match="self-loop on 2"):
-        SocialGraph.from_edges([(0, 1), (2, 2)])
+        SocialGraph([(0, 1), (2, 2)])
     edge_file = tmp_path / "edges.tsv"
     edge_file.write_text("0\t1\n2\t2\n", encoding="utf-8")
     with pytest.raises(GraphError, match="self-loop on 2"):
         load_graph(edge_file)
     with pytest.raises(GraphError, match="dimension 2 for 1 does not match graph dimension 3"):
-        SocialGraph.from_edges([(0, 1)], feature_dim=3, features={1: np.ones(2)})
+        SocialGraph([(0, 1)], feature_dim=3, features={1: np.ones(2)})
 
 
 def test_load_graph_bad_record(tmp_path):
@@ -307,11 +288,7 @@ def test_mixed_int_and_string_ids_sort_ints_first(tmp_path):
 
 
 def test_mixed_ids_enumerate_in_total_order():
-    graph = SocialGraph()
-    for node in (0, "b", 1, 3, 4):
-        graph.add_node(node, [0.0])
-    for u, v in ((0, 1), (0, "b"), (1, 3), ("b", 3), (3, 4)):
-        graph.add_edge(u, v)
+    graph = SocialGraph(((0, 1), (0, "b"), (1, 3), ("b", 3), (3, 4)), (0, "b", 1, 3, 4))
     paths = enumerate_paths(graph, 0, (3, 4)).paths
     assert [p.vertices for p in paths] == [(0, 1, 3, 4), (0, "b", 3, 4)]
 
@@ -322,26 +299,8 @@ def test_followers_stay_sorted_under_any_insertion_order():
     graph = build_graph([(0, t) for t in targets])
     assert graph.followers(0) == sorted(targets)
     mixed = [1, 2, 10, 11, "a", "b", "ab", "z"]
-    graph = SocialGraph()
-    for node in [0] + mixed:
-        graph.add_node(node, [0.0])
-    for i in rng.permutation(len(mixed)):
-        graph.add_edge(0, mixed[int(i)])
+    graph = SocialGraph([(0, mixed[int(i)]) for i in rng.permutation(len(mixed))], [0] + mixed)
     assert graph.followers(0) == [1, 2, 10, 11, "a", "ab", "b", "z"]
-
-
-def test_edge_added_after_a_query_is_placed_in_order():
-    graph = build_graph([(0, 3), (0, 1), (1, 5), (3, 5), (5, 6)])
-    assert graph.followers(0) == [1, 3]
-    assert [p.vertices for p in enumerate_paths(graph, 0, (5, 6))] == [(0, 1, 5, 6), (0, 3, 5, 6)]
-    graph.add_node(2, [0.0, 0.0])
-    graph.add_edge(0, 2)
-    graph.add_edge(2, 5)
-    assert graph.followers(0) == [1, 2, 3]
-    assert [p.vertices for p in enumerate_paths(graph, 0, (5, 6))] == [
-        (0, 1, 5, 6), (0, 2, 5, 6), (0, 3, 5, 6)
-    ]
-    assert graph.freeze().followers(0) == [1, 2, 3]
 
 
 def test_shared_prefix_search_matches_oracle_with_truncation():
@@ -531,48 +490,3 @@ def test_chain_walk_cases():
 
     # the walk stops on its first revisit, however large the bound
     assert _followee_chain(CountingPred(graph._pred), 0, 21, 22, 10**9) == []
-
-
-def test_memos_follow_an_edge_added_after_each_query_kind():
-    def agrees(graph, edges, source, target=(3, 4)):
-        got = [p.vertices for p in enumerate_paths(graph, source, target)]
-        return got == all_simple_paths_to_edge(edges, source, target, 8)
-
-    for query in ("enumeration", "shape", "ball", "masks"):
-        edges = [(i, i + 1) for i in range(6)]
-        graph = build_graph(edges)
-        graph.add_node(9, [0.0, 0.0])
-        if query == "enumeration":
-            assert agrees(graph, edges, 0)
-        elif query == "shape":
-            assert graph._shape() == "single"
-        elif query == "ball":
-            assert forward_ball(graph, 0, 8) is None
-        else:
-            graph._walk_masks(3, 8)
-        # node 3 gains a second followee, 9, itself reached from 0
-        for edge in ((0, 9), (9, 3)):
-            graph.add_edge(*edge)
-            edges.append(edge)
-        assert graph._shape() == "dag"
-        assert agrees(graph, edges, 0)
-        ball = forward_ball(graph, 0, 8)
-        assert [depth for depth, _ in ball.node_rows[3]] == [2, 3]  # 0 -> 9 -> 3, 0 -> 1 -> 2 -> 3
-        # a cycle through the tail turns the graph cyclic
-        graph.add_edge(4, 0)
-        edges.append((4, 0))
-        assert graph._shape() == "cyclic"
-        assert forward_ball(graph, 0, 8) is None
-        assert agrees(graph, edges, 0) and agrees(graph, edges, 1)
-
-
-def test_ingestion_clears_no_memo_that_no_query_filled(monkeypatch):
-    clears = []
-    monkeypatch.setattr(SocialGraph, "_clear_memos", lambda self: clears.append(self))
-    graph = SocialGraph.from_edges([(0, 1), (1, 2), (0, 3)], feature_dim=2)
-    assert clears == []
-    assert graph.features(3).shape == (2,) and not graph.features(3).flags.writeable
-    assert graph.features(0) is graph.features(3)
-    assert [p.vertices for p in enumerate_paths(graph, 0, (1, 2))] == [(0, 1, 2)]
-    graph.add_edge(3, 2)
-    assert clears == [graph]

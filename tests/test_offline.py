@@ -41,8 +41,7 @@ def chain_trace(label, source, node_ids, classes=None):
 def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
     """Synthetic corpus: genuine user features cluster at -1, fake at +1."""
     rng = derive_rng(seed)
-    graph = SocialGraph()
-    traces = []
+    features, edges, traces = {}, [], []
     uid = 0
     for label in (GENUINE, FAKE):
         center = -1.0 if label == GENUINE else 1.0
@@ -50,10 +49,10 @@ def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
             ids = list(range(uid, uid + users_per_trace))
             uid += users_per_trace
             for node in ids:
-                graph.add_node(node, rng.normal(center, spread, size=2))
-            for a, b in zip(ids[:-1], ids[1:]):
-                graph.add_edge(a, b)
+                features[node] = rng.normal(center, spread, size=2)
+            edges += zip(ids[:-1], ids[1:])
             traces.append(chain_trace(label, ids[0], ids))
+    graph = SocialGraph(edges, features, 2, features)
     return TrainingCorpus(traces=tuple(traces), graph=graph)
 
 
@@ -61,39 +60,27 @@ def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
 
 
 def test_single_event_trace_feature():
-    graph = SocialGraph()
-    graph.add_node(0, [1.0, 2.0])
-    graph.add_node(1, [3.0, 4.0])
-    graph.add_edge(0, 1)
+    graph = SocialGraph([(0, 1)], (0, 1), 2, {0: [1.0, 2.0], 1: [3.0, 4.0]})
     trace = chain_trace(FAKE, 0, [0, 1])
     np.testing.assert_allclose(build_trace_feature(trace, graph), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_identical_features_average_to_themselves():
-    graph = SocialGraph()
-    for node in range(4):
-        graph.add_node(node, [0.7, -0.2])
-    for a, b in [(0, 1), (1, 2), (2, 3)]:
-        graph.add_edge(a, b)
+    graph = SocialGraph([(0, 1), (1, 2), (2, 3)], range(4), 2, dict.fromkeys(range(4), [0.7, -0.2]))
     trace = chain_trace(GENUINE, 0, [0, 1, 2, 3])
     np.testing.assert_allclose(build_trace_feature(trace, graph), [0.7, -0.2, 0.7, -0.2])
 
 
 def test_three_event_trace_feature_hand_average():
-    graph = SocialGraph()
     feats = {0: [1.0], 1: [2.0], 2: [4.0], 3: [8.0]}
-    for node, vec in feats.items():
-        graph.add_node(node, vec)
-    for a, b in [(0, 1), (1, 2), (2, 3)]:
-        graph.add_edge(a, b)
+    graph = SocialGraph([(0, 1), (1, 2), (2, 3)], feats, 1, feats)
     trace = chain_trace(FAKE, 0, [0, 1, 2, 3])
     # pairs: (1,2), (2,4), (4,8) -> mean (7/3, 14/3)
     np.testing.assert_allclose(build_trace_feature(trace, graph), [7.0 / 3.0, 14.0 / 3.0])
 
 
 def test_empty_trace_feature_rejected():
-    graph = SocialGraph()
-    graph.add_node(0, [1.0])
+    graph = SocialGraph([], (0,), 1, {0: [1.0]})
     with pytest.raises(TraceError, match="too short"):
         build_trace_feature(Trace(label=FAKE, source=0, events=()), graph)
 

@@ -304,13 +304,10 @@ def test_unconverged_flag(ref_model):
     assert table.sweeps == 1
 
 
-def test_callable_next_obs_model_matches_static(ref_model):
-    outcomes = single_step_outcomes(ref_model)
-    static = solve_thresholds(EQUAL_COSTS, outcomes, grid_step=0.01)
-    dynamic = solve_thresholds(EQUAL_COSTS, lambda pi: outcomes, grid_step=0.01)
-    np.testing.assert_allclose(static.values, dynamic.values, atol=1e-12)
-    assert static.pi_low == dynamic.pi_low
-    assert static.pi_up == dynamic.pi_up
+@pytest.mark.parametrize("outcomes", [[], [0.5, 0.5], [(0.5, 0.5, 0.0)]])
+def test_solver_rejects_outcomes_that_are_not_pairs(outcomes):
+    with pytest.raises(ModelError, match="sequence of \\(a_genuine, a_fake\\) pairs"):
+        solve_thresholds(EQUAL_COSTS, outcomes, grid_step=0.01)
 
 
 def test_per_context_tables_differ_by_context(ref_model):
