@@ -105,11 +105,15 @@ def _err(message: str) -> None:
     print(f"cascaudit: error: {message}", file=sys.stderr)
 
 
-def _load_model_arg(args) -> tuple:
-    if getattr(args, "model", None):
-        return load_model(args.model)
+def _load_model_arg(args) -> SpreadModel:
+    """The ``--model`` file or the built-in reference model, with its
+    ``prior_fake`` replaced by ``--prior`` where the command has one and it
+    is given: the one place a command sets the prior."""
     prior = getattr(args, "prior", None)
-    return reference_model(prior_fake=0.5 if prior is None else prior), None
+    if args.model:
+        model, _ = load_model(args.model)
+        return model if prior is None else model._replace(prior_fake=prior)
+    return reference_model(prior_fake=0.5 if prior is None else prior)
 
 
 def _costs(args) -> CostSpec:
@@ -171,8 +175,7 @@ class TraceResult(NamedTuple):
 
 
 def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, graph=None,
-                  cfg: PathEnumConfig = PathEnumConfig(), on_unreachable: str = "skip",
-                  prior=None) -> list:
+                  cfg: PathEnumConfig = PathEnumConfig(), on_unreachable: str = "skip") -> list:
     """One :class:`TraceResult` per trace.  Trace ``i`` is subsampled to keep
     ``rho`` of its events with seed ``derive_seed(seed, i, 2)`` and detected
     on ``graph``, or on its own implied graph when ``graph`` is None; every
@@ -183,7 +186,7 @@ def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, gra
         stream = subsample(trace, rho, derive_seed(seed, index, 2))
         outcome, belief = run_detection(
             model, graph if graph is not None else trace.implied_graph(), stream, policy,
-            cfg=cfg, on_unreachable=on_unreachable, prior=prior, tables=tables,
+            cfg=cfg, on_unreachable=on_unreachable, tables=tables,
         )
         results.append(TraceResult(trace.label, outcome, belief))
     return results
@@ -274,7 +277,7 @@ def risk_estimate(policy, model: SpreadModel, n_traces: int, seed: int, costs: C
 
 
 def cmd_simulate(args) -> int:
-    model, _ = _load_model_arg(args)
+    model = _load_model_arg(args)
     growth = GrowthConfig(
         max_events=args.max_events,
         mean_children=args.mean_children,
@@ -352,7 +355,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    model, _ = _load_model_arg(args)
+    model = _load_model_arg(args)
     graph = load_graph(args.graph)
     stream = read_stream(args.stream)
     if len(stream) == 0:
@@ -369,7 +372,6 @@ def cmd_detect(args) -> int:
         policy,
         cfg=_enum_cfg(args),
         on_unreachable=args.on_unreachable,
-        prior=args.prior,
     )
     trajectory_path = None
     if args.out:
@@ -390,7 +392,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _ = _load_model_arg(args)
+    model = _load_model_arg(args)
     traces = read_traces(args.traces)
     if not traces:
         raise DegenerateDataError("corpus is empty")
@@ -404,7 +406,7 @@ def cmd_eval(args) -> int:
 
     results = detect_corpus(
         model, traces, policy, args.rho, args.seed, graph=shared_graph, cfg=_enum_cfg(args),
-        on_unreachable=args.on_unreachable, prior=args.prior,
+        on_unreachable=args.on_unreachable,
     )
     report = {**count_errors(results), "seed": args.seed, "rho": args.rho, "policy": args.policy}
 
@@ -451,7 +453,7 @@ def _write_accuracy_curve(results, costs, path) -> None:
 
 
 def cmd_thresholds(args) -> int:
-    model, _ = _load_model_arg(args)
+    model = _load_model_arg(args)
     costs = _costs(args)
     table = solve_thresholds(
         costs,
@@ -494,6 +496,9 @@ def _add_policy_flags(sub) -> None:
     sub.add_argument("--on-unreachable", choices=["skip", "fail"], default="skip")
 
 
+PRIOR_HELP = "replaces the model's prior_fake (default: the model's own; 0.5 built in)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cascaudit",
@@ -506,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=100, help="number of traces")
     sim.add_argument("--label", type=int, choices=[0, 1], default=None,
                      help="force every trace to this label")
-    sim.add_argument("--prior", type=float, default=0.5)
+    sim.add_argument("--prior", type=float, default=None, help=PRIOR_HELP)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--max-events", type=int, default=200)
@@ -534,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--model", default=None)
     detect.add_argument("--graph", required=True)
     detect.add_argument("--stream", required=True, help="observation-stream JSON")
-    detect.add_argument("--prior", type=float, default=None)
+    detect.add_argument("--prior", type=float, default=None, help=PRIOR_HELP)
     detect.add_argument("--out", default=None, help="trajectory CSV path")
     _add_policy_flags(detect)
     detect.set_defaults(func=cmd_detect)
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shared edge-list TSV (default: per-trace implied graphs)")
     ev.add_argument("--rho", type=float, default=0.5, help="observation keep fraction")
     ev.add_argument("--seed", type=int, required=True)
-    ev.add_argument("--prior", type=float, default=None)
+    ev.add_argument("--prior", type=float, default=None, help=PRIOR_HELP)
     ev.add_argument("--out", required=True, help="output directory")
     _add_policy_flags(ev)
     ev.set_defaults(func=cmd_eval)
@@ -559,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--grid-step", type=float, default=0.001)
     thr.add_argument("--tol", type=float, default=1e-7)
     thr.add_argument("--max-sweeps", type=int, default=10_000)
-    thr.add_argument("--prior", type=float, default=0.5)
     thr.add_argument("--out", default=None, help="output CSV path")
     thr.set_defaults(func=cmd_thresholds)
 

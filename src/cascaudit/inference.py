@@ -60,7 +60,7 @@ from cascaudit.graph import (
     enumerate_paths,
     forward_ball,
 )
-from cascaudit.markov import FAKE, GENUINE, Observation, ObservationStream, SpreadModel
+from cascaudit.markov import FAKE, GENUINE, Observation, SpreadModel
 
 _NEG_INF = float("-inf")
 _TINY = float(np.finfo(float).tiny)  # the smallest normal double
@@ -149,14 +149,8 @@ def posterior_from_log_lr(log_lr: float, prior: float) -> float:
     return e / (1.0 + e)
 
 
-def update(belief: BeliefState, a_genuine: float, a_fake: float) -> BeliefState:
-    """Fold one observation's conditional probabilities into the belief."""
-    if a_genuine < 0 or a_fake < 0:
-        raise InvalidEvidenceError("conditional probabilities must be nonnegative")
-    return _update_from_logs(belief, _safe_log(a_genuine), _safe_log(a_fake))
-
-
 def _update_from_logs(belief, log_a_genuine, log_a_fake) -> BeliefState:
+    """Fold one observation's log conditionals into the belief."""
     if log_a_genuine == _NEG_INF and log_a_fake == _NEG_INF:
         raise InvalidEvidenceError("observation impossible under both hypotheses")
     log_lr = belief.log_lr + (log_a_fake - log_a_genuine)
@@ -192,26 +186,6 @@ class PathContext(NamedTuple):
     path: DirectedPath
     on_path: tuple
 
-    @property
-    def observed_indices(self) -> tuple:
-        return tuple(sorted(entry.index for entry in self.on_path))
-
-    @property
-    def last_observed(self) -> Optional[OnPathObservation]:
-        """The on-path observation closest to the end of the path."""
-        return self.on_path[-1] if self.on_path else None
-
-    @property
-    def gap_lengths(self) -> tuple:
-        """Edges between consecutive on-path observations; the first entry is
-        the distance from the source."""
-        gaps = []
-        prev = 0
-        for entry in self.on_path:
-            gaps.append(entry.position - prev)
-            prev = entry.position
-        return tuple(gaps)
-
 
 def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> list:
     """One :class:`PathContext` per path.
@@ -219,8 +193,8 @@ def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> lis
     The prior observations are indexed once by edge, in stream order; each
     path then looks up its own edges in order, so its entries come out sorted
     by (position, index) without a scan of the whole prefix per path.  The
-    engine builds no contexts (it scores evidence keys); they serve
-    :func:`path_score` callers.
+    engine builds no contexts (it scores evidence keys); a context is the
+    per-path view of the same evidence.
     """
     by_edge: dict = {}
     for idx, obs in enumerate(prior_observations):
@@ -235,10 +209,6 @@ def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> lis
                     entries.append(OnPathObservation(idx, position, cls))
         contexts.append(PathContext(path=path, on_path=tuple(entries)))
     return contexts
-
-
-def build_path_context(path: DirectedPath, prior_observations: Sequence[Observation]) -> PathContext:
-    return build_path_contexts((path,), prior_observations)[0]
 
 
 # ---- chain probabilities -------------------------------------------------------
@@ -376,13 +346,6 @@ def _evidence_keys(enumeration: PathEnumeration, by_edge: dict) -> list:
     return keys
 
 
-def _context_keys(contexts: Sequence[PathContext]) -> list:
-    return [
-        (len(ctx.path), tuple((entry.position, entry.cls) for entry in ctx.on_path))
-        for ctx in contexts
-    ]
-
-
 def _log_weights(tables, hyp, distinct, key_of_path, anchor) -> tuple:
     """Chain log-weight of each path, scored once per distinct key, and their
     log normalizer."""
@@ -423,55 +386,6 @@ def _one_log_a(tables, hyp, depth, entries, cls, anchor) -> float:
     return (log_num + log_arrival) + 0.0 - (log_num + 0.0)
 
 
-# ---- public one-shot operations -------------------------------------------------
-
-
-def path_score(
-    model: SpreadModel,
-    contexts: Sequence[PathContext],
-    hyp: int,
-    anchor: bool = True,
-) -> np.ndarray:
-    """Posterior weight of each candidate path given the observations on it.
-
-    Under a uniform prior over the enumerated paths, the weight of a path is
-    its chain probability normalized across all candidates; the vector sums
-    to one.  If every chain probability is zero (a degenerate model), the
-    weights fall back to uniform with a warning.
-    """
-    if not contexts:
-        raise ModelError("path_score needs at least one candidate path")
-    distinct, key_of_path = _distinct_keys(_context_keys(contexts))
-    log_nums, log_denom = _log_weights(ChainTables(model), hyp, distinct, key_of_path, anchor)
-    if log_denom == _NEG_INF:
-        log(__name__, WARNING, "all %d path scores are zero; returning uniform weights",
-            len(contexts))
-        return np.full(len(contexts), 1.0 / len(contexts))
-    return np.exp(log_nums - log_denom)
-
-
-def conditional_obs_prob(
-    model: SpreadModel,
-    source,
-    graph: SocialGraph,
-    prefix: Sequence[Observation],
-    new_obs: Observation,
-    cfg: PathEnumConfig = PathEnumConfig(),
-    hyp: int = FAKE,
-    anchor: bool = True,
-) -> float:
-    """Probability of ``new_obs``'s class given the observation prefix.
-
-    Source-adjacent edges use the initial distribution directly; everything
-    else mixes the per-path arrival probabilities under the path scores.
-    Raises :class:`UnreachableObservationError` when no directed source path
-    reaches the observed edge within the enumeration bounds.
-    """
-    engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
-    engine.accepted = prefix
-    return math.exp(engine.log_conditionals(new_obs)[hyp])
-
-
 # ---- the engine -----------------------------------------------------------------
 
 
@@ -490,7 +404,6 @@ class PosteriorEngine:
         source,
         cfg: PathEnumConfig = PathEnumConfig(),
         anchor: bool = True,
-        prior: Optional[float] = None,
         tables: Optional[ChainTables] = None,
     ):
         self.model = model
@@ -498,7 +411,7 @@ class PosteriorEngine:
         self.source = source
         self.cfg = cfg
         self.anchor = anchor
-        self.belief = BeliefState(prior=model.prior_fake if prior is None else prior)
+        self.belief = BeliefState(prior=model.prior_fake)
         self.accepted = ()
         self.skipped: list = []  # stream indices dropped as unreachable
         self._tables = ChainTables(model) if tables is None else tables
@@ -659,33 +572,6 @@ class PosteriorEngine:
                 self.skipped.append(idx)
                 log(__name__, WARNING, "skipping unreachable observation %d on edge %r",
                     idx, obs.edge)
-
-
-class PosteriorRun(NamedTuple):
-    """Outcome of running the engine over a whole stream."""
-
-    belief: BeliefState
-    skipped: tuple  # indices of observations dropped as unreachable
-
-    def trajectory(self) -> list:
-        return self.belief.trajectory()
-
-
-def run_posterior(
-    model: SpreadModel,
-    graph: SocialGraph,
-    stream: ObservationStream,
-    cfg: PathEnumConfig = PathEnumConfig(),
-    on_unreachable: str = "skip",
-    anchor: bool = True,
-    prior: Optional[float] = None,
-) -> PosteriorRun:
-    """Posterior trajectory over a full observation stream; see
-    :meth:`PosteriorEngine.beliefs` for ``on_unreachable``."""
-    engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, prior=prior)
-    for _ in engine.beliefs(stream.observations, on_unreachable):
-        pass
-    return PosteriorRun(belief=engine.belief, skipped=tuple(engine.skipped))
 
 
 # ---- trajectory export -----------------------------------------------------------

@@ -42,7 +42,8 @@ class SpreadModel(Record):
     and ``transition_probs[hyp][z'][z]`` the probability that an edge of class
     ``z'`` is followed by one of class ``z``, for ``hyp`` genuine (0) or fake
     (1).  Rows must be stochastic to 1e-9; use :meth:`from_unnormalized` for
-    rounded published tables.
+    rounded published tables.  A model that fails a check raises one
+    :class:`ModelError` naming every issue found.
     """
 
     _fields = ("num_classes", "initial_probs", "transition_probs", "prior_fake")
@@ -57,9 +58,37 @@ class SpreadModel(Record):
                              prior_fake=prior_fake)
         if not 2 <= num_classes <= MAX_CLASSES:
             raise ModelError(f"need 2..{MAX_CLASSES} edge classes, got {num_classes}")
-        diagnostics = validate_model(self)
-        if not diagnostics.ok:
-            raise ModelError("; ".join(diagnostics.issues))
+        eta, alpha = self.initial_probs, self.transition_probs
+        issues = []
+        if eta.shape != (2, num_classes):
+            issues.append(f"initial probabilities have shape {eta.shape}, expected (2, {num_classes})")
+        if alpha.shape != (2, num_classes, num_classes):
+            issues.append(
+                f"transition probabilities have shape {alpha.shape}, "
+                f"expected (2, {num_classes}, {num_classes})"
+            )
+        if not issues and not (np.isfinite(eta).all() and np.isfinite(alpha).all()):
+            issues.append("initial and transition probabilities must be finite")
+        if not issues:
+            for hyp in (GENUINE, FAKE):
+                for z in range(num_classes):
+                    if eta[hyp][z] < 0:
+                        issues.append(f"initial_probs[{hyp}][{z}] is negative")
+                    for z2 in range(num_classes):
+                        if alpha[hyp][z][z2] < 0:
+                            issues.append(f"transition_probs[{hyp}][{z}][{z2}] is negative")
+            for hyp in (GENUINE, FAKE):
+                row_sum = float(eta[hyp].sum())
+                if abs(row_sum - 1.0) > _ROW_SUM_TOL:
+                    issues.append(f"initial row {hyp} sums to {row_sum:.6f}")
+                for z in range(num_classes):
+                    row_sum = float(alpha[hyp][z].sum())
+                    if abs(row_sum - 1.0) > _ROW_SUM_TOL:
+                        issues.append(f"transition row [{hyp}][{z}] sums to {row_sum:.6f}")
+        if not 0.0 <= prior_fake <= 1.0:
+            issues.append(f"prior_fake {prior_fake} outside [0, 1]")
+        if issues:
+            raise ModelError("; ".join(issues))
 
     @classmethod
     def from_unnormalized(
@@ -117,62 +146,6 @@ class SpreadModel(Record):
             raise ModelError(f"model file missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ModelError(f"model file is malformed: {exc}") from exc
-
-
-class ModelDiagnostics(NamedTuple):
-    """Structured validation outcome; empty ``issues`` means the model is sound."""
-
-    ok: bool
-    issues: tuple
-
-
-def validate_model(model) -> ModelDiagnostics:
-    """Check finiteness and stochasticity of a model without raising.
-
-    Accepts a :class:`SpreadModel` or a mapping in the model-file schema
-    (``Z``/``eta0``/``eta1``/``alpha0``/``alpha1``/``prior_fake``), so raw
-    rounded tables can be diagnosed before renormalization.
-    """
-    if isinstance(model, SpreadModel):
-        num_classes = model.num_classes
-        eta = model.initial_probs
-        alpha = model.transition_probs
-        prior = model.prior_fake
-    else:
-        num_classes = int(model["Z"])
-        eta = np.array([model["eta0"], model["eta1"]], dtype=float)
-        alpha = np.array([model["alpha0"], model["alpha1"]], dtype=float)
-        prior = float(model.get("prior_fake", 0.5))
-
-    issues = []
-    if eta.shape != (2, num_classes):
-        issues.append(f"initial probabilities have shape {eta.shape}, expected (2, {num_classes})")
-    if alpha.shape != (2, num_classes, num_classes):
-        issues.append(
-            f"transition probabilities have shape {alpha.shape}, "
-            f"expected (2, {num_classes}, {num_classes})"
-        )
-    if not issues and not (np.isfinite(eta).all() and np.isfinite(alpha).all()):
-        issues.append("initial and transition probabilities must be finite")
-    if not issues:
-        for hyp in (GENUINE, FAKE):
-            for z in range(num_classes):
-                if eta[hyp][z] < 0:
-                    issues.append(f"initial_probs[{hyp}][{z}] is negative")
-                for z2 in range(num_classes):
-                    if alpha[hyp][z][z2] < 0:
-                        issues.append(f"transition_probs[{hyp}][{z}][{z2}] is negative")
-        for hyp in (GENUINE, FAKE):
-            dev = abs(float(eta[hyp].sum()) - 1.0)
-            if dev > _ROW_SUM_TOL:
-                issues.append(f"initial row {hyp} sums to {float(eta[hyp].sum()):.6f}")
-            for z in range(num_classes):
-                row_sum = float(alpha[hyp][z].sum())
-                if abs(row_sum - 1.0) > _ROW_SUM_TOL:
-                    issues.append(f"transition row [{hyp}][{z}] sums to {row_sum:.6f}")
-    if not 0.0 <= prior <= 1.0:
-        issues.append(f"prior_fake {prior} outside [0, 1]")
-    return ModelDiagnostics(ok=not issues, issues=tuple(issues))
 
 
 # ---- reference parameters ----------------------------------------------------

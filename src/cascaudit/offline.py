@@ -328,23 +328,15 @@ def estimate_alpha(
     return estimates
 
 
-def build_spread_model(
-    eta_hat: np.ndarray,
-    alpha_hat: np.ndarray,
-    prior_fake: float,
-    fill_unseen: str = "uniform",
-) -> SpreadModel:
-    """Assemble estimates into a usable model, filling all-zero transition rows.
-
-    ``fill_unseen`` is ``"uniform"`` (default) or ``"error"``.
-    """
+def build_spread_model(eta_hat: np.ndarray, alpha_hat: np.ndarray,
+                       prior_fake: float) -> SpreadModel:
+    """Assemble estimates into a usable model, filling each all-zero
+    (never observed) transition row uniformly, with a warning."""
     alpha = np.array(alpha_hat, dtype=float)
     num_classes = alpha.shape[-1]
     for label in (GENUINE, FAKE):
         for z in range(num_classes):
             if alpha[label][z].sum() == 0.0:
-                if fill_unseen == "error":
-                    raise EstimationError(f"transition row [{label}][{z}] was never observed")
                 log(__name__, WARNING, "filling unseen transition row [%d][%d] uniformly",
                     label, z)
                 alpha[label][z] = 1.0 / num_classes

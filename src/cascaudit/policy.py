@@ -322,23 +322,6 @@ class SprtConfig(Record):
         lower, upper = wald_bounds(p_target, q_target)
         return cls(lower=lower, upper=upper)
 
-    @classmethod
-    def from_posterior_thresholds(cls, pi_low: float, pi_up: float, prior: float) -> "SprtConfig":
-        """Boundaries equivalent to posterior thresholds under ``prior``.
-
-        Valid when ``pi_low < prior < pi_up`` (otherwise the equivalent test
-        would stop before the first observation).
-        """
-        if not 0.0 < prior < 1.0:
-            raise ModelError("prior must be interior for the odds transform")
-        if not 0.0 < pi_low < prior < pi_up < 1.0:
-            raise ModelError("need 0 < pi_low < prior < pi_up < 1")
-        odds = (1.0 - prior) / prior
-        return cls(
-            lower=odds * pi_low / (1.0 - pi_low),
-            upper=odds * pi_up / (1.0 - pi_up),
-        )
-
 
 # ---- streaming policies ---------------------------------------------------------
 
@@ -431,7 +414,6 @@ def run_detection(
     policy,
     cfg: PathEnumConfig = PathEnumConfig(),
     on_unreachable: str = "skip",
-    prior: Optional[float] = None,
     anchor: bool = True,
     tables: Optional[ChainTables] = None,
 ) -> tuple:
@@ -441,8 +423,6 @@ def run_detection(
     stopping step.  Raises :class:`DegenerateDataError` when no observation
     could be processed.  ``tables`` over ``model`` may be shared across runs.
     """
-    engine = PosteriorEngine(
-        model, graph, stream.source, cfg, anchor=anchor, prior=prior, tables=tables
-    )
+    engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, tables=tables)
     outcome = decide(policy, engine.beliefs(stream.observations, on_unreachable))
     return outcome, engine.belief

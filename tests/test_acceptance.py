@@ -17,10 +17,10 @@ from cascaudit.inference import (
     BeliefState,
     ChainTables,
     PosteriorEngine,
-    build_path_contexts,
-    path_score,
+    _distinct_keys,
+    _evidence_keys,
+    _log_weights,
     posterior_from_log_lr,
-    run_posterior,
 )
 from cascaudit.markov import (
     FAKE,
@@ -76,21 +76,22 @@ def oracle_suite():
             rng, max_nodes=8, max_obs=6, max_classes=3
         )
         cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=100_000)
-        run = run_posterior(model, graph, stream, cfg=cfg, on_unreachable="fail")
+        engine = PosteriorEngine(model, graph, stream.source, cfg)
+        observations = stream.observations
+        for belief in engine.beliefs(observations, "fail"):
+            # the path weights that the enumeration scorer mixes for the next
+            # observation, given the observations the engine has accepted
+            if belief.step == len(observations) or observations[belief.step].u == stream.source:
+                continue
+            enumeration = enumerate_paths(graph, stream.source, observations[belief.step].edge, cfg)
+            distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, engine._by_edge))
+            for hyp in (GENUINE, FAKE):
+                log_nums, log_denom = _log_weights(engine._tables, hyp, distinct, key_of_path, True)
+                score_sum_errors.append(abs(float(np.exp(log_nums - log_denom).sum()) - 1.0))
         expected = posterior_brute(
             model, edges, stream.source, stream.observations, graph.node_count
         )
-        posterior_errors.append(abs(run.belief.posterior - expected))
-        # every enumeration the run performed, re-scored for normalization
-        prefix = []
-        for obs in stream.observations:
-            if obs.u != stream.source:
-                paths = enumerate_paths(graph, stream.source, obs.edge, cfg).paths
-                contexts = build_path_contexts(paths, prefix)
-                for hyp in (GENUINE, FAKE):
-                    total = float(path_score(model, contexts, hyp).sum())
-                    score_sum_errors.append(abs(total - 1.0))
-            prefix.append(obs)
+        posterior_errors.append(abs(engine.belief.posterior - expected))
     elapsed = time.monotonic() - start
     return posterior_errors, score_sum_errors, elapsed
 
@@ -104,7 +105,7 @@ def test_c1_posterior_oracle_equivalence(oracle_suite):
     _announce("C1", f"200 instances, max |recursive - brute| = {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_c3_path_score_normalization(oracle_suite):
+def test_c3_path_weight_normalization(oracle_suite):
     _, score_sum_errors, _ = oracle_suite
     assert score_sum_errors, "suite produced no multi-path enumerations"
     worst = max(score_sum_errors)
@@ -157,7 +158,7 @@ def test_c4_posterior_martingale():
         stream = subsample(trace, 0.5, derive_seed(seed, i, 2))
         engine = PosteriorEngine(
             REF, graph, 0, PathEnumConfig(max_path_length=CHAIN.max_events + 1),
-            prior=0.5, tables=tables,
+            tables=tables,
         )
         for step, obs in enumerate(stream.observations[:max_step], start=1):
             belief = engine.observe(obs)
@@ -191,7 +192,7 @@ def test_c5_likelihood_divergence():
         for i in range(n_traces):
             trace = sample_trace(None, REF, label, derive_seed(seed, label, i), _chain_growth(length))
             stream = subsample(trace, 1.0, 0)
-            engine = PosteriorEngine(REF, graph, 0, cfg, prior=0.5, tables=tables)
+            engine = PosteriorEngine(REF, graph, 0, cfg, tables=tables)
             for obs in stream.observations:
                 engine.observe(obs)
             assert engine.belief.step == length
@@ -226,7 +227,7 @@ def test_c6_wald_boundary_error_bounds():
         for i in range(n_traces):
             trace = sample_trace(None, REF, label, derive_seed(seed, label, i), _chain_growth(length))
             stream = subsample(trace, 1.0, 0)
-            outcome, _ = run_detection(REF, graph, stream, policy, cfg, prior=0.5)
+            outcome, _ = run_detection(REF, graph, stream, policy, cfg)
             wrong += outcome.verdict != label
         errors[label] = wrong / n_traces
     pe_false_alarm, pe_miss = errors[GENUINE], errors[FAKE]
@@ -267,7 +268,9 @@ def test_c7_threshold_rule_equivalence():
             converged=True,
             sweeps=1,
         )
-        cfg = SprtConfig.from_posterior_thresholds(pi_low, pi_up, prior)
+        # the likelihood-ratio boundaries of the posterior thresholds under the prior odds
+        odds = (1.0 - prior) / prior
+        cfg = SprtConfig(lower=odds * pi_low / (1.0 - pi_low), upper=odds * pi_up / (1.0 - pi_up))
         states = [
             BeliefState(prior=prior, log_lr=x, step=step) for step, x in enumerate(log_lrs)
         ]

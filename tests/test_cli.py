@@ -88,6 +88,17 @@ def test_simulate_label_frequency_tracks_prior(tmp_path):
     assert abs(frac - 0.5) <= 3 * 0.5 / np.sqrt(2000)
 
 
+def test_simulate_prior_applies_to_a_model_file(tmp_path):
+    # --prior replaces the prior_fake of a --model file too, not only of the
+    # built-in model
+    model_path = tmp_path / "model.json"
+    save_model(reference_model(prior_fake=0.5), model_path)
+    assert run_cli("simulate", "--model", model_path, "--prior", 0.9, "--n", 2000, "--seed", 11,
+                   "--max-events", 1, "--out", tmp_path / "sim") == 0
+    traces = read_traces(tmp_path / "sim" / "traces.jsonl")
+    assert abs(sum(t.label for t in traces) / len(traces) - 0.9) <= 0.03
+
+
 def test_simulate_node_ids_disjoint_across_traces(tmp_path):
     assert run_cli("simulate", "--n", 5, "--seed", 1, "--out", tmp_path / "dis") == 0
     traces = read_traces(tmp_path / "dis" / "traces.jsonl")
@@ -349,6 +360,27 @@ def test_detect_fake_stream_verdict(tmp_path, capsys):
     assert record["verdict"] == 1
     assert record["T"] >= 1
     assert (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_detect_starts_from_the_prior_flag(tmp_path, capsys, with_model):
+    graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    model_path = tmp_path / "model.json"
+    save_model(reference_model(prior_fake=0.8), model_path)
+    model_args = ["--model", model_path] if with_model else []
+    for prior, expected in ((None, 0.8 if with_model else 0.5), (0.3, 0.3)):
+        prior_args = [] if prior is None else ["--prior", prior]
+        assert run_cli("detect", *model_args, *prior_args, "--graph", graph_path,
+                       "--stream", stream_path, "--out", tmp_path / "traj.csv") == 0
+        rows = (tmp_path / "traj.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[1] == f"0,,,{expected!r},0.0"
+    capsys.readouterr()
+
+
+def test_thresholds_has_no_prior_flag(capsys):
+    with pytest.raises(SystemExit):
+        run_cli("thresholds", "--prior", 0.3)
+    assert "unrecognized arguments: --prior" in capsys.readouterr().err
 
 
 def test_detect_majority_verdicts_match_labels(tmp_path, capsys):

@@ -11,18 +11,16 @@ from cascaudit.inference import (
     BeliefState,
     ChainTables,
     PosteriorEngine,
+    _distinct_keys,
+    _evidence_keys,
     _log_a,
+    _log_weights,
     _logsumexp,
     _one_log_a,
     _safe_log,
     _update_from_logs,
-    build_path_context,
     build_path_contexts,
-    conditional_obs_prob,
-    path_score,
     posterior_from_log_lr,
-    run_posterior,
-    update,
     write_trajectory,
 )
 from cascaudit.markov import (
@@ -30,7 +28,6 @@ from cascaudit.markov import (
     GENUINE,
     GrowthConfig,
     Observation,
-    ObservationStream,
     SpreadModel,
     reference_model,
     sample_trace,
@@ -63,7 +60,7 @@ def obs(u, v, cls):
 
 def test_uninformative_observation_leaves_belief_unchanged():
     belief = BeliefState(prior=0.37)
-    updated = update(belief, 0.4, 0.4)
+    updated = _update_from_logs(belief, math.log(0.4), math.log(0.4))
     assert updated.posterior == pytest.approx(0.37, abs=1e-12)
     assert updated.log_lr == pytest.approx(0.0, abs=1e-12)
     assert updated.step == 1
@@ -71,7 +68,7 @@ def test_uninformative_observation_leaves_belief_unchanged():
 
 def test_update_direct_evaluation():
     belief = BeliefState(prior=0.5)
-    updated = update(belief, a_genuine=0.2, a_fake=0.8)
+    updated = _update_from_logs(belief, math.log(0.2), math.log(0.8))
     assert updated.posterior == pytest.approx(0.8, abs=1e-12)
 
 
@@ -81,7 +78,7 @@ def test_first_reference_observation_matches_published_curve(ref_model):
     a_fake = float(ref_model.initial_probs[FAKE][3])
     assert a_fake == pytest.approx(0.876, abs=2e-3)
     assert a_genuine == pytest.approx(0.120, abs=2e-3)
-    updated = update(BeliefState(prior=0.5), a_genuine, a_fake)
+    updated = _update_from_logs(BeliefState(prior=0.5), math.log(a_genuine), math.log(a_fake))
     assert updated.posterior == pytest.approx(0.876 / (0.876 + 0.120), abs=1e-3)
     # the corresponding published trajectory point, from unrounded parameters
     assert updated.posterior == pytest.approx(0.8797, abs=1e-3)
@@ -90,10 +87,10 @@ def test_first_reference_observation_matches_published_curve(ref_model):
 def test_update_links_the_previous_belief_instead_of_copying_its_history():
     # an update is O(1): the new state links the old one, and the history is
     # read back along the links; a copied history made a stream quadratic
-    first = update(BeliefState(prior=0.5), 0.2, 0.8)
+    first = _update_from_logs(BeliefState(prior=0.5), math.log(0.2), math.log(0.8))
     belief = first
     for _ in range(19_999):
-        belief = update(belief, 0.4, 0.6)
+        belief = _update_from_logs(belief, math.log(0.4), math.log(0.6))
     assert belief.previous.previous.step == 19_998
     history = belief.history
     assert len(history) == 20_000
@@ -108,7 +105,7 @@ def test_update_links_the_previous_belief_instead_of_copying_its_history():
 
 def test_update_rejects_double_zero():
     with pytest.raises(InvalidEvidenceError):
-        update(BeliefState(prior=0.5), 0.0, 0.0)
+        _update_from_logs(BeliefState(prior=0.5), -math.inf, -math.inf)
 
 
 def test_posterior_log_lr_identity_random_walk():
@@ -116,7 +113,7 @@ def test_posterior_log_lr_identity_random_walk():
     belief = BeliefState(prior=0.3)
     for _ in range(50):
         a0, a1 = rng.uniform(1e-6, 1.0, size=2)
-        belief = update(belief, a0, a1)
+        belief = _update_from_logs(belief, math.log(a0), math.log(a1))
         expected = (belief.prior * math.exp(belief.log_lr)) / (
             belief.prior * math.exp(belief.log_lr) + 1 - belief.prior
         )
@@ -148,7 +145,7 @@ def test_posterior_identity_property(log_lr, prior):
     a_fake=st.floats(min_value=1e-6, max_value=1.0),
 )
 def test_update_moves_posterior_with_evidence_direction(prior, a_genuine, a_fake):
-    updated = update(BeliefState(prior=prior), a_genuine, a_fake)
+    updated = _update_from_logs(BeliefState(prior=prior), math.log(a_genuine), math.log(a_fake))
     if a_fake > a_genuine:
         assert updated.posterior >= prior - 1e-12
     elif a_fake < a_genuine:
@@ -158,15 +155,16 @@ def test_update_moves_posterior_with_evidence_direction(prior, a_genuine, a_fake
 # ---- path contexts and scores ----
 
 
-def test_path_context_positions_and_gaps(demo_graph):
-    paths = enumerate_paths(demo_graph, 1, (6, 14)).paths
-    long_path = next(p for p in paths if len(p) == 3)  # 1 -> 2 -> 6 -> 14
+def test_path_context_positions_and_gaps(ref_model, demo_graph):
+    enumeration = enumerate_paths(demo_graph, 1, (6, 14))
+    at = next(i for i, p in enumerate(enumeration.paths) if len(p) == 3)  # 1 -> 2 -> 6 -> 14
     prefix = [obs(1, 2, 3), obs(7, 16, 0), obs(2, 6, 2)]
-    ctx = build_path_context(long_path, prefix)
-    assert ctx.observed_indices == (0, 2)
-    assert [(e.position, e.cls) for e in ctx.on_path] == [(1, 3), (2, 2)]
-    assert ctx.gap_lengths == (1, 1)
-    assert ctx.last_observed.position == 2
+    [ctx] = build_path_contexts((enumeration.paths[at],), prefix)
+    assert ctx.on_path == ((0, 1, 3), (2, 2, 2))  # (index, position, cls): gaps of one edge
+    # the engine's evidence key of the same path: its depth and (position, cls) pairs
+    engine = PosteriorEngine(ref_model, demo_graph, 1)
+    engine.accepted = prefix
+    assert _evidence_keys(enumeration, engine._by_edge)[at] == (3, ((1, 3), (2, 2)))
 
 
 def test_path_contexts_match_direct_scan_with_repeated_edges():
@@ -190,7 +188,6 @@ def test_path_contexts_match_direct_scan_with_repeated_edges():
         assert [
             [(e.position, e.index, e.cls) for e in ctx.on_path] for ctx in contexts
         ] == expected
-        assert [build_path_context(p, prefix) for p in paths] == contexts
         checked += 1
         repeated += any(
             len({e.position for e in ctx.on_path}) < len(ctx.on_path) for ctx in contexts
@@ -225,7 +222,7 @@ def test_chain_log_tables_equal_logs_of_matrix_powers_bit_for_bit():
     assert zeros > 0
 
 
-def test_keyed_scores_equal_per_path_scores_bit_for_bit(caplog):
+def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
     # the enumeration scorer scores each distinct evidence key once and
     # expands the scores to one entry per path; the per-path reference must
     # agree exactly
@@ -322,79 +319,80 @@ def test_one_candidate_scalar_scoring_equals_the_array_scorer(caplog):
     assert fallbacks >= 50
 
 
-def test_path_score_single_candidate_is_one(ref_model, demo_graph):
-    paths = enumerate_paths(demo_graph, 1, (2, 5)).paths
-    contexts = build_path_contexts(paths, [])
-    scores = path_score(ref_model, contexts, FAKE)
-    np.testing.assert_allclose(scores, [1.0])
+# A path's weight in the mixture: its chain weight (the evidence key of the
+# path, scored once per distinct key) over their log normalizer.
 
 
-def test_path_score_symmetric_paths_split_evenly(ref_model, demo_graph):
-    paths = enumerate_paths(demo_graph, 1, (6, 14)).paths
-    contexts = build_path_contexts(paths, [])  # no prior evidence on either path
-    scores = path_score(ref_model, contexts, FAKE)
-    np.testing.assert_allclose(scores, [0.5, 0.5], atol=1e-12)
-    assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+def test_path_weight_single_candidate_is_one(ref_model, demo_graph):
+    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (2, 5)), {})
+    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys), True)
+    np.testing.assert_allclose(np.exp(log_nums - log_denom), [1.0])
 
 
-def test_path_score_hand_evaluated_two_gap_case():
+def test_path_weights_symmetric_paths_split_evenly(ref_model, demo_graph):
+    # no prior evidence on either path
+    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), {})
+    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys), True)
+    weights = np.exp(log_nums - log_denom)
+    np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_path_weights_hand_evaluated_two_gap_case():
     # two routes to the same edge; the prior observation sits one step before
     # the route end on each, with classes 0 and 0 -> transition rows decide
-    rng = derive_rng(0)
-    model = random_model(rng, 2)
     alpha = np.array([[0.9, 0.1], [0.1, 0.9]])
-    model = type(model)(
+    model = SpreadModel(
         num_classes=2,
         initial_probs=np.array([[0.5, 0.5], [0.5, 0.5]]),
         transition_probs=np.array([alpha, alpha]),
         prior_fake=0.5,
     )
     graph = build_graph([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t"), ("t", "w")])
-    paths = enumerate_paths(graph, "s", ("t", "w")).paths
+    engine = PosteriorEngine(model, graph, "s")
     # path via a: observed (a, t) class 0 ; path via b: observed (b, t) class 1
-    prefix = [obs("s", "a", 0), obs("s", "b", 0), obs("a", "t", 0), obs("b", "t", 1)]
-    contexts = build_path_contexts(paths, prefix)
-    scores = path_score(model, contexts, FAKE)
+    engine.accepted = [obs("s", "a", 0), obs("s", "b", 0), obs("a", "t", 0), obs("b", "t", 1)]
+    keys = _evidence_keys(enumerate_paths(graph, "s", ("t", "w")), engine._by_edge)
+    log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), True)
     # both routes anchor identically (class 0 at depth 1, eta uniform), then
     # one gap each: 0 -> 0 vs 0 -> 1
-    np.testing.assert_allclose(sorted(scores), [0.1, 0.9], atol=1e-12)
+    np.testing.assert_allclose(sorted(np.exp(log_nums - log_denom)), [0.1, 0.9], atol=1e-12)
 
 
-def test_path_score_normalizes_on_random_instances():
+def test_path_weights_normalize_on_random_instances():
     rng = derive_rng(5)
     for _ in range(25):
         graph, edges, model, stream = random_inference_instance(rng)
-        prefix = list(stream.observations[:-1])
         last = stream.observations[-1]
         if last.u == stream.source:
             continue
-        paths = enumerate_paths(graph, stream.source, last.edge).paths
-        contexts = build_path_contexts(paths, prefix)
-        scores = path_score(model, contexts, FAKE)
-        assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+        engine = PosteriorEngine(model, graph, stream.source)
+        engine.accepted = stream.observations[:-1]
+        keys = _evidence_keys(enumerate_paths(graph, stream.source, last.edge), engine._by_edge)
+        log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), True)
+        assert np.exp(log_nums - log_denom).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---- conditional observation probabilities ----
 
 
 def test_source_adjacent_probability_is_initial_row(ref_model, demo_graph):
-    got_fake = conditional_obs_prob(ref_model, 1, demo_graph, [], obs(1, 2, 3), hyp=FAKE)
-    got_genuine = conditional_obs_prob(ref_model, 1, demo_graph, [], obs(1, 2, 3), hyp=GENUINE)
-    assert got_fake == pytest.approx(0.876, abs=2e-3)
-    assert got_genuine == pytest.approx(0.120, abs=2e-3)
+    log_a = PosteriorEngine(ref_model, demo_graph, 1).log_conditionals(obs(1, 2, 3))
+    assert math.exp(log_a[FAKE]) == pytest.approx(0.876, abs=2e-3)
+    assert math.exp(log_a[GENUINE]) == pytest.approx(0.120, abs=2e-3)
 
 
 def test_single_path_gap_one_collapses_to_transition(ref_model):
-    graph = build_chain_graph(3)  # 0 -> 1 -> 2 -> 3
-    prefix = [obs(0, 1, 3), obs(1, 2, 2)]
-    got = conditional_obs_prob(ref_model, 0, graph, prefix, obs(2, 3, 0), hyp=FAKE)
+    engine = PosteriorEngine(ref_model, build_chain_graph(3), 0)  # 0 -> 1 -> 2 -> 3
+    engine.accepted = [obs(0, 1, 3), obs(1, 2, 2)]
+    got = math.exp(engine.log_conditionals(obs(2, 3, 0))[FAKE])
     assert got == pytest.approx(float(ref_model.transition_probs[FAKE][2][0]), abs=1e-15)
 
 
 def test_single_path_gap_two_uses_two_step_power(ref_model):
-    graph = build_chain_graph(3)
-    prefix = [obs(0, 1, 3)]  # the middle edge is unobserved
-    got = conditional_obs_prob(ref_model, 0, graph, prefix, obs(2, 3, 3), hyp=FAKE)
+    engine = PosteriorEngine(ref_model, build_chain_graph(3), 0)
+    engine.accepted = [obs(0, 1, 3)]  # the middle edge is unobserved
+    got = math.exp(engine.log_conditionals(obs(2, 3, 3))[FAKE])
     expected = float(np.linalg.matrix_power(ref_model.transition_probs[FAKE], 2)[3][3])
     assert got == pytest.approx(expected, abs=1e-15)
 
@@ -402,8 +400,10 @@ def test_single_path_gap_two_uses_two_step_power(ref_model):
 def test_diamond_matches_brute_force(diamond_graph, ref_model):
     prefix = [obs("s", "a", 3), obs("a", "t", 2)]
     target = obs("t", "w", 1)
+    engine = PosteriorEngine(ref_model, diamond_graph, "s")
+    engine.accepted = prefix
+    log_a = engine.log_conditionals(target)
     for hyp in (GENUINE, FAKE):
-        got = conditional_obs_prob(ref_model, "s", diamond_graph, prefix, target, hyp=hyp)
         expected = conditional_prob_brute(
             ref_model.initial_probs[hyp].tolist(),
             ref_model.transition_probs[hyp].tolist(),
@@ -413,35 +413,35 @@ def test_diamond_matches_brute_force(diamond_graph, ref_model):
             target,
             max_len=8,
         )
-        assert got == pytest.approx(expected, abs=1e-9)
+        assert math.exp(log_a[hyp]) == pytest.approx(expected, abs=1e-9)
 
 
-def test_conditional_obs_prob_sums_to_one(ref_model, demo_graph):
-    prefix = [obs(1, 2, 3), obs(1, 6, 0)]
-    total = sum(
-        conditional_obs_prob(ref_model, 1, demo_graph, prefix, obs(6, 14, cls), hyp=FAKE)
-        for cls in range(4)
-    )
-    assert total == pytest.approx(1.0, abs=1e-12)
+def test_conditional_probabilities_sum_to_one(ref_model, demo_graph):
+    engine = PosteriorEngine(ref_model, demo_graph, 1)
+    engine.accepted = [obs(1, 2, 3), obs(1, 6, 0)]
+    logs = [engine.log_conditionals(obs(6, 14, cls)) for cls in range(4)]
+    for hyp in (GENUINE, FAKE):
+        assert sum(math.exp(log_a[hyp]) for log_a in logs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unreachable_observation_raises(ref_model):
     graph = build_graph([(0, 1), (2, 3)])
     with pytest.raises(UnreachableObservationError):
-        conditional_obs_prob(ref_model, 0, graph, [], obs(2, 3, 0), hyp=FAKE)
+        PosteriorEngine(ref_model, graph, 0).log_conditionals(obs(2, 3, 0))
 
 
 def test_anchoring_flag_changes_scores(ref_model, demo_graph):
     # one candidate route carries a prior observation, the other does not;
     # with anchoring disabled the unobserved route keeps the empty product 1
-    paths = enumerate_paths(demo_graph, 1, (6, 14)).paths
-    prefix = [obs(1, 2, 3), obs(2, 6, 3)]
-    contexts = build_path_contexts(paths, prefix)
-    anchored = path_score(ref_model, contexts, FAKE, anchor=True)
-    literal = path_score(ref_model, contexts, FAKE, anchor=False)
-    assert anchored.sum() == pytest.approx(1.0, abs=1e-12)
-    assert literal.sum() == pytest.approx(1.0, abs=1e-12)
-    assert not np.allclose(anchored, literal)
+    engine = PosteriorEngine(ref_model, demo_graph, 1)
+    engine.accepted = [obs(1, 2, 3), obs(2, 6, 3)]
+    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), engine._by_edge)
+    weights = {}
+    for anchor in (True, False):
+        log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), anchor)
+        weights[anchor] = np.exp(log_nums - log_denom)
+        assert weights[anchor].sum() == pytest.approx(1.0, abs=1e-12)
+    assert not np.allclose(weights[True], weights[False])
 
 
 # ---- full posterior runs ----
@@ -449,18 +449,17 @@ def test_anchoring_flag_changes_scores(ref_model, demo_graph):
 
 def test_all_unreachable_observations_keep_prior(ref_model):
     graph = build_graph([(0, 1), (5, 6), (6, 7)])
-    stream = ObservationStream(source=0, observations=(obs(5, 6, 1), obs(6, 7, 2)))
-    run = run_posterior(ref_model, graph, stream, on_unreachable="skip")
-    assert run.skipped == (0, 1)
-    assert run.belief.posterior == ref_model.prior_fake
-    assert run.trajectory() == [ref_model.prior_fake]
+    engine = PosteriorEngine(ref_model, graph, 0)
+    *_, belief = engine.beliefs((obs(5, 6, 1), obs(6, 7, 2)), on_unreachable="skip")
+    assert engine.skipped == [0, 1]
+    assert belief.posterior == ref_model.prior_fake
+    assert belief.trajectory() == [ref_model.prior_fake]
 
 
 def test_unreachable_fail_policy_raises(ref_model):
-    graph = build_graph([(0, 1), (5, 6)])
-    stream = ObservationStream(source=0, observations=(obs(5, 6, 1),))
+    engine = PosteriorEngine(ref_model, build_graph([(0, 1), (5, 6)]), 0)
     with pytest.raises(UnreachableObservationError):
-        run_posterior(ref_model, graph, stream, on_unreachable="fail")
+        list(engine.beliefs((obs(5, 6, 1),), on_unreachable="fail"))
 
 
 def test_recursive_posterior_matches_brute_force_small_instances():
@@ -468,11 +467,12 @@ def test_recursive_posterior_matches_brute_force_small_instances():
     for _ in range(25):
         graph, edges, model, stream = random_inference_instance(rng)
         cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=100000)
-        run = run_posterior(model, graph, stream, cfg=cfg, on_unreachable="fail")
+        engine = PosteriorEngine(model, graph, stream.source, cfg)
+        *_, belief = engine.beliefs(stream.observations, on_unreachable="fail")
         expected = posterior_brute(
             model, edges, stream.source, stream.observations, graph.node_count
         )
-        assert run.belief.posterior == pytest.approx(expected, abs=1e-9)
+        assert belief.posterior == pytest.approx(expected, abs=1e-9)
 
 
 def test_unanchored_variant_also_matches_brute_force():
@@ -480,11 +480,12 @@ def test_unanchored_variant_also_matches_brute_force():
     for _ in range(10):
         graph, edges, model, stream = random_inference_instance(rng)
         cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=100000)
-        run = run_posterior(model, graph, stream, cfg=cfg, on_unreachable="fail", anchor=False)
+        engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=False)
+        *_, belief = engine.beliefs(stream.observations, on_unreachable="fail")
         expected = posterior_brute(
             model, edges, stream.source, stream.observations, graph.node_count, anchor=False
         )
-        assert run.belief.posterior == pytest.approx(expected, abs=1e-9)
+        assert belief.posterior == pytest.approx(expected, abs=1e-9)
 
 
 def test_six_observation_demo_layout_matches_brute_force(ref_model, demo_graph):
@@ -496,20 +497,19 @@ def test_six_observation_demo_layout_matches_brute_force(ref_model, demo_graph):
         obs(4, 24, 2),
         obs(6, 14, 3),
     )
-    stream = ObservationStream(source=1, observations=observations)
-    run = run_posterior(ref_model, demo_graph, stream, on_unreachable="fail")
+    engine = PosteriorEngine(ref_model, demo_graph, 1)
+    *_, belief = engine.beliefs(observations, on_unreachable="fail")
     expected = posterior_brute(ref_model, demo_graph.edges(), 1, observations, 8)
-    assert run.belief.posterior == pytest.approx(expected, abs=1e-9)
+    assert belief.posterior == pytest.approx(expected, abs=1e-9)
 
 
 def test_engine_streaming_matches_batch(ref_model, demo_graph):
     observations = (obs(1, 2, 3), obs(2, 6, 3), obs(6, 14, 3))
-    stream = ObservationStream(source=1, observations=observations)
     engine = PosteriorEngine(ref_model, demo_graph, 1)
-    for o in observations:
-        engine.observe(o)
-    run = run_posterior(ref_model, demo_graph, stream)
-    assert engine.belief == run.belief
+    streamed = [engine.observe(o) for o in observations]
+    batch = list(PosteriorEngine(ref_model, demo_graph, 1).beliefs(observations))
+    assert batch[1:] == streamed
+    assert batch[-1].history == engine.belief.history
 
 
 def test_fake_trees_push_posterior_high_quickly(ref_model):
@@ -522,28 +522,25 @@ def test_fake_trees_push_posterior_high_quickly(ref_model):
     n = 200
     for seed in range(n):
         trace = sample_trace(None, ref_model, FAKE, seed=seed, growth=growth)
-        graph = trace.implied_graph()
         stream = subsample(trace, 1.0, seed=seed)
-        run = run_posterior(ref_model, graph, stream, on_unreachable="fail", prior=0.5)
-        if run.trajectory()[8] > 0.99:
+        engine = PosteriorEngine(ref_model, trace.implied_graph(), stream.source)
+        *_, belief = engine.beliefs(stream.observations, on_unreachable="fail")
+        if belief.trajectory()[8] > 0.99:
             high += 1
     assert high / n >= 0.9
 
 
 def test_trajectory_export(tmp_path, ref_model):
-    graph = build_chain_graph(4)
-    stream = ObservationStream(
-        source=0, observations=(obs(0, 1, 3), obs(2, 3, 3))
-    )
-    run = run_posterior(ref_model, graph, stream)
+    engine = PosteriorEngine(ref_model, build_chain_graph(4), 0)
+    *_, belief = engine.beliefs((obs(0, 1, 3), obs(2, 3, 3)))
     out = tmp_path / "trajectory.csv"
-    write_trajectory(run.belief, out)
+    write_trajectory(belief, out)
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "step,a0,a1,posterior,log_lr"
     assert lines[1].startswith("0,,,")
     assert len(lines) == 4
     final = lines[-1].split(",")
-    assert float(final[3]) == pytest.approx(run.belief.posterior, abs=1e-15)
+    assert float(final[3]) == pytest.approx(belief.posterior, abs=1e-15)
 
 
 # ---- log-sum-exp ----

@@ -27,7 +27,6 @@ from cascaudit.markov import (
     sample_trace,
     save_model,
     subsample,
-    validate_model,
     write_stream,
     write_traces,
 )
@@ -140,10 +139,9 @@ def test_raw_reference_tables_need_renormalization():
         "alpha1": REFERENCE_TRANSITIONS_FAKE,
         "prior_fake": 0.5,
     }
-    diagnostics = validate_model(raw)
-    assert not diagnostics.ok
-    assert any("sums to" in issue for issue in diagnostics.issues)
-    assert validate_model(reference_model()).ok
+    with pytest.raises(ModelError, match="sums to"):
+        SpreadModel.from_dict(raw)
+    SpreadModel.from_dict(reference_model().to_dict())  # the renormalized rows pass
 
 
 def test_validate_model_rejects_non_finite_parameters():
@@ -158,9 +156,8 @@ def test_validate_model_rejects_non_finite_parameters():
             SpreadModel(num_classes=2, initial_probs=bad_eta, transition_probs=bad_alpha)
     raw = {"Z": 2, "eta0": [0.5, 0.5], "eta1": [0.5, 0.5],
            "alpha0": [[0.5, 0.5], [0.5, 0.5]], "alpha1": [[np.inf, 0.5], [0.5, 0.5]]}
-    diagnostics = validate_model(raw)
-    assert not diagnostics.ok
-    assert any("finite" in issue for issue in diagnostics.issues)
+    with pytest.raises(ModelError, match="initial and transition probabilities must be finite"):
+        SpreadModel.from_dict(raw)
 
 
 def test_validate_model_names_negative_cell():
@@ -171,9 +168,8 @@ def test_validate_model_names_negative_cell():
         "alpha0": [[1.1, -0.1], [0.5, 0.5]],
         "alpha1": [[0.5, 0.5], [0.5, 0.5]],
     }
-    diagnostics = validate_model(raw)
-    assert not diagnostics.ok
-    assert any("[0][0][1]" in issue and "negative" in issue for issue in diagnostics.issues)
+    with pytest.raises(ModelError, match=r"transition_probs\[0\]\[0\]\[1\] is negative"):
+        SpreadModel.from_dict(raw)
 
 
 def test_validate_model_flags_short_row():
@@ -184,8 +180,8 @@ def test_validate_model_flags_short_row():
         "alpha0": [[0.5, 0.5], [0.5, 0.5]],
         "alpha1": [[0.5, 0.5], [0.5, 0.5]],
     }
-    diagnostics = validate_model(raw)
-    assert any("initial row 0 sums to 0.9" in issue for issue in diagnostics.issues)
+    with pytest.raises(ModelError, match="initial row 0 sums to 0.9"):
+        SpreadModel.from_dict(raw)
 
 
 def test_spread_model_rejects_bad_rows():

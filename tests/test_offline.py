@@ -340,5 +340,3 @@ def test_build_spread_model_fills_unseen_rows():
     model = build_spread_model(eta, alpha, prior_fake=0.5)
     assert isinstance(model, SpreadModel)
     np.testing.assert_allclose(model.transition_probs[FAKE][1], 0.25)
-    with pytest.raises(EstimationError, match="never observed"):
-        build_spread_model(eta, alpha, prior_fake=0.5, fill_unseen="error")

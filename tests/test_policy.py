@@ -401,7 +401,8 @@ def test_dp_and_sprt_rules_agree_on_random_trajectories():
             log_lrs.append(log_lrs[-1] + float(rng.normal(0.0, 0.8)))
         posts = [posterior_from_log_lr(x, prior) for x in log_lrs]
         table = table_with(pi_low, pi_up)
-        cfg = SprtConfig.from_posterior_thresholds(pi_low, pi_up, prior)
+        odds = (1.0 - prior) / prior  # the thresholds' likelihood ratios under the prior odds
+        cfg = SprtConfig(lower=odds * pi_low / (1.0 - pi_low), upper=odds * pi_up / (1.0 - pi_up))
         trajectory = states(posts, log_lrs)
         dp = decide(DpThresholdPolicy(table), trajectory)
         sprt = decide(SprtPolicy(cfg, table.costs), trajectory)
@@ -409,7 +410,8 @@ def test_dp_and_sprt_rules_agree_on_random_trajectories():
 
 
 def test_posterior_threshold_transform_matches_identity():
-    cfg = SprtConfig.from_posterior_thresholds(0.3, 0.8, prior=0.5)
+    # at prior 0.5 the prior odds are 1, so each boundary is its threshold's odds
+    cfg = SprtConfig(lower=0.3 / (1.0 - 0.3), upper=0.8 / (1.0 - 0.8))
     # the posterior of a likelihood ratio sitting exactly on a boundary is the
     # corresponding posterior threshold
     assert posterior_from_log_lr(math.log(cfg.lower), 0.5) == pytest.approx(0.3, abs=1e-12)
