@@ -50,20 +50,19 @@ from cascaudit.policy import (
     CostSpec,
     DecisionOutcome,
     DpThresholdPolicy,
-    SprtConfig,
     SprtPolicy,
     ThresholdTable,
     bayes_verdict,
     run_detection,
     single_step_outcomes,
     solve_thresholds,
+    wald_bounds,
 )
 from cascaudit.rng import derive_rng, derive_seed
 
 if TYPE_CHECKING:
     from cascaudit.offline import (
         TrainingConfig,
-        TrainingCorpus,
         build_spread_model,
         classify_graph_edges,
         estimate_alpha,
@@ -74,8 +73,8 @@ if TYPE_CHECKING:
 # Only ``train`` uses cascaudit.offline, so no other command imports it: these
 # names are bound into this module on first use, by ``cmd_train`` or by an
 # attribute lookup, and stay replaceable here like the names imported above.
-_OFFLINE_NAMES = ("TrainingConfig", "TrainingCorpus", "build_spread_model",
-                  "classify_graph_edges", "estimate_alpha", "estimate_eta", "train_classifier")
+_OFFLINE_NAMES = ("TrainingConfig", "build_spread_model", "classify_graph_edges",
+                  "estimate_alpha", "estimate_eta", "train_classifier")
 
 
 def _bind_offline() -> None:
@@ -132,8 +131,7 @@ def _make_policy(args, model: SpreadModel, costs: CostSpec):
             threshold = costs.decision_ratio
         return ConvergencePolicy(epsilon=args.epsilon, threshold=threshold), None
     if args.policy == "sprt":
-        cfg = SprtConfig.from_error_targets(args.wald_p, args.wald_q)
-        return SprtPolicy(cfg, costs), None
+        return SprtPolicy(*wald_bounds(args.wald_p, args.wald_q), costs), None
     if args.threshold_table:
         table = ThresholdTable.load(args.threshold_table)
     else:
@@ -310,8 +308,7 @@ def cmd_train(args) -> int:
     graph = None
     if args.graph:
         graph = load_graph(args.graph, args.features)
-    corpus = TrainingCorpus(traces=tuple(traces), graph=graph)
-    if not corpus.has_both_labels():
+    if not {GENUINE, FAKE} <= {t.label for t in traces}:
         raise DegenerateDataError("training needs both genuine and fake traces")
 
     classes = {ev.cls for trace in traces for ev in trace.events}
@@ -322,17 +319,14 @@ def cmd_train(args) -> int:
     classifier = None
     class_map = None
     if graph is not None and args.features:
-        classifier = train_classifier(
-            corpus,
-            TrainingConfig(
-                seed=args.seed,
-                epochs=args.epochs,
-                learning_rate=args.learning_rate,
-                l2=args.l2,
-                standardize=args.standardize,
-            ),
+        config = TrainingConfig(
+            seed=args.seed,
+            epochs=args.epochs,
+            learning_rate=args.learning_rate,
+            l2=args.l2,
+            standardize=args.standardize,
         )
-        classifier = classifier._replace(num_classes=args.zclasses)
+        classifier = train_classifier(traces, graph, config, args.zclasses)
         if not have_recorded:  # the classifier's classes serve only unclassified corpora
             class_map = classify_graph_edges(classifier, graph)
 
@@ -343,8 +337,8 @@ def cmd_train(args) -> int:
 
     labels = [t.label for t in traces]
     prior = sum(1 for lab in labels if lab == FAKE) / len(labels)
-    eta = estimate_eta(corpus, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
-    alpha = estimate_alpha(corpus, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
+    eta = estimate_eta(traces, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
+    alpha = estimate_alpha(traces, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
     model = build_spread_model(eta, alpha, prior_fake=prior)
     save_model(model, args.out, classifier=classifier.to_dict() if classifier else None)
     print(f"wrote model to {args.out} (prior_fake={prior!r})")

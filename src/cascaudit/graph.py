@@ -22,9 +22,7 @@ them lazily per ``(source, u, length)``, and each target drops the prefixes
 that pass through its own ``v``.  The search is pruned by walk-length
 bitmasks held only for the ball of radius ``max_path_length - 1`` around
 ``u``.  A prefix carries its vertex and edge tuples, built once by the search,
-and an enumeration holds its candidates as prefixes plus the target edge; the
-:class:`DirectedPath` objects of :attr:`PathEnumeration.paths` are built only
-when first read.
+and an enumeration holds its candidates as prefixes plus the target edge.
 On an acyclic graph where a node has two followees, :func:`forward_ball`
 lays out all walks from the source within the path bound by depth instead,
 once per ``(source, max_path_length)``, for the engine's forward recursion,
@@ -37,9 +35,8 @@ concurrently.
 from __future__ import annotations
 
 from copy import copy
-from functools import cached_property
 from itertools import chain, tee
-from typing import Hashable, Iterator, NamedTuple, Optional, Sequence
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,24 +49,6 @@ Edge = tuple  # (u, v) in original ids
 def _id_key(node_id: NodeId) -> tuple:
     """Total-order sort key for node ids that may mix ints and strings."""
     return (isinstance(node_id, str), node_id)
-
-
-class DirectedPath(Record):
-    """A simple directed path, held as its vertex sequence; ``edges`` is
-    derived from it once, at construction."""
-
-    _fields = ("vertices",)
-
-    def __init__(self, vertices: tuple):
-        if len(vertices) < 2:
-            raise GraphError("a path needs at least one edge")
-        if len(set(vertices)) != len(vertices):
-            raise GraphError(f"path revisits a vertex: {vertices!r}")
-        self.__dict__.update(vertices=vertices, edges=tuple(zip(vertices[:-1], vertices[1:])))
-
-    def __len__(self) -> int:
-        """Length in edges."""
-        return len(self.vertices) - 1
 
 
 class PathEnumConfig(Record):
@@ -105,15 +84,6 @@ class PathEnumeration(Record):
 
     def __init__(self, prefixes: tuple, target_edge: tuple, truncated: bool = False):
         self.__dict__.update(prefixes=prefixes, target_edge=target_edge, truncated=truncated)
-
-    @cached_property
-    def paths(self) -> tuple:
-        """The candidates as :class:`DirectedPath` objects, built on first read."""
-        v = self.target_edge[1]
-        return tuple(DirectedPath(prefix.vertices + (v,)) for prefix in self.prefixes)
-
-    def __iter__(self) -> Iterator[DirectedPath]:
-        return iter(self.paths)
 
     def __len__(self) -> int:
         return len(self.prefixes)
@@ -211,6 +181,7 @@ class SocialGraph:
         Built by ``max_path_length - 1`` reverse frontier steps, so the memo
         holds only the ball of that radius around ``target``.  Every simple
         path is a walk, so an unset bit is an admissible pruning bound.
+        :func:`enumerate_paths` passes a bound of at most ``node_count - 1``.
         """
         key = (target, max_path_length)
         masks = self._mask_cache.get(key)
@@ -254,24 +225,26 @@ def enumerate_paths(
     more than ``cfg.max_paths`` paths exist within the depth bound, the
     shortest paths (ties broken lexicographically) are kept and the result is
     flagged as truncated.  An unreachable target yields an empty result, not
-    an error.
+    an error.  No simple path has more than ``node_count - 1`` edges, so the
+    depth bound is clamped to that.
     """
     u, v = target_edge
     if not graph.has_node(source):
         raise GraphError(f"source {source!r} is not a node")
     if not graph.has_edge(u, v):
         raise GraphError(f"target edge {target_edge!r} is not in the graph")
+    max_path_length = min(cfg.max_path_length, graph.node_count - 1)
 
     found: list = []
     truncated = False
     if graph._shape() == "single":
-        found = _followee_chain(graph._pred, source, u, v, cfg.max_path_length)
+        found = _followee_chain(graph._pred, source, u, v, max_path_length)
     elif v != source:  # a simple path cannot return to its own source
-        masks = graph._walk_masks(u, cfg.max_path_length)
+        masks = graph._walk_masks(u, max_path_length)
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
         # path set.  A prefix length with no walk from the source is skipped.
-        for length in range(cfg.max_path_length):
+        for length in range(max_path_length):
             if not masks.get(source, 0) >> length & 1:
                 continue
             for prefix in _prefixes(graph, masks, source, u, length):
@@ -332,7 +305,10 @@ def forward_ball(graph: SocialGraph, source: NodeId, max_path_length: int):
     """The memoized :class:`ForwardBall` of radius ``max_path_length - 1``
     around ``source``, or None unless the graph is acyclic with a node of two
     followees (then a missing source errors as in enumerate_paths).  The
-    memo holds only balls of a DAG's nodes, so a hit needs no other check."""
+    memo holds only balls of a DAG's nodes, so a hit needs no other check.
+    The bound is clamped to ``node_count - 1``, the most edges of any walk
+    on a DAG."""
+    max_path_length = min(max_path_length, graph.node_count - 1)
     key = (source, max_path_length)
     ball = graph._ball_cache.get(key)
     if ball is not None:

@@ -53,7 +53,6 @@ from cascaudit.errors import (
     log,
 )
 from cascaudit.graph import (
-    DirectedPath,
     PathEnumConfig,
     PathEnumeration,
     SocialGraph,
@@ -183,12 +182,13 @@ class PathContext(NamedTuple):
     """A candidate path together with the previous observations lying on it,
     sorted by position along the path."""
 
-    path: DirectedPath
+    path: object  # any path with an ``edges`` tuple, such as a Prefix
     on_path: tuple
 
 
 def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> list:
-    """One :class:`PathContext` per path.
+    """One :class:`PathContext` per path; a path is anything whose ``edges``
+    lists its edges from the source on.
 
     The prior observations are indexed once by edge, in stream order; each
     path then looks up its own edges in order, so its entries come out sorted
@@ -241,13 +241,7 @@ class ChainTables:
         """log P(class moves frm -> to across k edges); k = 0 is the identity."""
         table = self._log_gaps.get((hyp, k))
         if table is None:
-            if k == 0:
-                mat = np.eye(self.model.num_classes)
-            elif k == 1:
-                mat = self.model.transition_probs[hyp]
-            else:
-                mat = self.power(hyp, k)
-            table = [[_safe_log(float(x)) for x in row] for row in mat]
+            table = [[_safe_log(float(x)) for x in row] for row in self.power(hyp, k)]
             self._log_gaps[(hyp, k)] = table
         return table[frm][to]
 

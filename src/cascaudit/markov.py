@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections import deque
 from functools import partial
 from itertools import chain
 from operator import itemgetter
@@ -320,56 +321,43 @@ def sample_trace(
         cum = eta_cum if in_class is None else alpha_cum[in_class]
         return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
 
-    events = []
-    infecting_edge = {}  # node -> edge it was infected through (None for source)
     if graph is None:
-        source = growth.id_base
-        next_id = growth.id_base + 1
-        infecting_edge[source] = None
-        # frontier entries: (node, class of the edge that infected it)
-        frontier = [(source, None)]
-        while frontier and len(events) < growth.max_events:
-            node, in_class = frontier.pop(0)
-            k = _child_count(rng, growth)
-            if in_class is None:
-                k = max(k, 1)
-            k = min(k, growth.max_events - len(events))
-            for _ in range(k):
-                child = next_id
-                next_id += 1
-                cls = draw_class(in_class)
-                edge = (node, child)
-                events.append(TraceEvent(edge=edge, cls=cls, parent_edge=infecting_edge[node]))
-                infecting_edge[child] = edge
-                frontier.append((child, cls))
-    else:
-        if source is None or not graph.has_node(source):
-            raise TraceError(f"source {source!r} is not a graph node")
-        infected = {source}
-        infecting_edge[source] = None
-        frontier = [(source, None)]
-        while frontier and len(events) < growth.max_events:
-            node, in_class = frontier.pop(0)
-            candidates = [w for w in graph.followers(node) if w not in infected]
+        source = last_id = growth.id_base
+    elif source is None or not graph.has_node(source):
+        raise TraceError(f"source {source!r} is not a graph node")
+    events = []
+    infecting_edge = {source: None}  # infected node -> edge it was infected through
+    frontier = deque([(source, None)])  # (node, class of the edge that infected it)
+    while frontier and len(events) < growth.max_events:
+        node, in_class = frontier.popleft()
+        if graph is not None:
+            candidates = [w for w in graph.followers(node) if w not in infecting_edge]
             if not candidates:
-                if in_class is None and not events:
+                if in_class is None:
                     raise TraceError(f"source {source!r} has no uninfected followers")
                 continue
-            k = _child_count(rng, growth)
-            if in_class is None:
-                k = max(k, 1)
-            k = min(k, len(candidates), growth.max_events - len(events))
-            chosen = [candidates[i] for i in rng.permutation(len(candidates))[:k]]
-            for child in chosen:
-                cls = draw_class(in_class)
-                edge = (node, child)
-                infected.add(child)
-                events.append(TraceEvent(edge=edge, cls=cls, parent_edge=infecting_edge[node]))
-                infecting_edge[child] = edge
-                frontier.append((child, cls))
-    if not events:
-        raise TraceError("simulation produced no events")
+        k = _child_count(rng, growth)
+        if in_class is None:
+            k = max(k, 1)
+        k = min(k, growth.max_events - len(events))
+        if graph is None:  # a tree: every child is a new node
+            children = range(last_id + 1, last_id + k + 1)
+            last_id += k
+        else:
+            k = min(k, len(candidates))
+            children = [candidates[i] for i in rng.permutation(len(candidates))[:k]]
+        for child in children:
+            cls = draw_class(in_class)
+            edge = (node, child)
+            events.append(TraceEvent(edge=edge, cls=cls, parent_edge=infecting_edge[node]))
+            infecting_edge[child] = edge
+            frontier.append((child, cls))
     return Trace(label=label, source=source, events=tuple(events))
+
+
+# Draws of the keep mask per trace: a keep fraction of 0.001 on a one-event
+# trace exhausts them with probability 0.999^100000, below 4e-44.
+MAX_SUBSAMPLE_DRAWS = 100_000
 
 
 def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStream:
@@ -377,7 +365,8 @@ def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStrea
 
     Relative order is preserved and parent pointers are dropped: the detector
     must reconstruct lineage itself.  An all-dropped draw is redrawn so the
-    stream is never empty.  Every event must carry a class.
+    stream is never empty, at most :data:`MAX_SUBSAMPLE_DRAWS` times in all,
+    after which :class:`TraceError` is raised.  Every event must carry a class.
     """
     if not trace.events:
         raise TraceError("cannot subsample an empty trace")
@@ -386,10 +375,13 @@ def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStrea
     if any(ev.cls is None for ev in trace.events):
         raise TraceError("cannot subsample a trace with unclassified events")
     rng = derive_rng(seed)
-    while True:
+    for _ in range(MAX_SUBSAMPLE_DRAWS):
         mask = rng.random(len(trace.events)) < keep_fraction
         if mask.any():
             break
+    else:
+        raise TraceError(f"rho {keep_fraction!r} kept no event of a {len(trace.events)}-event "
+                         f"trace in {MAX_SUBSAMPLE_DRAWS} draws")
     observations = tuple(
         Observation(u=ev.edge[0], v=ev.edge[1], cls=int(ev.cls))
         for ev, keep in zip(trace.events, mask.tolist())
@@ -413,7 +405,10 @@ def save_model(model: SpreadModel, path, classifier: Optional[dict] = None) -> N
 
 def load_model(path) -> tuple:
     """Read a model file; returns (SpreadModel, classifier section or None)."""
-    data = json.loads(read_text(path, ModelError))
+    try:
+        data = json.loads(read_text(path, ModelError))
+    except RecursionError:
+        raise ModelError(f"{path}: model file is nested too deeply to parse") from None
     return SpreadModel.from_dict(data), data.get("classifier")
 
 
@@ -541,7 +536,7 @@ def _parse_traces(path) -> list:
                     events=events,
                 )
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc
     return traces
 
@@ -570,5 +565,5 @@ def read_stream(path) -> ObservationStream:
         observations = tuple(map(_observation_from_json, record["observations"]))
         source = _node_from_json(record["source"])
         return ObservationStream(source=source, observations=observations)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise TraceError(f"{path}: bad observation stream: {exc}") from exc

@@ -23,26 +23,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from cascaudit.errors import WARNING, DegenerateDataError, EstimationError, Record, TraceError, log
+from cascaudit.errors import WARNING, DegenerateDataError, EstimationError, TraceError, log
 from cascaudit.graph import SocialGraph
 from cascaudit.markov import FAKE, GENUINE, SpreadModel, Trace
 from cascaudit.rng import derive_rng
-
-
-class TrainingCorpus(Record):
-    """Labeled cascades plus the graph carrying user features."""
-
-    _fields = ("traces", "graph")
-
-    def __init__(self, traces: tuple, graph: Optional[SocialGraph] = None):
-        self.__dict__.update(traces=tuple(traces), graph=graph)
-
-    def labels(self) -> list:
-        return [trace.label for trace in self.traces]
-
-    def has_both_labels(self) -> bool:
-        labels = set(self.labels())
-        return GENUINE in labels and FAKE in labels
 
 
 class TrainingConfig(NamedTuple):
@@ -147,8 +131,11 @@ def build_trace_feature(trace: Trace, graph: SocialGraph) -> np.ndarray:
 
 # overflow is checked once, on the fitted classifier, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore")
-def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClassifier:
-    """Fit the linear edge scorer on per-trace features.
+def train_classifier(traces, graph: SocialGraph, config: TrainingConfig,
+                     num_classes: int) -> EdgeClassifier:
+    """Fit the linear edge scorer on the per-trace features of the labeled
+    ``traces`` over the featured ``graph``, binning scores into
+    ``num_classes`` classes.
 
     Minimizes the L2-regularized hinge loss by per-sample subgradient steps
     (epoch-indexed 1/t decay on the learning rate), then calibrates margins so
@@ -156,12 +143,10 @@ def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClas
     :class:`EstimationError` when the weights, the bias or the calibration
     span is not finite, as huge features or a huge learning rate make them.
     """
-    if corpus.graph is None:
-        raise DegenerateDataError("classifier training needs a graph with features")
-    if not corpus.has_both_labels():
+    if not {GENUINE, FAKE} <= {t.label for t in traces}:
         raise DegenerateDataError("classifier training needs both labels present")
-    features = np.stack([build_trace_feature(t, corpus.graph) for t in corpus.traces])
-    labels = np.array([1.0 if t.label == FAKE else -1.0 for t in corpus.traces])
+    features = np.stack([build_trace_feature(t, graph) for t in traces])
+    labels = np.array([1.0 if t.label == FAKE else -1.0 for t in traces])
 
     mean = scale = None
     if config.standardize:
@@ -199,7 +184,7 @@ def train_classifier(corpus: TrainingCorpus, config: TrainingConfig) -> EdgeClas
         bias=bias,
         cal_low=cal_low,
         cal_high=cal_high,
-        num_classes=_infer_num_classes(corpus),
+        num_classes=num_classes,
         feature_mean=mean,
         feature_scale=scale,
     )
@@ -223,13 +208,6 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     a, b, t = float(ordered[below]), float(ordered[above]), index - below
     value = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
     return float(ordered[-1]) if math.isnan(ordered[-1]) else value
-
-
-def _infer_num_classes(corpus: TrainingCorpus) -> int:
-    observed = [
-        ev.cls for trace in corpus.traces for ev in trace.events if ev.cls is not None
-    ]
-    return max(observed) + 1 if observed else 4
 
 
 def classify_graph_edges(classifier: EdgeClassifier, graph: SocialGraph) -> dict:
@@ -261,7 +239,7 @@ def _checked_label(trace) -> int:
 
 
 def estimate_eta(
-    corpus: TrainingCorpus,
+    traces,
     num_classes: int,
     edge_classes: Optional[dict] = None,
     smoothing: bool = False,
@@ -269,7 +247,7 @@ def estimate_eta(
     """Initial-probability estimates: class frequencies of source-adjacent
     edges, separately per label.  ``smoothing`` adds one to every count."""
     counts = np.zeros((2, num_classes))
-    for trace in corpus.traces:
+    for trace in traces:
         label = _checked_label(trace)
         for ev in trace.events:
             if ev.edge[0] == trace.source:
@@ -286,7 +264,7 @@ def estimate_eta(
 
 
 def estimate_alpha(
-    corpus: TrainingCorpus,
+    traces,
     num_classes: int,
     edge_classes: Optional[dict] = None,
     smoothing: bool = False,
@@ -298,7 +276,7 @@ def estimate_alpha(
     with ``smoothing`` they become uniform instead.
     """
     counts = np.zeros((2, num_classes, num_classes))
-    for trace in corpus.traces:
+    for trace in traces:
         label = _checked_label(trace)
         class_of = {}
         for ev in trace.events:

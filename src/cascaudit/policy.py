@@ -174,22 +174,16 @@ class ThresholdTable(Record):
         )
 
 
-def single_step_outcomes(model: SpreadModel, last_class: Optional[int] = None):
+def single_step_outcomes(model: SpreadModel):
     """Next-observation model: one Markov step of the edge-type chains.
 
     Returns the finite list of ``(a_genuine, a_fake)`` pairs for the next
-    observed class.  With ``last_class`` given, the pair for class ``z`` is
-    the transition row entry; otherwise the context class is marginalized
-    uniformly, an approximation for multi-path graphs where no single context
-    class exists.  Each coordinate sums to one across outcomes.
+    observed class, with the context class marginalized uniformly, an
+    approximation for multi-path graphs where no single context class
+    exists.  Each coordinate sums to one across outcomes.
     """
     alpha = model.transition_probs
     num = model.num_classes
-    if last_class is not None:
-        return [
-            (float(alpha[GENUINE][last_class][z]), float(alpha[FAKE][last_class][z]))
-            for z in range(num)
-        ]
     return [
         (float(alpha[GENUINE][ctx][z]) / num, float(alpha[FAKE][ctx][z]) / num)
         for ctx in range(num)
@@ -307,22 +301,6 @@ def wald_bounds(p_target: float, q_target: float) -> tuple:
     return q_target / (1.0 - p_target), (1.0 - q_target) / p_target
 
 
-class SprtConfig(Record):
-    """Likelihood-ratio stopping boundaries with ``lower <= 1 <= upper``."""
-
-    _fields = ("lower", "upper")
-
-    def __init__(self, lower: float, upper: float):
-        if not (0.0 < lower <= 1.0 <= upper < math.inf):
-            raise ModelError(f"need 0 < lower <= 1 <= upper < inf, got ({lower}, {upper})")
-        self.__dict__.update(lower=lower, upper=upper)
-
-    @classmethod
-    def from_error_targets(cls, p_target: float, q_target: float) -> "SprtConfig":
-        lower, upper = wald_bounds(p_target, q_target)
-        return cls(lower=lower, upper=upper)
-
-
 # ---- streaming policies ---------------------------------------------------------
 
 
@@ -342,13 +320,17 @@ class DpThresholdPolicy:
 
 
 class SprtPolicy:
+    """Stop once the likelihood ratio leaves ``(lower, upper)``, with
+    ``lower <= 1 <= upper``."""
+
     rule = RULE_SPRT
 
-    def __init__(self, cfg: SprtConfig, costs: CostSpec):
-        self.cfg = cfg
+    def __init__(self, lower: float, upper: float, costs: CostSpec):
+        if not (0.0 < lower <= 1.0 <= upper < math.inf):
+            raise ModelError(f"need 0 < lower <= 1 <= upper < inf, got ({lower}, {upper})")
         self.costs = costs
-        self._log_low = math.log(cfg.lower)
-        self._log_up = math.log(cfg.upper)
+        self._log_low = math.log(lower)
+        self._log_up = math.log(upper)
 
     def check(self, step, posterior, log_lr, prev_posterior) -> Optional[int]:
         if log_lr <= self._log_low:
@@ -414,7 +396,6 @@ def run_detection(
     policy,
     cfg: PathEnumConfig = PathEnumConfig(),
     on_unreachable: str = "skip",
-    anchor: bool = True,
     tables: Optional[ChainTables] = None,
 ) -> tuple:
     """Stream observations through the engine, stopping as soon as the policy fires.
@@ -423,6 +404,6 @@ def run_detection(
     stopping step.  Raises :class:`DegenerateDataError` when no observation
     could be processed.  ``tables`` over ``model`` may be shared across runs.
     """
-    engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=anchor, tables=tables)
+    engine = PosteriorEngine(model, graph, stream.source, cfg, tables=tables)
     outcome = decide(policy, engine.beliefs(stream.observations, on_unreachable))
     return outcome, engine.belief

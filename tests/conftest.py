@@ -2,7 +2,7 @@ import gc
 
 import pytest
 
-from cascaudit.graph import SocialGraph
+from cascaudit.graph import Prefix, SocialGraph
 from cascaudit.markov import Observation, ObservationStream, SpreadModel, reference_model
 
 from .oracles import all_simple_paths_to_edge
@@ -38,6 +38,13 @@ def _unfreeze_after_test():
 
 def build_graph(edges, feature_dim=2):
     return SocialGraph(edges, sorted({n for e in edges for n in e}), feature_dim)
+
+
+def candidates(enumeration):
+    """Each candidate path of ``enumeration``, as a :class:`Prefix` of the
+    whole path: its prefix followed by the target edge."""
+    u, v = enumeration.target_edge
+    return [Prefix(p.vertices + (v,), p.edges + ((u, v),)) for p in enumeration.prefixes]
 
 
 def build_chain_graph(length):

@@ -148,7 +148,7 @@ def path_contexts_brute(paths, prefix):
 def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
     """(log a_genuine, log a_fake) of ``obs`` scored path by path.
 
-    ``paths`` are the candidate :class:`DirectedPath` objects and ``tables``
+    ``paths`` are the candidate paths, each with its ``edges``, and ``tables``
     a ``ChainTables``.  Each path's context comes from ``build_path_contexts``
     and its chain and arrival logs are computed on their own, in the same
     order of float operations the engine used before it scored each distinct

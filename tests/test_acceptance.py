@@ -32,17 +32,17 @@ from cascaudit.markov import (
     sample_trace,
     subsample,
 )
-from cascaudit.offline import TrainingCorpus, estimate_alpha, estimate_eta
+from cascaudit.offline import estimate_alpha, estimate_eta
 from cascaudit.policy import (
     CostSpec,
     DpThresholdPolicy,
-    SprtConfig,
     SprtPolicy,
     ThresholdTable,
     decide,
     run_detection,
     single_step_outcomes,
     solve_thresholds,
+    wald_bounds,
 )
 from cascaudit.rng import derive_rng, derive_seed
 
@@ -220,7 +220,7 @@ def test_c6_wald_boundary_error_bounds():
     tables = ChainTables(REF)
     cfg = PathEnumConfig(max_path_length=length + 1)
     costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.05)
-    policy = SprtPolicy(SprtConfig.from_error_targets(0.05, 0.05), costs)
+    policy = SprtPolicy(*wald_bounds(0.05, 0.05), costs)
     errors = {}
     for label in (GENUINE, FAKE):
         wrong = 0
@@ -270,13 +270,13 @@ def test_c7_threshold_rule_equivalence():
         )
         # the likelihood-ratio boundaries of the posterior thresholds under the prior odds
         odds = (1.0 - prior) / prior
-        cfg = SprtConfig(lower=odds * pi_low / (1.0 - pi_low), upper=odds * pi_up / (1.0 - pi_up))
+        lower, upper = odds * pi_low / (1.0 - pi_low), odds * pi_up / (1.0 - pi_up)
         states = [
             BeliefState(prior=prior, log_lr=x, step=step) for step, x in enumerate(log_lrs)
         ]
         assert [state.posterior for state in states] == posteriors
         dp = decide(DpThresholdPolicy(table), states)
-        lr = decide(SprtPolicy(cfg, costs), states)
+        lr = decide(SprtPolicy(lower, upper, costs), states)
         assert (dp.step, dp.verdict) == (lr.step, lr.verdict)
         agreements += 1
     assert agreements == 1000
@@ -323,9 +323,8 @@ def test_c9_planted_parameter_recovery():
     for label in (GENUINE, FAKE):
         for i in range(1000):
             traces.append(sample_trace(None, REF, label, derive_seed(seed, label, i), growth))
-    corpus = TrainingCorpus(traces=tuple(traces))
-    eta_hat = estimate_eta(corpus, 4)
-    alpha_hat = estimate_alpha(corpus, 4)
+    eta_hat = estimate_eta(traces, 4)
+    alpha_hat = estimate_alpha(traces, 4)
     eta_err = float(np.abs(eta_hat - REF.initial_probs).max())
     alpha_err = float(np.abs(alpha_hat - REF.transition_probs).max())
     assert eta_err <= 0.05

@@ -38,7 +38,7 @@ from cascaudit.markov import (
     write_stream,
     write_traces,
 )
-from cascaudit.policy import CostSpec, DecisionOutcome, SprtConfig, SprtPolicy
+from cascaudit.policy import CostSpec, DecisionOutcome, SprtPolicy, wald_bounds
 
 WIDE = GrowthConfig(max_events=20, min_children=2, mean_children=3.0)
 
@@ -149,12 +149,12 @@ def test_train_with_features_runs_full_pipeline(tmp_path):
     # carry no classes, so estimation must use classifier-assigned classes
     from .test_offline import featured_corpus
 
-    corpus = featured_corpus(n_per_label=15, seed=8)
+    traces, graph = featured_corpus(n_per_label=15, seed=8)
     traces_path = tmp_path / "traces.jsonl"
     edges_path = tmp_path / "graph.tsv"
     feats_path = tmp_path / "features.tsv"
-    write_traces(corpus.traces, traces_path)
-    save_graph(corpus.graph, edges_path, feats_path)
+    write_traces(traces, traces_path)
+    save_graph(graph, edges_path, feats_path)
     model_path = tmp_path / "model.json"
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
                    "--features", feats_path, "--seed", 6, "--smoothing",
@@ -175,8 +175,7 @@ def _write_featured_corpus(tmp_path, recorded):
     """Featured corpus files; with ``recorded``, every event carries a class."""
     from .test_offline import featured_corpus
 
-    corpus = featured_corpus(n_per_label=15, seed=8)
-    traces = corpus.traces
+    traces, graph = featured_corpus(n_per_label=15, seed=8)
     if recorded:
         traces = [
             trace._replace(events=tuple(
@@ -187,7 +186,7 @@ def _write_featured_corpus(tmp_path, recorded):
         ]
     paths = tmp_path / "traces.jsonl", tmp_path / "graph.tsv", tmp_path / "features.tsv"
     write_traces(traces, paths[0])
-    save_graph(corpus.graph, paths[1], paths[2])
+    save_graph(graph, paths[1], paths[2])
     return paths
 
 
@@ -217,9 +216,9 @@ def test_train_classifies_edges_only_for_unclassified_events(tmp_path, monkeypat
 def test_train_without_classes_or_features_exits_3(tmp_path):
     from .test_offline import featured_corpus
 
-    corpus = featured_corpus(n_per_label=5, seed=8)
+    traces, _ = featured_corpus(n_per_label=5, seed=8)
     traces_path = tmp_path / "traces.jsonl"
-    write_traces(corpus.traces, traces_path)
+    write_traces(traces, traces_path)
     code = run_cli("train", "--traces", traces_path, "--seed", 6,
                    "--out", tmp_path / "m.json")
     assert code == 3
@@ -510,6 +509,55 @@ def test_detect_rejects_malformed_stream_without_verdict(tmp_path, capsys, sourc
     assert code == 2
     assert "verdict" not in captured.out
     assert "bad observation stream" in captured.err
+
+
+@pytest.mark.parametrize("command", ["detect", "eval", "thresholds"])
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    graph_path, _ = write_detect_inputs(tmp_path, FAKE)
+    argv = {
+        "detect": ["--graph", graph_path, "--stream", deep],
+        "eval": ["--traces", deep, "--seed", 1, "--out", tmp_path / "eval"],
+        "thresholds": ["--model", deep],
+    }[command]
+    code = run_cli(command, *argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(deep) in captured.err
+
+
+def test_a_huge_path_bound_prints_the_record_of_a_small_one(tmp_path, capsys):
+    # the cost of a path bound grows with it only up to the node count
+    graph_path, stream_path = tmp_path / "graph.tsv", tmp_path / "stream.json"
+    graph_path.write_text("0\t1\n1\t2\n2\t0\n2\t3\n1\t3\n4\t5\n", encoding="utf-8")
+    observations = [_observation(edge, cls) for edge, cls in
+                    [((0, 1), 3), ((1, 2), 3), ((2, 3), 0), ((1, 3), 3), ((4, 5), 1)]]
+    stream_path.write_text(json.dumps({"source": 0, "observations": observations}),
+                           encoding="utf-8")
+    records = []
+    for bound in (8, 1_000_000_000):
+        assert run_cli("detect", "--graph", graph_path, "--stream", stream_path,
+                       "--policy", "sprt", "--max-path-len", bound) == 0
+        records.append(capsys.readouterr().out)
+    assert records[0] == records[1] and '"T": 4' in records[0]
+    # an unreachable edge is reported with the bound as given
+    assert run_cli("detect", "--graph", graph_path, "--stream", stream_path,
+                   "--max-path-len", 1_000_000_000, "--on-unreachable", "fail") == 2
+    assert "no source path to edge (4, 5) within 1000000000 edges" in capsys.readouterr().err
+
+
+def test_eval_with_a_keep_fraction_that_keeps_nothing_exits_2(tmp_path, capsys):
+    assert run_cli("simulate", "--n", 1, "--seed", 3, "--max-events", 3,
+                   "--out", tmp_path / "sim") == 0
+    capsys.readouterr()
+    code = run_cli("eval", "--traces", tmp_path / "sim" / "traces.jsonl", "--seed", 1,
+                   "--rho", 1e-300, "--out", tmp_path / "eval")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "rho 1e-300" in captured.err
 
 
 def test_detect_rejects_nan_model_without_verdict(tmp_path, capsys):
@@ -1034,7 +1082,7 @@ def test_sprt_risk_respects_wald_bounds_smoke(ref_model, caplog):
     # single-path cascades, fully observed: the likelihood ratio is exact and
     # the boundary-crossing bounds must hold up to Monte Carlo noise
     costs = RISK_COSTS
-    policy = SprtPolicy(SprtConfig.from_error_targets(0.05, 0.05), costs)
+    policy = SprtPolicy(*wald_bounds(0.05, 0.05), costs)
     growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
     with caplog.at_level(logging.WARNING, logger="cascaudit"):
         report, results = risk_estimate(
@@ -1051,8 +1099,8 @@ def test_sprt_risk_respects_wald_bounds_smoke(ref_model, caplog):
 def test_tighter_boundaries_do_not_increase_errors(ref_model):
     costs = RISK_COSTS
     growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
-    loose = SprtPolicy(SprtConfig.from_error_targets(0.15, 0.15), costs)
-    tight = SprtPolicy(SprtConfig.from_error_targets(0.03, 0.03), costs)
+    loose = SprtPolicy(*wald_bounds(0.15, 0.15), costs)
+    tight = SprtPolicy(*wald_bounds(0.03, 0.03), costs)
     report_loose, _ = risk_estimate(loose, ref_model, 300, seed=42, costs=costs, growth=growth)
     report_tight, _ = risk_estimate(tight, ref_model, 300, seed=42, costs=costs, growth=growth)
     noise = 3 * math.sqrt(
@@ -1309,3 +1357,19 @@ def test_parsers_on_random_bytes_exit_cleanly(parsed, valid, data):
     with tempfile.TemporaryDirectory() as tmp:
         code = _run_quietly(_parser_run(parsed, data.draw(spliced(valid)), tmp))
     assert code in (0, 2, 3)
+
+
+# sha256 of simulate's (traces.jsonl, graph.tsv), recorded while synthetic
+# trees and graph cascades still grew in two separate loops
+SIMULATE_DIGESTS = (
+    "ca1910617c3a31a297bac2ff4bf30774c498fd7bc758a0856a2639314e177603",
+    "29aae7002b512974aeebd6f961c39272a26db780f5895faa982c2cd8e97838fb",
+)
+
+
+def test_simulate_keeps_its_bytes(tmp_path):
+    out_dir = tmp_path / "sim"
+    assert run_cli("simulate", "--n", 40, "--seed", 13, "--max-events", 50,
+                   "--min-children", 1, "--out", out_dir) == 0
+    assert tuple(hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                 for name in ("traces.jsonl", "graph.tsv")) == SIMULATE_DIGESTS

@@ -3,19 +3,19 @@ import pytest
 
 from cascaudit.errors import GraphError
 from cascaudit.graph import (
-    DirectedPath,
     PathEnumConfig,
     SocialGraph,
     _followee_chain,
     _id_key,
     enumerate_paths,
+    forward_ball,
     load_graph,
     read_node_features,
     save_graph,
 )
 from cascaudit.rng import derive_rng
 
-from .conftest import build_graph, random_digraph
+from .conftest import build_graph, candidates, random_digraph
 from .oracles import all_simple_paths_to_edge
 
 
@@ -43,16 +43,6 @@ def test_add_edge_self_loop():
         SocialGraph([(1, 1)])
 
 
-def test_directed_path_invariants():
-    path = DirectedPath((1, 2, 6, 14))
-    assert len(path) == 3
-    assert path.edges == ((1, 2), (2, 6), (6, 14))
-    with pytest.raises(GraphError):
-        DirectedPath((1,))
-    with pytest.raises(GraphError):
-        DirectedPath((1, 2, 1))
-
-
 def test_path_enum_config_validation():
     with pytest.raises(GraphError):
         PathEnumConfig(max_path_length=0)
@@ -62,18 +52,18 @@ def test_path_enum_config_validation():
 
 def test_demo_graph_two_routes(demo_graph):
     result = enumerate_paths(demo_graph, 1, (6, 14), PathEnumConfig(max_path_length=8))
-    assert [p.vertices for p in result.paths] == [(1, 2, 6, 14), (1, 6, 14)]
+    assert [p.vertices for p in candidates(result)] == [(1, 2, 6, 14), (1, 6, 14)]
     assert not result.truncated
 
 
 def test_source_adjacent_edge_single_path(demo_graph):
     result = enumerate_paths(demo_graph, 1, (1, 2))
-    assert [p.vertices for p in result.paths] == [(1, 2)]
+    assert [p.vertices for p in candidates(result)] == [(1, 2)]
 
 
 def test_diamond_two_paths(diamond_graph):
     result = enumerate_paths(diamond_graph, "s", ("t", "w"))
-    got = sorted(p.vertices for p in result.paths)
+    got = sorted(p.vertices for p in candidates(result))
     expected = all_simple_paths_to_edge(diamond_graph.edges(), "s", ("t", "w"), 8)
     assert got == expected
     assert len(got) == 2
@@ -82,14 +72,14 @@ def test_diamond_two_paths(diamond_graph):
 def test_unreachable_edge_yields_empty():
     graph = build_graph([(1, 2), (3, 4)])
     result = enumerate_paths(graph, 1, (3, 4))
-    assert result.paths == ()
+    assert result.prefixes == ()
     assert not result.truncated
 
 
 def test_every_path_ends_with_target_edge(demo_graph):
     for target in [(6, 14), (6, 16), (7, 19), (9, 23), (10, 23), (4, 24)]:
         result = enumerate_paths(demo_graph, 1, target)
-        for path in result.paths:
+        for path in candidates(result):
             assert path.edges[-1] == target
             assert path.vertices[0] == 1
             assert len(set(path.vertices)) == len(path.vertices)
@@ -105,7 +95,7 @@ def test_matches_brute_force_on_random_graphs():
         source = 0
         target = edges[int(rng.integers(len(edges)))]
         cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=100000)
-        got = sorted(p.vertices for p in enumerate_paths(graph, source, target, cfg).paths)
+        got = sorted(p.vertices for p in candidates(enumerate_paths(graph, source, target, cfg)))
         expected = all_simple_paths_to_edge(edges, source, target, graph.node_count)
         assert got == expected
         checked += 1
@@ -114,14 +104,14 @@ def test_matches_brute_force_on_random_graphs():
 
 def test_lexicographic_order(demo_graph):
     result = enumerate_paths(demo_graph, 1, (10, 23))
-    seqs = [p.vertices for p in result.paths]
+    seqs = [p.vertices for p in candidates(result)]
     assert seqs == sorted(seqs)
 
 
 def test_determinism(demo_graph):
     a = enumerate_paths(demo_graph, 1, (6, 16))
     b = enumerate_paths(demo_graph, 1, (6, 16))
-    assert [p.vertices for p in a.paths] == [p.vertices for p in b.paths]
+    assert a.prefixes == b.prefixes
 
 
 def test_truncation_keeps_shortest_paths():
@@ -133,15 +123,15 @@ def test_truncation_keeps_shortest_paths():
     assert not full.truncated
     capped = enumerate_paths(graph, 0, (4, 5), PathEnumConfig(max_path_length=6, max_paths=4))
     assert capped.truncated
-    assert len(capped.paths) == 4
-    shortest = sorted(full.paths, key=lambda p: (len(p), p.vertices))[:4]
-    assert sorted(p.vertices for p in capped.paths) == sorted(p.vertices for p in shortest)
+    assert len(capped) == 4
+    shortest = sorted(candidates(full), key=lambda p: (len(p.edges), p.vertices))[:4]
+    assert sorted(p.vertices for p in candidates(capped)) == sorted(p.vertices for p in shortest)
 
 
 def test_target_edge_back_to_source():
     graph = build_graph([(1, 2), (2, 1)])
     result = enumerate_paths(graph, 1, (2, 1))
-    assert result.paths == ()
+    assert result.prefixes == ()
 
 
 def test_edge_list_round_trip(tmp_path, demo_graph):
@@ -289,7 +279,7 @@ def test_mixed_int_and_string_ids_sort_ints_first(tmp_path):
 
 def test_mixed_ids_enumerate_in_total_order():
     graph = SocialGraph(((0, 1), (0, "b"), (1, 3), ("b", 3), (3, 4)), (0, "b", 1, 3, 4))
-    paths = enumerate_paths(graph, 0, (3, 4)).paths
+    paths = candidates(enumerate_paths(graph, 0, (3, 4)))
     assert [p.vertices for p in paths] == [(0, 1, 3, 4), (0, "b", 3, 4)]
 
 
@@ -322,14 +312,8 @@ def test_shared_prefix_search_matches_oracle_with_truncation():
                 result = enumerate_paths(graph, source, target, cfg)
                 every = all_simple_paths_to_edge(edges, source, target, cfg.max_path_length)
                 ranked = sorted(every, key=lambda p: (len(p), p))
-                assert [p.vertices for p in result] == sorted(ranked[: cfg.max_paths])
+                assert [p.vertices for p in candidates(result)] == sorted(ranked[: cfg.max_paths])
                 assert result.truncated == (len(every) > cfg.max_paths)
-                # the DirectedPath objects are built once, on first read
-                assert len(result) == len(result.paths)
-                assert result.paths is result.paths
-                assert [p.edges for p in result] == [
-                    prefix.edges + (target,) for prefix in result.prefixes
-                ]
                 checked += 1
                 truncated += result.truncated
     assert checked >= 1000
@@ -354,7 +338,7 @@ def test_prefix_memo_serves_interleaved_path_bounds_on_cyclic_graphs():
                 result = enumerate_paths(graph, source, target, cfg)
                 every = all_simple_paths_to_edge(edges, source, target, cfg.max_path_length)
                 ranked = sorted(every, key=lambda p: (len(p), p))
-                assert [p.vertices for p in result] == sorted(ranked[: cfg.max_paths])
+                assert [p.vertices for p in candidates(result)] == sorted(ranked[: cfg.max_paths])
                 assert result.truncated == (len(every) > cfg.max_paths)
                 checked += 1
     assert checked >= 800
@@ -368,7 +352,7 @@ def test_walk_masks_stay_within_the_path_bound():
     assert graph._shape() == "dag"
     cfg = PathEnumConfig(max_path_length=8)
     result = enumerate_paths(graph, 992, (999, 1000), cfg)
-    assert [p.vertices for p in result] == [tuple(range(992, 1001))]
+    assert [p.vertices for p in candidates(result)] == [tuple(range(992, 1001))]
     assert enumerate_paths(graph, 991, (999, 1000), cfg).prefixes == ()
     # the reverse search stops at the bound, not at the chain's far end
     assert [len(masks) for masks in graph._mask_cache.values()] == [8]
@@ -391,7 +375,7 @@ def test_source_at_the_path_bound_matches_the_oracle(max_len):
             cfg = PathEnumConfig(max_path_length=max_len, max_paths=10**6)
             result = enumerate_paths(graph, source, target, cfg)
             expected = all_simple_paths_to_edge(edges, source, target, max_len)
-            assert [p.vertices for p in result] == expected
+            assert [p.vertices for p in candidates(result)] == expected
             assert len(expected) == (source == 0)
 
 
@@ -434,7 +418,7 @@ def test_followee_chain_walk_matches_the_oracle():
                     cfg = PathEnumConfig(max_path_length=max_len)
                     result = enumerate_paths(graph, source, target, cfg)
                     expected = all_simple_paths_to_edge(edges, source, target, max_len)
-                    assert [p.vertices for p in result] == expected
+                    assert [p.vertices for p in candidates(result)] == expected
                     assert not result.truncated
                     seen["found"] += bool(expected)
                     seen["v_is_source"] += target[1] == source
@@ -469,16 +453,20 @@ def _has_cycle(edges):
 def test_chain_walk_cases():
     graph = build_graph([(i, i + 1) for i in range(12)] + [(20, 21), (21, 22), (22, 20)])
     cfg = PathEnumConfig(max_path_length=4)
-    assert [p.vertices for p in enumerate_paths(graph, 2, (4, 5), cfg)] == [(2, 3, 4, 5)]
+
+    def vertices(source, target):
+        return [p.vertices for p in candidates(enumerate_paths(graph, source, target, cfg))]
+
+    assert vertices(2, (4, 5)) == [(2, 3, 4, 5)]
     assert enumerate_paths(graph, 0, (4, 5), cfg).prefixes == ()  # five edges > 4
     assert enumerate_paths(graph, 5, (4, 5), cfg).prefixes == ()  # v is the source
     assert enumerate_paths(graph, 7, (4, 5), cfg).prefixes == ()  # source below the tail
     assert enumerate_paths(graph, 0, (21, 22), cfg).prefixes == ()  # a cycle without the source
-    assert [p.vertices for p in enumerate_paths(graph, 20, (21, 22), cfg)] == [(20, 21, 22)]
-    assert [p.vertices for p in enumerate_paths(graph, 21, (22, 20), cfg)] == [(21, 22, 20)]
+    assert vertices(20, (21, 22)) == [(20, 21, 22)]
+    assert vertices(21, (22, 20)) == [(21, 22, 20)]
     assert enumerate_paths(graph, 20, (22, 20), cfg).prefixes == ()  # v is the source
     assert enumerate_paths(graph, 22, (21, 22), cfg).prefixes == ()  # v is the source
-    assert [p.vertices for p in enumerate_paths(graph, 4, (4, 5), cfg)] == [(4, 5)]
+    assert vertices(4, (4, 5)) == [(4, 5)]
 
     class CountingPred(dict):
         reads = 0
@@ -490,3 +478,21 @@ def test_chain_walk_cases():
 
     # the walk stops on its first revisit, however large the bound
     assert _followee_chain(CountingPred(graph._pred), 0, 21, 22, 10**9) == []
+
+
+def test_path_bounds_above_the_node_count_are_clamped():
+    # no simple path has more than node_count - 1 edges, so a larger bound
+    # still finds every path, and no walk mask or forward layer goes past it
+    edges = [(u, v) for u in range(5) for v in range(5) if u != v]
+    graph = build_graph(edges)
+    huge = PathEnumConfig(max_path_length=10**9, max_paths=10**6)
+    for target in edges:
+        result = enumerate_paths(graph, 0, target, huge)
+        expected = all_simple_paths_to_edge(edges, 0, target, graph.node_count)
+        assert sorted(p.vertices for p in candidates(result)) == expected
+    masks = [mask for memo in graph._mask_cache.values() for mask in memo.values()]
+    assert max(masks).bit_length() == graph.node_count - 1  # prefixes of up to n - 2 edges
+    dag = build_graph([(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+    ball = forward_ball(dag, 0, 10**9)
+    assert ball is forward_ball(dag, 0, dag.node_count - 1)
+    assert len(ball.steps) == 3  # the longest walk, 0 -> 1 -> 3 -> 4, has three edges

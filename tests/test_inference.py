@@ -38,6 +38,7 @@ from cascaudit.rng import derive_rng
 from .conftest import (
     build_chain_graph,
     build_graph,
+    candidates,
     random_digraph,
     random_inference_instance,
     random_model,
@@ -157,9 +158,10 @@ def test_update_moves_posterior_with_evidence_direction(prior, a_genuine, a_fake
 
 def test_path_context_positions_and_gaps(ref_model, demo_graph):
     enumeration = enumerate_paths(demo_graph, 1, (6, 14))
-    at = next(i for i, p in enumerate(enumeration.paths) if len(p) == 3)  # 1 -> 2 -> 6 -> 14
+    paths = candidates(enumeration)
+    at = next(i for i, p in enumerate(paths) if len(p.edges) == 3)  # 1 -> 2 -> 6 -> 14
     prefix = [obs(1, 2, 3), obs(7, 16, 0), obs(2, 6, 2)]
-    [ctx] = build_path_contexts((enumeration.paths[at],), prefix)
+    [ctx] = build_path_contexts((paths[at],), prefix)
     assert ctx.on_path == ((0, 1, 3), (2, 2, 2))  # (index, position, cls): gaps of one edge
     # the engine's evidence key of the same path: its depth and (position, cls) pairs
     engine = PosteriorEngine(ref_model, demo_graph, 1)
@@ -175,7 +177,7 @@ def test_path_contexts_match_direct_scan_with_repeated_edges():
         target = stream.observations[-1].edge
         if target[0] == stream.source:
             continue
-        paths = enumerate_paths(graph, stream.source, target).paths
+        paths = candidates(enumerate_paths(graph, stream.source, target))
         # draw the prefix with replacement from every edge, on the paths or
         # not, so that some edges are observed several times
         prefix = [
@@ -184,7 +186,7 @@ def test_path_contexts_match_direct_scan_with_repeated_edges():
         ]
         contexts = build_path_contexts(paths, prefix)
         expected = path_contexts_brute([p.vertices for p in paths], prefix)
-        assert [ctx.path for ctx in contexts] == list(paths)
+        assert [ctx.path for ctx in contexts] == paths
         assert [
             [(e.position, e.index, e.cls) for e in ctx.on_path] for ctx in contexts
         ] == expected
@@ -272,11 +274,11 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
             engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
             engine.accepted = prefix
             expected = log_conditionals_per_path(
-                ChainTables(model), enumeration.paths, prefix, new, anchor
+                ChainTables(model), candidates(enumeration), prefix, new, anchor
             )
             assert engine._enumeration_logs(new) == expected
             seen["checked"] += 1
-            seen["mixed_lengths"] += len({len(p) for p in enumeration.paths}) > 1
+            seen["mixed_lengths"] += len({len(p.edges) for p in enumeration.prefixes}) > 1
             seen["repeated"] += len({o.edge for o in prefix}) < len(prefix)
             seen["target_seen"] += any(o.edge == target for o in prefix)
             seen["unanchored"] += not anchor
@@ -675,7 +677,7 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
         if not enumeration:
             continue
         model = random_model(rng, int(rng.integers(2, 4)))
-        on_paths = sorted({e for p in enumeration for e in p.edges[:-1]})
+        on_paths = sorted({e for p in enumeration.prefixes for e in p.edges})
         prefix = [obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
                   for _ in range(int(rng.integers(0, 6)))]
         for _ in range(int(rng.integers(0, 4)) if on_paths else 0):
@@ -701,7 +703,7 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
         seen["repeated"] += any(len(c) > len(set(c)) for c in on_path)
         seen["conflict"] += any(len(set(c)) > 1 for c in on_path)
         seen["target_seen"] += target in classes
-        seen["mixed_lengths"] += len({len(p) for p in enumeration}) > 1
+        seen["mixed_lengths"] += len({len(p.edges) for p in enumeration.prefixes}) > 1
         bounds.add(cfg.max_path_length)
     assert min(seen.values()) >= 30, seen
     assert bounds == {2, 3, 4, 5, 6}  # no target off the source is one edge away
@@ -814,9 +816,9 @@ def test_forward_ball_memo_returns_one_ball_per_key():
     assert forward_ball(graph, 0, 3) is not ball and forward_ball(graph, 10, 8) is not ball
     with pytest.raises(GraphError, match="source"):
         forward_ball(graph, 7, 8)
-    candidates = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
+    enumeration = enumerate_paths(graph, 0, (31, 40), PathEnumConfig(max_paths=10**6))
     depths = [depth for depth, _ in ball.node_rows[31]]
-    assert depths == sorted({len(path) - 1 for path in candidates}) == [2, 3]
+    assert depths == sorted({len(prefix.edges) for prefix in enumeration.prefixes}) == [2, 3]
     cyclic = build_graph(_layered_dag_edges() + [(41, 10)])
     assert cyclic._shape() == "cyclic"
     assert forward_ball(cyclic, 0, 8) is None

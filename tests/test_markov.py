@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from cascaudit.errors import ModelError, TraceError
+from cascaudit.graph import SocialGraph
 from cascaudit.inference import ChainTables
 from cascaudit.markov import (
     FAKE,
     GENUINE,
     MAX_CLASSES,
+    MAX_SUBSAMPLE_DRAWS,
     GrowthConfig,
     REFERENCE_INITIAL_FAKE,
     REFERENCE_INITIAL_GENUINE,
@@ -30,6 +33,8 @@ from cascaudit.markov import (
     write_stream,
     write_traces,
 )
+
+from cascaudit.rng import derive_rng
 
 from .oracles import kstep_brute
 
@@ -311,6 +316,16 @@ def test_subsample_preserves_order_and_drops_parents(ref_model):
     assert not hasattr(stream.observations[0], "parent_edge")
 
 
+def test_subsample_gives_up_after_its_redraw_cap(ref_model):
+    # a keep fraction of 1e-300 drops every event of every draw
+    trace = sample_trace(None, ref_model, FAKE, seed=4,
+                         growth=GrowthConfig(max_events=3, min_children=1))
+    assert len(trace) == 3
+    with pytest.raises(TraceError, match="rho 1e-300 kept no event of a 3-event trace in "
+                                         f"{MAX_SUBSAMPLE_DRAWS} draws"):
+        subsample(trace, 1e-300, seed=1)
+
+
 def test_subsample_rejects_bad_fraction(ref_model):
     trace = sample_trace(None, ref_model, FAKE, seed=4, growth=GrowthConfig(max_events=5))
     with pytest.raises(TraceError):
@@ -504,3 +519,40 @@ def test_subsample_rejects_unclassified_events():
     )
     with pytest.raises(TraceError, match="unclassified"):
         subsample(trace, 1.0, seed=0)
+
+
+# ---- simulator output bytes ----
+
+
+def _pinned_graph(seed, acyclic):
+    """A 40-node random digraph: every forward edge, or every ordered pair,
+    drawn with the same probability."""
+    rng = derive_rng(seed)
+    edges = [(u, v) for u in range(40) for v in range(40)
+             if (u < v if acyclic else u != v) and rng.random() < (0.2 if acyclic else 0.08)]
+    return SocialGraph(edges, range(40), 2)
+
+
+# sha256 of write_traces over 24 graph-mode cascades (both labels, binding and
+# slack event caps, every child bound), recorded while synthetic trees and
+# graph cascades still grew in two separate loops
+@pytest.mark.parametrize("acyclic, digest", [
+    (False, "1e7321e7bf239a6a41e008ec8b42d1b3a4b81f23b12852ab18c3eeceb2d810b7"),
+    (True, "d44ee44e4150c6c9c09361ceeb62c17d2b826721863640ca2f729926d45cc8e2"),
+])
+def test_graph_cascades_keep_their_bytes(tmp_path, ref_model, acyclic, digest):
+    graph = _pinned_graph(72 if acyclic else 71, acyclic)
+    assert graph._shape() == ("dag" if acyclic else "cyclic")
+    sources = [u for u in range(10) if graph.followers(u)]
+    traces = [
+        sample_trace(
+            graph, ref_model, i % 2, 1000 + i,
+            GrowthConfig(max_events=(5, 30, 200)[i % 3], mean_children=(0.8, 1.6, 3.0)[i % 3],
+                         max_children=(1, 3, 6)[i // 3 % 3], min_children=i % 2),
+            source=sources[i % len(sources)],
+        )
+        for i in range(24)
+    ]
+    path = tmp_path / "traces.jsonl"
+    write_traces(traces, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -15,7 +15,6 @@ from cascaudit.markov import (
 from cascaudit.offline import (
     EdgeClassifier,
     TrainingConfig,
-    TrainingCorpus,
     _percentile,
     build_spread_model,
     build_trace_feature,
@@ -39,7 +38,8 @@ def chain_trace(label, source, node_ids, classes=None):
 
 
 def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
-    """Synthetic corpus: genuine user features cluster at -1, fake at +1."""
+    """Synthetic ``(traces, graph)``: genuine user features cluster at -1,
+    fake at +1; the events carry no class."""
     rng = derive_rng(seed)
     features, edges, traces = {}, [], []
     uid = 0
@@ -53,7 +53,7 @@ def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
             edges += zip(ids[:-1], ids[1:])
             traces.append(chain_trace(label, ids[0], ids))
     graph = SocialGraph(edges, features, 2, features)
-    return TrainingCorpus(traces=tuple(traces), graph=graph)
+    return traces, graph
 
 
 # ---- trace features ----
@@ -89,43 +89,35 @@ def test_empty_trace_feature_rejected():
 
 
 def test_separable_corpus_trains_to_perfect_accuracy():
-    corpus = featured_corpus(n_per_label=25, seed=3)
-    clf = train_classifier(corpus, TrainingConfig(seed=11))
+    traces, graph = featured_corpus(n_per_label=25, seed=3)
+    clf = train_classifier(traces, graph, TrainingConfig(seed=11), 4)
     correct = 0
-    for trace in corpus.traces:
-        feature = build_trace_feature(trace, corpus.graph)
+    for trace in traces:
+        feature = build_trace_feature(trace, graph)
         margin = float(clf.weights @ feature + clf.bias)
         predicted = FAKE if margin > 0 else GENUINE
         correct += predicted == trace.label
-    assert correct == len(corpus.traces)
+    assert correct == len(traces)
 
 
 def test_label_flip_negates_weights_exactly():
-    corpus = featured_corpus(n_per_label=20, seed=5)
-    flipped = TrainingCorpus(
-        traces=tuple(
-            Trace(label=1 - t.label, source=t.source, events=t.events)
-            for t in corpus.traces
-        ),
-        graph=corpus.graph,
-    )
+    traces, graph = featured_corpus(n_per_label=20, seed=5)
+    flipped = [Trace(label=1 - t.label, source=t.source, events=t.events) for t in traces]
     config = TrainingConfig(seed=21)
-    clf = train_classifier(corpus, config)
-    clf_flipped = train_classifier(flipped, config)
+    clf = train_classifier(traces, graph, config, 4)
+    clf_flipped = train_classifier(flipped, graph, config, 4)
     np.testing.assert_array_equal(clf_flipped.weights, -clf.weights)
     assert clf_flipped.bias == -clf.bias
 
 
 def test_score_distributions_separate_by_label():
-    corpus = featured_corpus(n_per_label=40, seed=9)
-    clf = train_classifier(corpus, TrainingConfig(seed=1))
+    traces, graph = featured_corpus(n_per_label=40, seed=9)
+    clf = train_classifier(traces, graph, TrainingConfig(seed=1), 4)
     scores = {GENUINE: [], FAKE: []}
-    for trace in corpus.traces:
+    for trace in traces:
         for ev in trace.events:
             u, v = ev.edge
-            scores[trace.label].append(
-                clf.score(corpus.graph.features(u), corpus.graph.features(v))
-            )
+            scores[trace.label].append(clf.score(graph.features(u), graph.features(v)))
     genuine, fake = np.array(scores[GENUINE]), np.array(scores[FAKE])
     assert genuine.mean() < fake.mean()
     # mass concentrates at the ends of the calibrated range
@@ -134,29 +126,27 @@ def test_score_distributions_separate_by_label():
 
 
 def test_single_label_corpus_rejected():
-    corpus = featured_corpus(n_per_label=10)
-    only_fake = TrainingCorpus(
-        traces=tuple(t for t in corpus.traces if t.label == FAKE), graph=corpus.graph
-    )
+    traces, graph = featured_corpus(n_per_label=10)
+    only_fake = [t for t in traces if t.label == FAKE]
     with pytest.raises(DegenerateDataError, match="both labels"):
-        train_classifier(only_fake, TrainingConfig(seed=0))
+        train_classifier(only_fake, graph, TrainingConfig(seed=0), 4)
 
 
 def test_training_determinism():
-    corpus = featured_corpus(n_per_label=15, seed=2)
-    a = train_classifier(corpus, TrainingConfig(seed=7))
-    b = train_classifier(corpus, TrainingConfig(seed=7))
+    traces, graph = featured_corpus(n_per_label=15, seed=2)
+    a = train_classifier(traces, graph, TrainingConfig(seed=7), 4)
+    b = train_classifier(traces, graph, TrainingConfig(seed=7), 4)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert (a.cal_low, a.cal_high) == (b.cal_low, b.cal_high)
 
 
 def test_classifier_round_trip():
-    corpus = featured_corpus(n_per_label=10, seed=4)
-    clf = train_classifier(corpus, TrainingConfig(seed=2, standardize=True))
+    traces, graph = featured_corpus(n_per_label=10, seed=4)
+    clf = train_classifier(traces, graph, TrainingConfig(seed=2, standardize=True), 4)
     restored = EdgeClassifier.from_dict(clf.to_dict())
-    u, v = corpus.traces[0].events[0].edge
-    xu, xv = corpus.graph.features(u), corpus.graph.features(v)
+    u, v = traces[0].events[0].edge
+    xu, xv = graph.features(u), graph.features(v)
     assert restored.score(xu, xv) == clf.score(xu, xv)
 
 
@@ -200,11 +190,13 @@ def test_classify_edge_uses_calibrated_margin():
 
 
 def test_classify_graph_edges_covers_all_edges():
-    corpus = featured_corpus(n_per_label=5, seed=6)
-    clf = train_classifier(corpus, TrainingConfig(seed=3))
-    classes = classify_graph_edges(clf, corpus.graph)
-    assert set(classes) == set(corpus.graph.edges())
-    assert all(0 <= cls < clf.num_classes for cls in classes.values())
+    traces, graph = featured_corpus(n_per_label=5, seed=6)
+    clf = train_classifier(traces, graph, TrainingConfig(seed=3), 3)
+    assert clf.num_classes == 3
+    classes = classify_graph_edges(clf, graph)
+    assert set(classes) == set(graph.edges())
+    assert all(0 <= cls < 3 for cls in classes.values())
+    assert 2 in classes.values()  # the top class of three is in use
 
 
 # ---- parameter estimation ----
@@ -220,38 +212,30 @@ def star_trace(label, source, classes):
 
 
 def test_estimate_eta_hand_count():
-    corpus = TrainingCorpus(
-        traces=(
-            star_trace(FAKE, 0, [3, 3, 0]),
-            star_trace(GENUINE, 100, [0, 0]),
-        )
-    )
-    eta = estimate_eta(corpus, num_classes=4)
+    traces = [star_trace(FAKE, 0, [3, 3, 0]), star_trace(GENUINE, 100, [0, 0])]
+    eta = estimate_eta(traces, num_classes=4)
     np.testing.assert_allclose(eta[FAKE], [1 / 3, 0.0, 0.0, 2 / 3])
     np.testing.assert_allclose(eta[GENUINE], [1.0, 0.0, 0.0, 0.0])
     assert eta.shape == (2, 4)
 
 
 def test_estimate_eta_single_class_indicator():
-    corpus = TrainingCorpus(
-        traces=(star_trace(FAKE, 0, [2, 2, 2]), star_trace(GENUINE, 10, [1]))
-    )
-    eta = estimate_eta(corpus, num_classes=3)
+    traces = [star_trace(FAKE, 0, [2, 2, 2]), star_trace(GENUINE, 10, [1])]
+    eta = estimate_eta(traces, num_classes=3)
     np.testing.assert_allclose(eta[FAKE], [0.0, 0.0, 1.0])
     np.testing.assert_allclose(eta[GENUINE], [0.0, 1.0, 0.0])
 
 
 def test_estimate_eta_zero_denominator_names_label():
-    corpus = TrainingCorpus(traces=(star_trace(FAKE, 0, [1]),))
     # missing genuine traces entirely
     with pytest.raises(EstimationError, match="label 0"):
-        estimate_eta(corpus, num_classes=4)
+        estimate_eta([star_trace(FAKE, 0, [1])], num_classes=4)
 
 
 def test_estimate_alpha_chain_of_threes():
     trace = chain_trace(FAKE, 0, [0, 1, 2, 3], classes=[3, 3, 3])
     genuine = chain_trace(GENUINE, 10, [10, 11, 12], classes=[0, 0])
-    alpha = estimate_alpha(TrainingCorpus(traces=(trace, genuine)), num_classes=4)
+    alpha = estimate_alpha([trace, genuine], num_classes=4)
     assert alpha[FAKE][3][3] == 1.0
     assert alpha[FAKE][0].sum() == 0.0  # unseen row flagged as all-zero
     assert alpha[GENUINE][0][0] == 1.0
@@ -260,9 +244,7 @@ def test_estimate_alpha_chain_of_threes():
 def test_estimate_alpha_smoothing_fills_unseen_rows():
     trace = chain_trace(FAKE, 0, [0, 1, 2], classes=[3, 3])
     genuine = chain_trace(GENUINE, 10, [10, 11, 12], classes=[0, 0])
-    alpha = estimate_alpha(
-        TrainingCorpus(traces=(trace, genuine)), num_classes=4, smoothing=True
-    )
+    alpha = estimate_alpha([trace, genuine], num_classes=4, smoothing=True)
     np.testing.assert_allclose(alpha[FAKE][1], [0.25, 0.25, 0.25, 0.25])
     np.testing.assert_allclose(alpha[FAKE].sum(axis=1), 1.0, atol=1e-12)
 
@@ -270,21 +252,19 @@ def test_estimate_alpha_smoothing_fills_unseen_rows():
 def test_estimation_uses_edge_class_map_when_given():
     trace = chain_trace(FAKE, 0, [0, 1, 2], classes=None)
     genuine = chain_trace(GENUINE, 10, [10, 11, 12], classes=None)
-    corpus = TrainingCorpus(traces=(trace, genuine))
+    traces = [trace, genuine]
     edge_classes = {(0, 1): 3, (1, 2): 2, (10, 11): 0, (11, 12): 0}
-    eta = estimate_eta(corpus, num_classes=4, edge_classes=edge_classes)
+    eta = estimate_eta(traces, num_classes=4, edge_classes=edge_classes)
     assert eta[FAKE][3] == 1.0
-    alpha = estimate_alpha(corpus, num_classes=4, edge_classes=edge_classes)
+    alpha = estimate_alpha(traces, num_classes=4, edge_classes=edge_classes)
     assert alpha[FAKE][3][2] == 1.0
 
 
 def test_estimation_without_classes_raises():
-    corpus = TrainingCorpus(
-        traces=(chain_trace(FAKE, 0, [0, 1], classes=None),
-                chain_trace(GENUINE, 5, [5, 6], classes=None))
-    )
+    traces = [chain_trace(FAKE, 0, [0, 1], classes=None),
+              chain_trace(GENUINE, 5, [5, 6], classes=None)]
     with pytest.raises(EstimationError, match="carries no class"):
-        estimate_eta(corpus, num_classes=4)
+        estimate_eta(traces, num_classes=4)
 
 
 def test_estimates_are_order_invariant(ref_model):
@@ -293,8 +273,7 @@ def test_estimates_are_order_invariant(ref_model):
         for label in (GENUINE, FAKE)
         for s in range(8)
     ]
-    forward = TrainingCorpus(traces=tuple(traces))
-    backward = TrainingCorpus(traces=tuple(reversed(traces)))
+    forward, backward = traces, traces[::-1]
     np.testing.assert_array_equal(
         estimate_eta(forward, 4), estimate_eta(backward, 4)
     )
@@ -309,7 +288,7 @@ def simulate_corpus(model, n_per_label, seed, max_events=120):
     for label in (GENUINE, FAKE):
         for i in range(n_per_label):
             traces.append(sample_trace(None, model, label, seed * 100_000 + label * 50_000 + i, growth))
-    return TrainingCorpus(traces=tuple(traces))
+    return traces
 
 
 def test_planted_parameter_recovery_small(ref_model):
@@ -334,9 +313,8 @@ def test_recovery_error_shrinks_with_more_data(ref_model):
 def test_build_spread_model_fills_unseen_rows():
     trace = chain_trace(FAKE, 0, [0, 1, 2], classes=[3, 3])
     genuine = chain_trace(GENUINE, 10, [10, 11, 12], classes=[0, 0])
-    corpus = TrainingCorpus(traces=(trace, genuine))
-    eta = estimate_eta(corpus, num_classes=4)
-    alpha = estimate_alpha(corpus, num_classes=4)
+    eta = estimate_eta([trace, genuine], num_classes=4)
+    alpha = estimate_alpha([trace, genuine], num_classes=4)
     model = build_spread_model(eta, alpha, prior_fake=0.5)
     assert isinstance(model, SpreadModel)
     np.testing.assert_allclose(model.transition_probs[FAKE][1], 0.25)

@@ -15,7 +15,6 @@ from cascaudit.policy import (
     CostSpec,
     DecisionOutcome,
     DpThresholdPolicy,
-    SprtConfig,
     SprtPolicy,
     ThresholdTable,
     bayes_verdict,
@@ -167,17 +166,17 @@ def test_solver_rejects_a_tolerance_that_is_not_positive_and_finite(ref_model, t
         solve_thresholds(EQUAL_COSTS, single_step_outcomes(ref_model), tol=tol)
 
 
-def test_sprt_config_validation():
-    with pytest.raises(ModelError):
-        SprtConfig(lower=1.5, upper=2.0)
-    with pytest.raises(ModelError):
-        SprtConfig(lower=0.5, upper=math.inf)
-    cfg = SprtConfig.from_error_targets(0.05, 0.05)
-    assert cfg.lower <= 1.0 <= cfg.upper
+def test_sprt_policy_validation():
+    for lower, upper in [(1.5, 2.0), (0.5, math.inf), (0.0, 10.0)]:
+        with pytest.raises(ModelError, match="need 0 < lower <= 1 <= upper < inf"):
+            SprtPolicy(lower, upper, EQUAL_COSTS)
+    lower, upper = wald_bounds(0.05, 0.05)
+    assert lower <= 1.0 <= upper
+    SprtPolicy(lower, upper, EQUAL_COSTS)
 
 
 def test_sprt_step_continue_and_stop():
-    policy = SprtPolicy(SprtConfig(lower=1 / 19, upper=19.0), EQUAL_COSTS)
+    policy = SprtPolicy(1 / 19, 19.0, EQUAL_COSTS)
     prior = BeliefState(prior=0.5)
     inside = BeliefState(prior=0.5, log_lr=0.0, step=3)
     assert decide(policy, [prior, inside]).rule == "horizon"
@@ -264,6 +263,12 @@ def test_reference_model_table_is_golden(ref_model, costs, pi_low, pi_up, sweeps
     assert hashlib.sha256(table.values.tobytes()).hexdigest() == values_sha256
 
 
+def context_outcomes(model, last_class):
+    """The ``(a_genuine, a_fake)`` pair of each next class after an edge of
+    ``last_class``: that transition row of each hypothesis."""
+    return model.transition_probs[:, last_class].T.copy()
+
+
 @pytest.mark.parametrize("grid_step", [0.1, 0.01, 0.001, 0.0003])
 @pytest.mark.parametrize("seed", range(16))
 def test_stacked_sweep_matches_per_outcome_interp_bit_for_bit(grid_step, seed):
@@ -275,8 +280,10 @@ def test_stacked_sweep_matches_per_outcome_interp_bit_for_bit(grid_step, seed):
     rng = np.random.default_rng([seed, round(grid_step * 1e4)])
     model = random_model(rng, int(rng.integers(2, 5)))
     kind = seed % 4
-    last_class = int(rng.integers(model.num_classes)) if kind == 1 else None
-    outcomes = np.array(single_step_outcomes(model, last_class))
+    if kind == 1:
+        outcomes = context_outcomes(model, int(rng.integers(model.num_classes)))
+    else:
+        outcomes = np.array(single_step_outcomes(model))
     if kind == 2:
         outcomes[rng.integers(len(outcomes), size=2)] = 0.0
     if kind == 3:
@@ -312,7 +319,7 @@ def test_solver_rejects_outcomes_that_are_not_pairs(outcomes):
 
 def test_per_context_tables_differ_by_context(ref_model):
     by_context = [
-        solve_thresholds(EQUAL_COSTS, single_step_outcomes(ref_model, last_class=z), grid_step=0.01)
+        solve_thresholds(EQUAL_COSTS, context_outcomes(ref_model, z), grid_step=0.01)
         for z in range(4)
     ]
     intervals = {(t.pi_low, t.pi_up) for t in by_context}
@@ -402,20 +409,20 @@ def test_dp_and_sprt_rules_agree_on_random_trajectories():
         posts = [posterior_from_log_lr(x, prior) for x in log_lrs]
         table = table_with(pi_low, pi_up)
         odds = (1.0 - prior) / prior  # the thresholds' likelihood ratios under the prior odds
-        cfg = SprtConfig(lower=odds * pi_low / (1.0 - pi_low), upper=odds * pi_up / (1.0 - pi_up))
+        lower, upper = odds * pi_low / (1.0 - pi_low), odds * pi_up / (1.0 - pi_up)
         trajectory = states(posts, log_lrs)
         dp = decide(DpThresholdPolicy(table), trajectory)
-        sprt = decide(SprtPolicy(cfg, table.costs), trajectory)
+        sprt = decide(SprtPolicy(lower, upper, table.costs), trajectory)
         assert (dp.step, dp.verdict) == (sprt.step, sprt.verdict)
 
 
 def test_posterior_threshold_transform_matches_identity():
     # at prior 0.5 the prior odds are 1, so each boundary is its threshold's odds
-    cfg = SprtConfig(lower=0.3 / (1.0 - 0.3), upper=0.8 / (1.0 - 0.8))
+    lower, upper = 0.3 / (1.0 - 0.3), 0.8 / (1.0 - 0.8)
     # the posterior of a likelihood ratio sitting exactly on a boundary is the
     # corresponding posterior threshold
-    assert posterior_from_log_lr(math.log(cfg.lower), 0.5) == pytest.approx(0.3, abs=1e-12)
-    assert posterior_from_log_lr(math.log(cfg.upper), 0.5) == pytest.approx(0.8, abs=1e-12)
+    assert posterior_from_log_lr(math.log(lower), 0.5) == pytest.approx(0.3, abs=1e-12)
+    assert posterior_from_log_lr(math.log(upper), 0.5) == pytest.approx(0.8, abs=1e-12)
 
 
 # ---- streaming detection and risk ----

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cascaudit.errors import GraphError, ModelError, TraceError
-from cascaudit.graph import DirectedPath, PathEnumConfig, PathEnumeration, Prefix
+from cascaudit.graph import PathEnumConfig, PathEnumeration, Prefix
 from cascaudit.inference import BeliefState
 from cascaudit.markov import (
     GrowthConfig,
@@ -18,8 +18,7 @@ from cascaudit.markov import (
     TraceEvent,
     reference_model,
 )
-from cascaudit.offline import TrainingCorpus
-from cascaudit.policy import CostSpec, DecisionOutcome, SprtConfig, ThresholdTable
+from cascaudit.policy import CostSpec, DecisionOutcome, ThresholdTable
 
 MODEL = reference_model()
 TRACE = Trace(1, 0, (TraceEvent((0, 1), 2),))
@@ -29,9 +28,6 @@ VALUES = np.array([0.0, 1.0, 0.0])
 # class: (required arguments in positional order, defaults in positional
 # order, invalid changes with the exception each raises, one valid change)
 RECORDS = {
-    DirectedPath: ({"vertices": (1, 2, 3)}, {},
-                   [({"vertices": (1,)}, GraphError), ({"vertices": (1, 2, 1)}, GraphError)],
-                   {"vertices": (1, 2, 4)}),
     PathEnumConfig: ({}, {"max_path_length": 8, "max_paths": 512},
                      [({"max_path_length": 0}, GraphError), ({"max_paths": 0}, GraphError)],
                      {"max_paths": 9}),
@@ -67,10 +63,6 @@ RECORDS = {
                      [({"values": VALUES[:2]}, ModelError), ({"pi_low": 0.9}, ModelError),
                       ({"values": -VALUES - 1}, ModelError)],
                      {"sweeps": 4}),
-    SprtConfig: ({"lower": 0.1, "upper": 10.0}, {},
-                 [({"lower": 0.0}, ModelError), ({"upper": float("inf")}, ModelError)],
-                 {"upper": 20.0}),
-    TrainingCorpus: ({"traces": (TRACE,)}, {"graph": None}, [], {"traces": ()}),
 }
 # records holding arrays hash and compare their fields as the tuple would
 UNHASHABLE = {SpreadModel, ThresholdTable}
@@ -136,19 +128,11 @@ def test_equality_hash_and_replace(cls):
 
 def test_repr_names_each_compared_field():
     assert repr(DecisionOutcome(2, 1, "sprt")) == "DecisionOutcome(step=2, verdict=1, rule='sprt')"
-    assert repr(DirectedPath((1, 2))) == "DirectedPath(vertices=(1, 2))"
 
 
-def test_previous_and_edges_take_no_part_in_comparison():
+def test_previous_takes_no_part_in_comparison():
     prior = BeliefState(0.5)
     linked = BeliefState(0.5, 0.25, 1, 0.4, 0.6, previous=prior)
     unlinked = linked._replace(previous=None)
     assert linked == unlinked and hash(linked) == hash(unlinked)
     assert linked._replace().previous is prior
-    path = DirectedPath((1, 2, 3))
-    assert path.edges == ((1, 2), (2, 3)) and "edges" not in repr(path)
-    assert path._replace(vertices=(3, 4)).edges == ((3, 4),)
-
-
-def test_training_corpus_holds_its_traces_as_a_tuple():
-    assert TrainingCorpus([TRACE]).traces == (TRACE,)
