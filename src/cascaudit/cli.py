@@ -110,7 +110,7 @@ def _load_model_arg(args) -> SpreadModel:
     is given: the one place a command sets the prior."""
     prior = getattr(args, "prior", None)
     if args.model:
-        model, _ = load_model(args.model)
+        model = load_model(args.model)
         return model if prior is None else model._replace(prior_fake=prior)
     return reference_model(prior_fake=0.5 if prior is None else prior)
 

@@ -17,24 +17,22 @@ so far under hypothesis ``hyp``:
 Paths carrying no previous observation are anchored at the source: the class
 marginal ``initial_probs @ transition^(depth-1)`` replaces the empty product,
 which keeps the single-edge case consistent with the source-adjacent rule.
-``anchor=False`` leaves such factors as empty products instead, for A/B
-comparison.
 
 On an acyclic graph where a node has two followees, an observation off the
 source is scored exactly, with no path cap, by the HMM forward recursion over
 the source's memoized forward ball, rescaled per layer.  The engine keeps the
 per-depth messages across its stream and recomputes only the depths a newly
 accepted edge made stale, each in O(layer edges x Z^2) for both hypotheses.
-Any other (cyclic graph or forest, ``anchor=False``, a zero denominator, or
-an entry too far below its layer's peak) costs one pass over its capped path
-enumeration, O(paths x length), in log space.  An observation with one
-candidate, which is every observation on a single-followee graph (a walk up
-the followee chain finds it), costs O(path length) in plain floats, with no
-masks, memoized search or arrays.  Each candidate looks up its edges in the
-engine's index of accepted observations to form its evidence key: the path
-depth plus the ``(position, class)`` pairs of the earlier observations on it.
-Each distinct key is scored once and expanded back to one entry per path, in
-path order, before the log-sum-exp.
+Any other (cyclic graph or forest, a zero denominator, or an entry too far
+below its layer's peak) costs one pass over its capped path enumeration,
+O(paths x length), in log space.  An observation with one candidate, which
+is every observation on a single-followee graph (a walk up the followee
+chain finds it), costs O(path length) in plain floats, with no masks,
+memoized search or arrays.  Each candidate looks up its edges in the engine's
+index of accepted observations to form its evidence key: the path depth plus
+the ``(position, class)`` pairs of the earlier observations on it.  Each
+distinct key is scored once and expanded back to one entry per path, in path
+order, before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -277,12 +275,12 @@ class ChainTables:
 # contributes to the mixture is a function of its key.
 
 
-def _log_chain(tables: ChainTables, hyp: int, entries: tuple, anchor: bool) -> float:
+def _log_chain(tables: ChainTables, hyp: int, entries: tuple) -> float:
     """log probability of the previously observed classes along a path."""
     if not entries:
         return 0.0
     position, cls = entries[0]
-    total = tables.log_marginal(hyp, position, cls) if anchor else 0.0
+    total = tables.log_marginal(hyp, position, cls)
     for (prev_pos, prev_cls), (pos, cls) in zip(entries, entries[1:]):
         total += tables.log_gap(hyp, pos - prev_pos, prev_cls, cls)
     return total
@@ -340,18 +338,18 @@ def _evidence_keys(enumeration: PathEnumeration, by_edge: dict) -> list:
     return keys
 
 
-def _log_weights(tables, hyp, distinct, key_of_path, anchor) -> tuple:
+def _log_weights(tables, hyp, distinct, key_of_path) -> tuple:
     """Chain log-weight of each path, scored once per distinct key, and their
     log normalizer."""
     log_nums = _per_path(
-        [_log_chain(tables, hyp, entries, anchor) for _, entries in distinct], key_of_path
+        [_log_chain(tables, hyp, entries) for _, entries in distinct], key_of_path
     )
     return log_nums, _logsumexp(log_nums)
 
 
-def _log_a(tables, hyp, distinct, key_of_path, cls, anchor) -> float:
+def _log_a(tables, hyp, distinct, key_of_path, cls) -> float:
     """log probability of class ``cls`` at the end of the candidate mixture."""
-    log_nums, log_denom = _log_weights(tables, hyp, distinct, key_of_path, anchor)
+    log_nums, log_denom = _log_weights(tables, hyp, distinct, key_of_path)
     log_arrivals = _per_path(
         [_log_arrival(tables, hyp, depth, entries, cls) for depth, entries in distinct],
         key_of_path,
@@ -366,10 +364,10 @@ def _log_a(tables, hyp, distinct, key_of_path, cls, anchor) -> float:
     return _logsumexp(log_nums + log_arrivals) - log_denom
 
 
-def _one_log_a(tables, hyp, depth, entries, cls, anchor) -> float:
+def _one_log_a(tables, hyp, depth, entries, cls) -> float:
     """:func:`_log_a` of one candidate, in the same float operations on
     scalars that it applies to one-entry arrays."""
-    log_num = _log_chain(tables, hyp, entries, anchor)
+    log_num = _log_chain(tables, hyp, entries)
     log_arrival = _log_arrival(tables, hyp, depth, entries, cls)
     if log_num == _NEG_INF:
         log(
@@ -397,14 +395,12 @@ class PosteriorEngine:
         graph: SocialGraph,
         source,
         cfg: PathEnumConfig = PathEnumConfig(),
-        anchor: bool = True,
         tables: Optional[ChainTables] = None,
     ):
         self.model = model
         self.graph = graph
         self.source = source
         self.cfg = cfg
-        self.anchor = anchor
         self.belief = BeliefState(prior=model.prior_fake)
         self.accepted = ()
         self.skipped: list = []  # stream indices dropped as unreachable
@@ -439,7 +435,7 @@ class PosteriorEngine:
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the exact
         forward recursion where it applies, else by the enumeration scorer."""
-        if self.anchor and obs.u != self.source and self.graph._shape() == "dag":
+        if obs.u != self.source and self.graph._shape() == "dag":
             if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(obs.u, obs.v):
                 logs = self._forward_logs(obs)
                 if logs is not None:
@@ -530,13 +526,13 @@ class PosteriorEngine:
         if len(enumeration) == 1:
             [(depth, entries)] = _evidence_keys(enumeration, self._by_edge)
             return (
-                _one_log_a(self._tables, GENUINE, depth, entries, obs.cls, self.anchor),
-                _one_log_a(self._tables, FAKE, depth, entries, obs.cls, self.anchor),
+                _one_log_a(self._tables, GENUINE, depth, entries, obs.cls),
+                _one_log_a(self._tables, FAKE, depth, entries, obs.cls),
             )
         distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, self._by_edge))
         return (
-            _log_a(self._tables, GENUINE, distinct, key_of_path, obs.cls, self.anchor),
-            _log_a(self._tables, FAKE, distinct, key_of_path, obs.cls, self.anchor),
+            _log_a(self._tables, GENUINE, distinct, key_of_path, obs.cls),
+            _log_a(self._tables, FAKE, distinct, key_of_path, obs.cls),
         )
 
     def observe(self, obs: Observation) -> BeliefState:

@@ -16,8 +16,6 @@ import json
 import math
 from collections import deque
 from functools import partial
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,6 +32,9 @@ _ROW_SUM_TOL = 1e-9
 # outcomes per posterior grid point: 33 MB per array at Z = 64 on the
 # default grid of 1001 points.
 MAX_CLASSES = 64
+
+# JSON decoding yields exact types, so ``type(x) in _NUMBER_TYPES`` excludes bools.
+_NUMBER_TYPES = (int, float)
 
 
 class SpreadModel(Record):
@@ -136,13 +137,21 @@ class SpreadModel(Record):
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpreadModel":
+        """The model of a model file's JSON: ``Z`` must be an integer, and
+        ``prior_fake`` and every probability a number (never a bool)."""
         try:
-            return cls(
-                num_classes=int(data["Z"]),
-                initial_probs=np.array([data["eta0"], data["eta1"]], dtype=float),
-                transition_probs=np.array([data["alpha0"], data["alpha1"]], dtype=float),
-                prior_fake=float(data.get("prior_fake", 0.5)),
-            )
+            num_classes, prior_fake = data["Z"], data.get("prior_fake", 0.5)
+            if type(num_classes) is not int:
+                raise ValueError(f"Z {num_classes!r} is not an integer")
+            if type(prior_fake) not in _NUMBER_TYPES:
+                raise ValueError(f"prior_fake {prior_fake!r} is not a number")
+            tables = [data["eta0"], data["eta1"]], [data["alpha0"], data["alpha1"]]
+            eta, alpha = (np.array(table, dtype=float) for table in tables)  # ragged raises
+            for table in tables:
+                for p in np.array(table, dtype=object).flat:
+                    if type(p) not in _NUMBER_TYPES:
+                        raise ValueError(f"probability {p!r} is not a number")
+            return cls(num_classes, eta, alpha, float(prior_fake))
         except KeyError as exc:
             raise ModelError(f"model file missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -403,13 +412,14 @@ def save_model(model: SpreadModel, path, classifier: Optional[dict] = None) -> N
         fh.write("\n")
 
 
-def load_model(path) -> tuple:
-    """Read a model file; returns (SpreadModel, classifier section or None)."""
+def load_model(path) -> SpreadModel:
+    """Read a model file.  Its ``"classifier"`` section, which ``train``
+    writes, is not read."""
     try:
         data = json.loads(read_text(path, ModelError))
     except RecursionError:
         raise ModelError(f"{path}: model file is nested too deeply to parse") from None
-    return SpreadModel.from_dict(data), data.get("classifier")
+    return SpreadModel.from_dict(data)
 
 
 def _edge_to_json(edge):
@@ -434,6 +444,9 @@ def _label_from_json(label):
     raise ValueError(f"label {label!r} is not an integer or null")
 
 
+_new_event = partial(tuple.__new__, TraceEvent)  # TraceEvent(*fields), minus a Python call
+
+
 def _event_from_json(record) -> TraceEvent:
     """An event's ends are node ids, its class an integer or null, and its
     parent edge null or a ``[u, v]`` pair of node ids."""
@@ -447,39 +460,7 @@ def _event_from_json(record) -> TraceEvent:
         raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer or string")
     if cls is not None and type(cls) is not int:
         raise ValueError(f"event class {cls!r} is not an integer or null")
-    return TraceEvent(edge=(u, v), cls=cls, parent_edge=parent)
-
-
-_GET_EDGE = itemgetter("u", "v")
-_ID_TYPE_SET = frozenset(_ID_TYPES)
-_CLASS_TYPE_SET = frozenset((int, type(None)))
-_new_event = partial(tuple.__new__, TraceEvent)  # TraceEvent(*fields), minus a Python call
-
-
-def _events_from_json(events) -> tuple:
-    """A trace record's events, as :func:`_event_from_json` parses them.
-
-    Each field is gathered and its types checked for all events at once.  If
-    any check fails, the events are parsed again one at a time, so the error
-    is the one :func:`_event_from_json` raises for the first bad event.
-    """
-    if type(events) is list and {*map(type, events)} <= {dict}:
-        try:
-            edges = list(map(_GET_EDGE, events))
-        except KeyError:
-            edges = None
-        if edges is not None:
-            classes = [event.get("class") for event in events]
-            parents = [event.get("parent") for event in events]
-            linked = [parent for parent in parents if parent is not None]
-            if ({*map(type, chain.from_iterable(edges))} <= _ID_TYPE_SET
-                    and {*map(type, classes)} <= _CLASS_TYPE_SET
-                    and {*map(type, linked)} <= {list}
-                    and {*map(len, linked)} <= {2}
-                    and {*map(type, chain.from_iterable(linked))} <= _ID_TYPE_SET):
-                parents = [None if parent is None else tuple(parent) for parent in parents]
-                return tuple(map(_new_event, zip(edges, classes, parents)))
-    return tuple(map(_event_from_json, events))
+    return _new_event(((u, v), cls, parent))
 
 
 def write_traces(traces: Sequence[Trace], path) -> None:
@@ -509,7 +490,8 @@ def read_traces(path) -> list:
     restored as it was): they hold no reference cycles, and the collections
     that their many small containers would trigger cost about a tenth of the
     parse, even with the import-time heap frozen as ``cli.main`` leaves it
-    (1.8 of 21.4 ms for 6000 events, median of 15 fresh processes).
+    (1.2 of 12.9 ms for 6000 events, median of 30 fresh processes on one
+    Xeon vCPU; the paused parse was faster in 26 of them).
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -528,7 +510,7 @@ def _parse_traces(path) -> list:
             continue
         try:
             record = json.loads(line)
-            events = _events_from_json(record["events"])
+            events = tuple(map(_event_from_json, record["events"]))
             traces.append(
                 Trace(
                     label=_label_from_json(record.get("label")),

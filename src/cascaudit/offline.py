@@ -91,22 +91,6 @@ class EdgeClassifier(NamedTuple):
             data["feature_scale"] = [float(x) for x in self.feature_scale]
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeClassifier":
-        return cls(
-            weights=np.asarray(data["weights"], float),
-            bias=float(data["bias"]),
-            cal_low=float(data["cal_low"]),
-            cal_high=float(data["cal_high"]),
-            num_classes=int(data["num_classes"]),
-            feature_mean=(
-                np.asarray(data["feature_mean"], float) if "feature_mean" in data else None
-            ),
-            feature_scale=(
-                np.asarray(data["feature_scale"], float) if "feature_scale" in data else None
-            ),
-        )
-
 
 def score_to_class(score: float, num_classes: int) -> int:
     """Equal-interval binning of a [0, 1] score into a class index."""

@@ -58,8 +58,13 @@ class CostSpec(Record):
 
     @property
     def decision_ratio(self) -> float:
-        """Posterior at which the two stopping verdicts cost the same."""
-        return self.false_alarm / (self.false_alarm + self.miss)
+        """Posterior at which the two stopping verdicts cost the same.  Where
+        the costs' sum overflows, both are halved first: exact for these
+        normal doubles, so every finite sum keeps its ratio's bits."""
+        false_alarm, miss = self.false_alarm, self.miss
+        if math.isinf(false_alarm + miss):
+            false_alarm, miss = false_alarm / 2, miss / 2
+        return false_alarm / (false_alarm + miss)
 
 
 def stop_cost(pi: float, costs: CostSpec) -> float:
@@ -310,7 +315,7 @@ class DpThresholdPolicy:
     def __init__(self, table: ThresholdTable):
         self.table = table
 
-    def check(self, step, posterior, log_lr, prev_posterior) -> Optional[int]:
+    def check(self, posterior, log_lr, prev_posterior) -> Optional[int]:
         if posterior <= self.table.pi_low or posterior >= self.table.pi_up:
             return 0 if posterior <= self.table.pi_low else 1
         return None
@@ -332,7 +337,7 @@ class SprtPolicy:
         self._log_low = math.log(lower)
         self._log_up = math.log(upper)
 
-    def check(self, step, posterior, log_lr, prev_posterior) -> Optional[int]:
+    def check(self, posterior, log_lr, prev_posterior) -> Optional[int]:
         if log_lr <= self._log_low:
             return 0
         if log_lr >= self._log_up:
@@ -354,7 +359,7 @@ class ConvergencePolicy:
         self.epsilon = epsilon
         self.threshold = threshold
 
-    def check(self, step, posterior, log_lr, prev_posterior) -> Optional[int]:
+    def check(self, posterior, log_lr, prev_posterior) -> Optional[int]:
         if abs(posterior - prev_posterior) < self.epsilon:
             return 1 if posterior >= self.threshold else 0
         return None
@@ -379,7 +384,7 @@ def decide(policy, beliefs: Iterable) -> DecisionOutcome:
     state = None
     for state in states:
         prev_posterior, posterior = posterior, state.posterior  # each read once
-        verdict = policy.check(state.step, posterior, state.log_lr, prev_posterior)
+        verdict = policy.check(posterior, state.log_lr, prev_posterior)
         if verdict is not None:
             return DecisionOutcome(step=state.step, verdict=verdict, rule=policy.rule)
     if state is None:

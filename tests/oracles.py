@@ -72,7 +72,7 @@ def marginal_brute(eta, alpha, position, cls):
     return sum(eta[z] * kstep_brute(alpha, position - 1, z, cls) for z in range(len(eta)))
 
 
-def conditional_prob_brute(eta, alpha, edges, source, prefix, obs, max_len, anchor=True):
+def conditional_prob_brute(eta, alpha, edges, source, prefix, obs, max_len):
     """One hypothesis' conditional probability of ``obs`` given ``prefix``.
 
     ``prefix`` and ``obs`` carry ``.edge`` and ``.cls``; ``eta``/``alpha`` are
@@ -90,7 +90,7 @@ def conditional_prob_brute(eta, alpha, edges, source, prefix, obs, max_len, anch
         pos = {e: i + 1 for i, e in enumerate(path_edges)}
         on_path = sorted((pos[o.edge], o.cls) for o in prefix if o.edge in pos)
         weight = 1.0
-        if on_path and anchor:
+        if on_path:
             weight *= marginal_brute(eta, alpha, on_path[0][0], on_path[0][1])
         for (p1, c1), (p2, c2) in zip(on_path[:-1], on_path[1:]):
             weight *= kstep_brute(alpha, p2 - p1, c1, c2) if p2 > p1 else (1.0 if c1 == c2 else 0.0)
@@ -110,7 +110,7 @@ def conditional_prob_brute(eta, alpha, edges, source, prefix, obs, max_len, anch
     return sum(w * a for w, a in zip(weights, arrivals)) / denom
 
 
-def posterior_brute(model, edges, source, observations, max_len, prior=None, anchor=True):
+def posterior_brute(model, edges, source, observations, max_len, prior=None):
     """Bayes posterior of the fake hypothesis from exhaustively computed
     likelihoods: posterior = prior * L1 / (prior * L1 + (1 - prior) * L0)."""
     if prior is None:
@@ -122,7 +122,7 @@ def posterior_brute(model, edges, source, observations, max_len, prior=None, anc
     for obs in observations:
         for hyp in (0, 1):
             likelihood[hyp] *= conditional_prob_brute(
-                eta[hyp], alpha[hyp], edges, source, prefix, obs, max_len, anchor=anchor
+                eta[hyp], alpha[hyp], edges, source, prefix, obs, max_len
             )
         prefix.append(obs)
     num = prior * likelihood[1]
@@ -145,7 +145,7 @@ def path_contexts_brute(paths, prefix):
     return result
 
 
-def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
+def log_conditionals_per_path(tables, paths, prefix, obs):
     """(log a_genuine, log a_fake) of ``obs`` scored path by path.
 
     ``paths`` are the candidate paths, each with its ``edges``, and ``tables``
@@ -160,7 +160,7 @@ def log_conditionals_per_path(tables, paths, prefix, obs, anchor=True):
         if not ctx.on_path:
             return 0.0
         first = ctx.on_path[0]
-        total = tables.log_marginal(hyp, first.position, first.cls) if anchor else 0.0
+        total = tables.log_marginal(hyp, first.position, first.cls)
         for prev, cur in zip(ctx.on_path[:-1], ctx.on_path[1:]):
             total += tables.log_gap(hyp, cur.position - prev.position, prev.cls, cur.cls)
         return total

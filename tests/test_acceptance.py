@@ -86,7 +86,7 @@ def oracle_suite():
             enumeration = enumerate_paths(graph, stream.source, observations[belief.step].edge, cfg)
             distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, engine._by_edge))
             for hyp in (GENUINE, FAKE):
-                log_nums, log_denom = _log_weights(engine._tables, hyp, distinct, key_of_path, True)
+                log_nums, log_denom = _log_weights(engine._tables, hyp, distinct, key_of_path)
                 score_sum_errors.append(abs(float(np.exp(log_nums - log_denom).sum()) - 1.0))
         expected = posterior_brute(
             model, edges, stream.source, stream.observations, graph.node_count

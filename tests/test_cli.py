@@ -119,9 +119,10 @@ def test_train_recovers_planted_parameters(tmp_path):
     model_path = tmp_path / "model.json"
     assert run_cli("train", "--traces", tmp_path / "corpus" / "traces.jsonl",
                    "--seed", 5, "--out", model_path) == 0
-    trained, classifier = load_model(model_path)
+    trained = load_model(model_path)
     reference = reference_model()
-    assert classifier is None  # no features, so no classifier section
+    # no features, so no classifier section
+    assert "classifier" not in json.loads(model_path.read_text(encoding="utf-8"))
     assert np.abs(trained.initial_probs - reference.initial_probs).max() <= 0.05
     assert np.abs(trained.transition_probs - reference.transition_probs).max() <= 0.06
     assert abs(trained.prior_fake - 0.5) <= 0.1
@@ -160,8 +161,8 @@ def test_train_with_features_runs_full_pipeline(tmp_path):
                    "--features", feats_path, "--seed", 6, "--smoothing",
                    "--out", model_path)
     assert code == 0
-    model, classifier = load_model(model_path)
-    assert classifier is not None
+    model = load_model(model_path)
+    classifier = json.loads(model_path.read_text(encoding="utf-8"))["classifier"]
     assert len(classifier["weights"]) == 4  # concatenated 2-dim feature pair
     assert model.num_classes == 4
     # genuine spread concentrates in low classes, fake in high ones
@@ -359,6 +360,21 @@ def test_detect_fake_stream_verdict(tmp_path, capsys):
     assert record["verdict"] == 1
     assert record["T"] >= 1
     assert (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("cost", [1, 1e308])
+def test_equal_costs_set_the_decision_threshold_at_one_half(tmp_path, capsys, cost):
+    # one source observation of class 0 leaves the posterior at 0.104, below
+    # the threshold of equal costs, 0.5, also where their sum overflows
+    graph_path, stream_path = tmp_path / "graph.tsv", tmp_path / "stream.json"
+    graph_path.write_text("0\t1\n", encoding="utf-8")
+    stream_path.write_text(json.dumps({"source": 0, "observations": [_observation((0, 1), 0)]}),
+                           encoding="utf-8")
+    assert run_cli("detect", "--graph", graph_path, "--stream", stream_path,
+                   "--policy", "convergence", "--ci", cost, "--cii", cost) == 0
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert record["final_posterior"] == pytest.approx(0.104, abs=5e-4)
+    assert record["verdict"] == 0
 
 
 @pytest.mark.parametrize("with_model", [False, True])
@@ -582,9 +598,12 @@ def _model_with(**fields):
 @pytest.mark.parametrize("document", [
     0, [], "model", _model_with(Z="four"), _model_with(Z=[4]),
     _model_with(eta0=[0.5, [0.5]]), _model_with(prior_fake="half"),
-    _model_with(prior_fake=None),
+    _model_with(prior_fake=None), _model_with(Z=4.7), _model_with(Z="4"), _model_with(Z=True),
+    _model_with(prior_fake="0.3"), _model_with(prior_fake=True),
+    _model_with(eta0=["0.872", 0.004, 0.003, 0.121]),
 ], ids=["int", "list", "string", "string-Z", "list-Z", "ragged-eta0", "string-prior",
-        "null-prior"])
+        "null-prior", "float-Z", "numeric-string-Z", "bool-Z", "numeric-string-prior",
+        "bool-prior", "string-eta0-entry"])
 def test_detect_rejects_malformed_model_with_exit_2(tmp_path, capsys, document):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
     model_path = tmp_path / "model.json"

@@ -238,8 +238,7 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
         prior_fake=0.5,
     )
     seen = dict.fromkeys(
-        ("checked", "mixed_lengths", "repeated", "target_seen", "unanchored", "truncated", "long"),
-        0,
+        ("checked", "mixed_lengths", "repeated", "target_seen", "truncated", "long"), 0
     )
     with caplog.at_level("WARNING", logger="cascaudit.inference"):
         while seen["checked"] < 400:
@@ -269,19 +268,18 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
             ]
             if rng.random() < 0.3:
                 prefix.insert(int(rng.integers(len(prefix) + 1)), obs(*target, 1))
-            anchor = bool(rng.random() < 0.7)
+            rng.random()  # unused; it keeps the seeded instances the counts were set on
             new = obs(*target, int(rng.integers(model.num_classes)))
-            engine = PosteriorEngine(model, graph, source, cfg, anchor=anchor)
+            engine = PosteriorEngine(model, graph, source, cfg)
             engine.accepted = prefix
             expected = log_conditionals_per_path(
-                ChainTables(model), candidates(enumeration), prefix, new, anchor
+                ChainTables(model), candidates(enumeration), prefix, new
             )
             assert engine._enumeration_logs(new) == expected
             seen["checked"] += 1
             seen["mixed_lengths"] += len({len(p.edges) for p in enumeration.prefixes}) > 1
             seen["repeated"] += len({o.edge for o in prefix}) < len(prefix)
             seen["target_seen"] += any(o.edge == target for o in prefix)
-            seen["unanchored"] += not anchor
             seen["truncated"] += enumeration.truncated
             seen["long"] += len(enumeration) > 8
     fallbacks = caplog.text.count("zero score")
@@ -303,14 +301,14 @@ def test_one_candidate_scalar_scoring_equals_the_array_scorer(caplog):
         positions = sorted(int(p) for p in rng.integers(1, depth + 1, size=rng.integers(0, 5)))
         entries = tuple((p, int(rng.integers(model.num_classes))) for p in positions)
         cls = int(rng.integers(model.num_classes))
-        anchor = bool(rng.random() < 0.7)
+        rng.random()  # unused; it keeps the seeded instances the counts were set on
         for hyp in (GENUINE, FAKE):
             with caplog.at_level("WARNING", logger="cascaudit.inference"):
                 caplog.clear()
-                expected = _log_a(tables, hyp, [(depth, entries)], None, cls, anchor)
+                expected = _log_a(tables, hyp, [(depth, entries)], None, cls)
                 expected_warnings = [r.getMessage() for r in caplog.records]
                 caplog.clear()
-                got = _one_log_a(tables, hyp, depth, entries, cls, anchor)
+                got = _one_log_a(tables, hyp, depth, entries, cls)
                 warnings = [r.getMessage() for r in caplog.records]
             assert type(got) is float
             assert got == expected
@@ -327,14 +325,14 @@ def test_one_candidate_scalar_scoring_equals_the_array_scorer(caplog):
 
 def test_path_weight_single_candidate_is_one(ref_model, demo_graph):
     keys = _evidence_keys(enumerate_paths(demo_graph, 1, (2, 5)), {})
-    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys), True)
+    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys))
     np.testing.assert_allclose(np.exp(log_nums - log_denom), [1.0])
 
 
 def test_path_weights_symmetric_paths_split_evenly(ref_model, demo_graph):
     # no prior evidence on either path
     keys = _evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), {})
-    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys), True)
+    log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys))
     weights = np.exp(log_nums - log_denom)
     np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -355,7 +353,7 @@ def test_path_weights_hand_evaluated_two_gap_case():
     # path via a: observed (a, t) class 0 ; path via b: observed (b, t) class 1
     engine.accepted = [obs("s", "a", 0), obs("s", "b", 0), obs("a", "t", 0), obs("b", "t", 1)]
     keys = _evidence_keys(enumerate_paths(graph, "s", ("t", "w")), engine._by_edge)
-    log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), True)
+    log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys))
     # both routes anchor identically (class 0 at depth 1, eta uniform), then
     # one gap each: 0 -> 0 vs 0 -> 1
     np.testing.assert_allclose(sorted(np.exp(log_nums - log_denom)), [0.1, 0.9], atol=1e-12)
@@ -371,7 +369,7 @@ def test_path_weights_normalize_on_random_instances():
         engine = PosteriorEngine(model, graph, stream.source)
         engine.accepted = stream.observations[:-1]
         keys = _evidence_keys(enumerate_paths(graph, stream.source, last.edge), engine._by_edge)
-        log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), True)
+        log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys))
         assert np.exp(log_nums - log_denom).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -432,20 +430,6 @@ def test_unreachable_observation_raises(ref_model):
         PosteriorEngine(ref_model, graph, 0).log_conditionals(obs(2, 3, 0))
 
 
-def test_anchoring_flag_changes_scores(ref_model, demo_graph):
-    # one candidate route carries a prior observation, the other does not;
-    # with anchoring disabled the unobserved route keeps the empty product 1
-    engine = PosteriorEngine(ref_model, demo_graph, 1)
-    engine.accepted = [obs(1, 2, 3), obs(2, 6, 3)]
-    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), engine._by_edge)
-    weights = {}
-    for anchor in (True, False):
-        log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys), anchor)
-        weights[anchor] = np.exp(log_nums - log_denom)
-        assert weights[anchor].sum() == pytest.approx(1.0, abs=1e-12)
-    assert not np.allclose(weights[True], weights[False])
-
-
 # ---- full posterior runs ----
 
 
@@ -477,15 +461,15 @@ def test_recursive_posterior_matches_brute_force_small_instances():
         assert belief.posterior == pytest.approx(expected, abs=1e-9)
 
 
-def test_unanchored_variant_also_matches_brute_force():
+def test_posterior_matches_brute_force_on_a_second_seed():
     rng = derive_rng(271)
     for _ in range(10):
         graph, edges, model, stream = random_inference_instance(rng)
         cfg = PathEnumConfig(max_path_length=graph.node_count, max_paths=100000)
-        engine = PosteriorEngine(model, graph, stream.source, cfg, anchor=False)
+        engine = PosteriorEngine(model, graph, stream.source, cfg)
         *_, belief = engine.beliefs(stream.observations, on_unreachable="fail")
         expected = posterior_brute(
-            model, edges, stream.source, stream.observations, graph.node_count, anchor=False
+            model, edges, stream.source, stream.observations, graph.node_count
         )
         assert belief.posterior == pytest.approx(expected, abs=1e-9)
 
@@ -710,21 +694,19 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
 
 
 def _fallback_case(case):
-    """(model, edges, anchor, prefix, new) for one fallback from source 0."""
+    """(model, edges, prefix, new) for one fallback from source 0."""
     dag, model = _layered_dag_edges(), reference_model()
     prefix, new = [obs(0, 11, 3), obs(11, 21, 2), obs(20, 30, 0)], obs(31, 40, 1)
     if case == "cyclic":
-        return model, dag + [(41, 10)], True, prefix, new
-    if case == "unanchored":
-        return model, dag, False, prefix, new
+        return model, dag + [(41, 10)], prefix, new
     if case == "forest":
         tree = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (5, 6)]
-        return model, tree, True, [obs(1, 3, 2)], obs(5, 6, 1)
+        return model, tree, [obs(1, 3, 2)], obs(5, 6, 1)
     # class 1 is impossible at the source and the chain never changes class,
     # so every candidate, all carrying the earlier class-1 target, scores zero
     zero = SpreadModel(num_classes=2, initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
                        transition_probs=np.array([np.eye(2), np.eye(2)]), prior_fake=0.5)
-    return zero, dag, True, [obs(31, 40, 1)], obs(31, 40, 0)
+    return zero, dag, [obs(31, 40, 1)], obs(31, 40, 0)
 
 
 def _bits(logs):
@@ -777,15 +759,14 @@ def test_forward_arrival_fold_equals_the_earlier_fold_bit_for_bit():
         seen["no_mass"] += logs is None
 
 
-@pytest.mark.parametrize("case", ["cyclic", "unanchored", "forest", "zero_chain"])
+@pytest.mark.parametrize("case", ["cyclic", "forest", "zero_chain"])
 def test_forward_fallbacks_equal_the_enumeration_scorer(case, caplog):
-    model, edges, anchor, prefix, new = _fallback_case(case)
-    engine = PosteriorEngine(model, build_graph(edges), 0, anchor=anchor)
+    model, edges, prefix, new = _fallback_case(case)
+    engine = PosteriorEngine(model, build_graph(edges), 0)
     engine.accepted = prefix
     expected = engine._enumeration_logs(new)
     assert engine.log_conditionals(new) == expected
-    if anchor:
-        assert engine._forward_logs(new) is None
+    assert engine._forward_logs(new) is None
     assert ("zero score" in caplog.text) == (case == "zero_chain")
 
 

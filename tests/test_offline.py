@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from cascaudit.markov import (
     SpreadModel,
     Trace,
     TraceEvent,
+    reference_model,
     sample_trace,
+    save_model,
 )
 from cascaudit.offline import (
     EdgeClassifier,
@@ -141,13 +145,18 @@ def test_training_determinism():
     assert (a.cal_low, a.cal_high) == (b.cal_low, b.cal_high)
 
 
-def test_classifier_round_trip():
+def test_classifier_round_trip(tmp_path):
+    # the model file's classifier section holds every field of the
+    # classifier exactly
     traces, graph = featured_corpus(n_per_label=10, seed=4)
     clf = train_classifier(traces, graph, TrainingConfig(seed=2, standardize=True), 4)
-    restored = EdgeClassifier.from_dict(clf.to_dict())
-    u, v = traces[0].events[0].edge
-    xu, xv = graph.features(u), graph.features(v)
-    assert restored.score(xu, xv) == clf.score(xu, xv)
+    path = tmp_path / "model.json"
+    save_model(reference_model(), path, classifier=clf.to_dict())
+    section = json.loads(path.read_text(encoding="utf-8"))["classifier"]
+    assert section == clf.to_dict()
+    assert set(section) == set(EdgeClassifier._fields)
+    for field, value in zip(EdgeClassifier._fields, clf):
+        assert section[field] == (value.tolist() if isinstance(value, np.ndarray) else value)
 
 
 # ---- score binning ----
