@@ -471,11 +471,15 @@ def cmd_thresholds(args) -> int:
 # ---- parser -----------------------------------------------------------------------
 
 
-def _add_policy_flags(sub) -> None:
-    sub.add_argument("--policy", choices=["dp", "sprt", "convergence"], default="convergence")
+def _add_cost_flags(sub) -> None:
     sub.add_argument("--ci", type=float, default=10.0, help="type-I (false alarm) cost")
     sub.add_argument("--cii", type=float, default=10.0, help="type-II (miss) cost")
     sub.add_argument("--c", type=float, default=0.05, help="per-step propagation cost")
+
+
+def _add_policy_flags(sub) -> None:
+    sub.add_argument("--policy", choices=["dp", "sprt", "convergence"], default="convergence")
+    _add_cost_flags(sub)
     sub.add_argument("--epsilon", type=float, default=0.001, help="convergence tolerance")
     sub.add_argument("--decision-threshold", type=float, default=None,
                      help="posterior threshold for the convergence verdict "
@@ -552,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     thr = commands.add_parser("thresholds", help="solve the stopping-threshold table")
     thr.add_argument("--model", default=None)
-    thr.add_argument("--ci", type=float, default=10.0)
-    thr.add_argument("--cii", type=float, default=10.0)
-    thr.add_argument("--c", type=float, default=0.05)
+    _add_cost_flags(thr)
     thr.add_argument("--grid-step", type=float, default=0.001)
     thr.add_argument("--tol", type=float, default=1e-7)
     thr.add_argument("--max-sweeps", type=int, default=10_000)

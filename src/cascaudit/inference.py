@@ -433,14 +433,17 @@ class PosteriorEngine:
                 del self._messages[rows[0][0] - 1:]  # stale from the edge's shallowest depth on
 
     def log_conditionals(self, obs: Observation) -> tuple:
-        """(log a_genuine, log a_fake) for the next observation: by the exact
-        forward recursion where it applies, else by the enumeration scorer."""
-        if obs.u != self.source and self.graph._shape() == "dag":
-            if 0 <= obs.cls < self.model.num_classes and self.graph.has_edge(obs.u, obs.v):
-                logs = self._forward_logs(obs)
-                if logs is not None:
-                    return logs
-        return self._enumeration_logs(obs)
+        """(log a_genuine, log a_fake) for the next observation: by the initial
+        distribution, the exact forward recursion or the enumeration scorer."""
+        if not 0 <= obs.cls < self.model.num_classes:
+            raise ModelError(f"observed class {obs.cls} out of range")
+        if not self.graph.has_edge(obs.u, obs.v):  # a source-adjacent edge too
+            raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
+        if obs.u == self.source:
+            eta = self.model.initial_probs
+            return _safe_log(float(eta[GENUINE][obs.cls])), _safe_log(float(eta[FAKE][obs.cls]))
+        logs = self._forward_logs(obs)
+        return self._enumeration_logs(obs) if logs is None else logs
 
     def _forward_logs(self, obs: Observation) -> Optional[tuple]:
         """(log a_genuine, log a_fake) by the forward recursion, or None where
@@ -510,16 +513,8 @@ class PosteriorEngine:
 
     def _enumeration_logs(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) scored over the enumerated candidate
-        paths, once per distinct evidence key; exact up to the path cap."""
-        if not 0 <= obs.cls < self.model.num_classes:
-            raise ModelError(f"observed class {obs.cls} out of range")
-        if not self.graph.has_edge(obs.u, obs.v):  # a source-adjacent edge too
-            raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
-        if obs.u == self.source:
-            return (
-                _safe_log(float(self.model.initial_probs[GENUINE][obs.cls])),
-                _safe_log(float(self.model.initial_probs[FAKE][obs.cls])),
-            )
+        paths, once per distinct evidence key; exact up to the path cap.  The
+        observation is off the source, and :meth:`log_conditionals` checked it."""
         enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
         if not enumeration:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)

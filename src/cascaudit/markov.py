@@ -205,7 +205,9 @@ class TraceEvent(NamedTuple):
 
 
 class Trace(Record):
-    """A full cascade in generation order, optionally labeled."""
+    """A full cascade in generation order, labeled 0, 1 or None.  As read from
+    a file, an event names no parent exactly when its tail is the source, and
+    any other event's parent is an earlier event's edge ending at its tail."""
 
     _fields = ("label", "source", "events")
 
@@ -215,33 +217,9 @@ class Trace(Record):
     def __len__(self) -> int:
         return len(self.events)
 
-    def validate(self, num_classes: Optional[int] = None) -> None:
-        """Check lineage invariants; raises TraceError on the first violation."""
-        seen_followers = {self.source}
-        seen_edges = set()
-        for i, ev in enumerate(self.events):
-            u, v = ev.edge
-            if u not in seen_followers:
-                raise TraceError(
-                    f"event {i}: edge {ev.edge!r} does not descend from the source"
-                )
-            if ev.parent_edge is not None:
-                if ev.parent_edge not in seen_edges:
-                    raise TraceError(f"event {i}: parent edge {ev.parent_edge!r} not seen earlier")
-                if ev.parent_edge[1] != u:
-                    raise TraceError(
-                        f"event {i}: parent edge {ev.parent_edge!r} does not end at {u!r}"
-                    )
-            elif u != self.source:
-                raise TraceError(f"event {i}: non-source edge {ev.edge!r} lacks a parent")
-            if ev.cls is not None and num_classes is not None and not 0 <= ev.cls < num_classes:
-                raise TraceError(f"event {i}: class {ev.cls} out of range")
-            seen_followers.add(v)
-            seen_edges.add(ev.edge)
-
-    def implied_graph(self, feature_dim: int = 1) -> SocialGraph:
+    def implied_graph(self) -> SocialGraph:
         """Graph formed by exactly this trace's nodes and edges (zero features)."""
-        return SocialGraph([ev.edge for ev in self.events], (self.source,), feature_dim)
+        return SocialGraph([ev.edge for ev in self.events], (self.source,))
 
 
 class Observation(NamedTuple):
@@ -438,10 +416,12 @@ def _node_from_json(node):
 
 
 def _label_from_json(label):
-    """A trace label is a JSON integer, or null when unlabeled."""
-    if label is None or type(label) is int:
-        return label
-    raise ValueError(f"label {label!r} is not an integer or null")
+    """A trace label is 0 (genuine), 1 (fake), or null when unlabeled."""
+    if type(label) is not int and label is not None:
+        raise ValueError(f"label {label!r} is not an integer or null")
+    if label not in (None, GENUINE, FAKE):
+        raise ValueError(f"label {label} is not 0, 1 or null")
+    return label
 
 
 _new_event = partial(tuple.__new__, TraceEvent)  # TraceEvent(*fields), minus a Python call
@@ -461,6 +441,21 @@ def _event_from_json(record) -> TraceEvent:
     if cls is not None and type(cls) is not int:
         raise ValueError(f"event class {cls!r} is not an integer or null")
     return _new_event(((u, v), cls, parent))
+
+
+def _check_lineage(source, events) -> None:
+    """An event names no parent exactly when its tail is the source, and
+    otherwise the edge of an earlier event that ends at its tail."""
+    earlier = set()
+    for edge, _, parent in events:
+        tail = edge[0]
+        if tail == source:
+            if parent is not None:
+                raise ValueError(f"edge {edge!r} leaves the source but names parent {parent!r}")
+        elif parent not in earlier or parent[1] != tail:
+            raise ValueError(f"edge {edge!r} does not leave source {source!r}, and its parent "
+                             f"{parent!r} is not an earlier event's edge ending at {tail!r}")
+        earlier.add(edge)
 
 
 def write_traces(traces: Sequence[Trace], path) -> None:
@@ -511,13 +506,10 @@ def _parse_traces(path) -> list:
         try:
             record = json.loads(line)
             events = tuple(map(_event_from_json, record["events"]))
-            traces.append(
-                Trace(
-                    label=_label_from_json(record.get("label")),
-                    source=_node_from_json(record["source"]),
-                    events=events,
-                )
-            )
+            label = _label_from_json(record.get("label"))
+            source = _node_from_json(record["source"])
+            _check_lineage(source, events)
+            traces.append(Trace(label=label, source=source, events=events))
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc
     return traces

@@ -266,11 +266,6 @@ def estimate_alpha(
         for ev in trace.events:
             cls = _event_class(ev, edge_classes)
             if ev.parent_edge is not None:
-                if ev.parent_edge not in class_of:
-                    raise EstimationError(
-                        f"event on edge {ev.edge!r} references unseen parent "
-                        f"{ev.parent_edge!r}"
-                    )
                 counts[label][class_of[ev.parent_edge]][cls] += 1
             class_of[ev.edge] = cls
     if smoothing:

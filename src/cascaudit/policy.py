@@ -5,9 +5,11 @@ false_alarm_cost * (1 - p))`` in expectation (declare whichever hypothesis is
 cheaper to be wrong about), while every further step on a fake item costs
 ``per_step``.  Three stopping rules are provided:
 
-* ``dp_threshold`` -- the Bayes-optimal rule: value-iterate the stationary
-  Bellman equation on a posterior grid and stop once the posterior leaves the
-  continuation interval ``(pi_low, pi_up)``;
+* ``dp_threshold`` -- value-iterate the stationary Bellman equation on a
+  posterior grid and stop once the posterior leaves the continuation interval
+  ``(pi_low, pi_up)``; optimal only for :func:`single_step_outcomes`'s
+  uniform-context surrogate.  A step costs only while a fake item spreads, so
+  the reference model's ``pi_low`` is 0.0 under the default costs;
 * ``sprt``         -- the same rule expressed on the likelihood ratio with
   boundaries ``(b_low, b_up)``, equivalent via the prior-odds bijection and
   usable with Wald boundaries picked from target error rates;

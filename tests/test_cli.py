@@ -752,18 +752,29 @@ def test_offline_names_bind_on_first_lookup_and_keep_a_replacement(monkeypatch):
         cli.no_such_name
 
 
-def _bench_traced():
-    traced_path = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
-    spec = importlib.util.spec_from_file_location("bench_traced", traced_path)
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
-    return traced
+def _bench_module(name):
+    """The benchmark's ``bench/<name>.py``, loaded from its file (``bench/`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workload", ["tree", "layered"])
+def test_benchmark_inputs_pass_the_trace_checks(tmp_path, workload, seed):
+    # every benchmark train and eval reads these traces, so each rule that
+    # read_traces enforces must hold on them, or a bench run fails
+    _bench_module("inputs").make_inputs(workload, seed, tmp_path)
+    traces = read_traces(tmp_path / "traces.jsonl")
+    assert traces and {trace.label for trace in traces} == {GENUINE, FAKE}
 
 
 def test_benchmark_trace_targets_resolve_to_callables():
     # the benchmark drops every per-layer metric whose traced functions are
     # all missing, so a rename or removal must show up here first
-    traced = _bench_traced()
+    traced = _bench_module("traced")
     assert traced.TARGETS
     for module_name, attr, _ in traced.TARGETS:
         owner = importlib.import_module(module_name)
@@ -784,7 +795,7 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
     # a target that resolves but is no longer called records no span, and the
     # benchmark's per-layer metric then reads zero: run every bench command
     # in-process under the benchmark's own wrappers
-    traced = _bench_traced()
+    traced = _bench_module("traced")
     for module_name, attr, _ in traced.TARGETS:
         owner = importlib.import_module(module_name)
         *path, leaf = attr.split(".")
@@ -900,6 +911,47 @@ def test_eval_rejects_malformed_trace_with_exit_2(tmp_path, capsys, mutate):
     assert code == 2
     assert "accuracy" not in captured.out
     assert "bad trace record" in captured.err
+
+
+def _orphan(record):  # the last event names no parent
+    record["events"][-1]["parent"] = None
+
+
+def _parent_ends_elsewhere(record):  # the last event's parent is an earlier edge ending elsewhere
+    events = record["events"]
+    events[-1]["parent"] = next([e["u"], e["v"]] for e in events if e["v"] != events[-1]["u"])
+
+
+def _later_parent(record):  # the last event's parent moves to the end of the trace
+    events = record["events"]
+    at = next(i for i, e in enumerate(events) if [e["u"], e["v"]] == events[-1]["parent"])
+    events.append(events.pop(at))
+
+
+def _source_edge_with_parent(record):  # the first, source-adjacent event names a parent
+    events = record["events"]
+    events[0]["parent"] = [events[-1]["u"], events[-1]["v"]]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fault", [
+    _orphan, _parent_ends_elsewhere, _later_parent, _source_edge_with_parent,
+    lambda record: record.update(label=2),
+], ids=["orphan", "parent-ends-elsewhere", "later-parent", "source-edge-with-parent", "label-2"])
+def test_trace_lineage_or_label_fault_exits_2_naming_the_line(tmp_path, capsys, command, fault):
+    traces = make_eval_corpus(tmp_path, n=8)
+    records = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]
+    assert {r["label"] for r in records} == {GENUINE, FAKE}  # train would exit 3 otherwise
+    fault(records[1])
+    traces.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run_cli(command, "--traces", traces, "--seed", 1, "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{traces}:2: bad trace record: " in captured.err
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_eval_negative_seed_exits_2(tmp_path, capsys):

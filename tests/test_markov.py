@@ -235,10 +235,19 @@ def test_deterministic_alternation_on_three_edge_path():
     assert [ev.cls for ev in trace.events] == [0, 1, 0]
 
 
-def test_trace_structure_and_validation(ref_model):
+def _read_back(tmp_path, trace):
+    """``trace`` through its file format: written, then read with every check."""
+    path = tmp_path / "trace.jsonl"
+    write_traces([trace], path)
+    [loaded] = read_traces(path)
+    return loaded
+
+
+def test_trace_structure_and_validation(tmp_path, ref_model):
     growth = GrowthConfig(max_events=40, min_children=1)
     trace = sample_trace(None, ref_model, FAKE, seed=11, growth=growth)
-    trace.validate(num_classes=4)
+    assert _read_back(tmp_path, trace) == trace
+    assert all(0 <= ev.cls < 4 for ev in trace.events)
     assert trace.events[0].parent_edge is None
     assert len(trace) == 40
     # every non-source event's parent is an earlier event's edge
@@ -249,10 +258,11 @@ def test_trace_structure_and_validation(ref_model):
         seen.add(ev.edge)
 
 
-def test_sample_trace_on_real_graph(demo_graph, ref_model):
+def test_sample_trace_on_real_graph(tmp_path, demo_graph, ref_model):
     trace = sample_trace(demo_graph, ref_model, GENUINE, seed=5,
                          growth=GrowthConfig(max_events=30), source=1)
-    trace.validate(num_classes=4)
+    assert _read_back(tmp_path, trace) == trace
+    assert all(0 <= ev.cls < 4 for ev in trace.events)
     for ev in trace.events:
         assert demo_graph.has_edge(*ev.edge)
 
@@ -373,7 +383,7 @@ def test_read_traces_reports_line_number(tmp_path):
         read_traces(path)
 
 
-def test_trace_validate_rejects_orphan_event():
+def test_trace_validate_rejects_orphan_event(tmp_path):
     trace = Trace(
         label=FAKE,
         source=0,
@@ -382,8 +392,8 @@ def test_trace_validate_rejects_orphan_event():
             TraceEvent(edge=(5, 6), cls=1, parent_edge=None),
         ),
     )
-    with pytest.raises(TraceError, match="descend"):
-        trace.validate(num_classes=4)
+    with pytest.raises(TraceError, match="trace.jsonl:1: .* does not leave source 0"):
+        _read_back(tmp_path, trace)
 
 
 def _one_event_trace_line(cls):
@@ -468,7 +478,35 @@ _BAD_TRACE_FIELDS = {
                      "node id 1.0 is not an integer or string"),
     "string-label": ({"label": "x", "source": 0, "events": [_GOOD_EVENT]},
                      "label 'x' is not an integer or null"),
+    "int-label": ({"label": 2, "source": 0, "events": [_GOOD_EVENT]},
+                  "label 2 is not 0, 1 or null"),
+    "negative-label": ({"label": -1, "source": 0, "events": [_GOOD_EVENT]},
+                       "label -1 is not 0, 1 or null"),
     "list-record": ([1, 2], _type_error(_index, [1, 2])),
+}
+
+
+# (events after _GOOD_EVENT on edge (0, 1) from source 0, message): each
+# event's fields parse, and the first lineage fault is named
+_BAD_LINEAGES = {
+    "orphan": ([{"u": 5, "v": 6, "class": 1}],
+               "edge (5, 6) does not leave source 0, and its parent None is not an "
+               "earlier event's edge ending at 5"),
+    "parent-ends-elsewhere": ([{"u": 2, "v": 3, "class": 1, "parent": [0, 1]}],
+                              "edge (2, 3) does not leave source 0, and its parent (0, 1) is "
+                              "not an earlier event's edge ending at 2"),
+    "later-parent": ([{"u": 2, "v": 3, "class": 1, "parent": [1, 2]},
+                      {"u": 1, "v": 2, "class": 1, "parent": [0, 1]}],
+                     "edge (2, 3) does not leave source 0, and its parent (1, 2) is not an "
+                     "earlier event's edge ending at 2"),
+    "self-parent": ([{"u": 1, "v": 1, "class": 1, "parent": [1, 1]}],
+                    "edge (1, 1) does not leave source 0, and its parent (1, 1) is not an "
+                    "earlier event's edge ending at 1"),
+    "source-edge-with-parent": ([{"u": 0, "v": 2, "class": 1, "parent": [0, 1]}],
+                                "edge (0, 2) leaves the source but names parent (0, 1)"),
+    # field checks run first, over every event of the record
+    "orphan-then-bad-field": ([{"u": 5, "v": 6, "class": 1}, {"u": 1, "v": 2, "class": 2.0}],
+                              "event class 2.0 is not an integer or null"),
 }
 
 
@@ -479,11 +517,14 @@ def _second_record_file(tmp_path, record):
     return path
 
 
-@pytest.mark.parametrize("case", [*_BAD_TRACE_RECORDS, *_BAD_TRACE_FIELDS])
+@pytest.mark.parametrize("case", [*_BAD_TRACE_RECORDS, *_BAD_TRACE_FIELDS, *_BAD_LINEAGES])
 def test_read_traces_errors_name_the_first_bad_field(tmp_path, case):
     if case in _BAD_TRACE_RECORDS:
         event, message = _BAD_TRACE_RECORDS[case]
         record = {"label": 1, "source": 0, "events": [_GOOD_EVENT, event]}
+    elif case in _BAD_LINEAGES:
+        events, message = _BAD_LINEAGES[case]
+        record = {"label": 1, "source": 0, "events": [_GOOD_EVENT, *events]}
     else:
         record, message = _BAD_TRACE_FIELDS[case]
     path = _second_record_file(tmp_path, record)

@@ -221,6 +221,22 @@ def test_reference_costs_give_interior_interval(ref_model):
     assert table.pi_up - table.pi_low < 1.0
 
 
+def test_dp_table_solves_the_uniform_context_surrogate_to_a_zero_pi_low(ref_model):
+    # the table is optimal for single_step_outcomes's surrogate, whose context
+    # class is uniform; under it a step costs per_step * pi, so auditing an
+    # item that is almost surely genuine is almost free, and pi_low is that
+    # surrogate's optimum at every grid, not a grid artifact
+    outcomes = single_step_outcomes(ref_model)
+    for grid_step in (1e-3, 1e-4, 1e-5):
+        table = solve_thresholds(EQUAL_COSTS, outcomes, grid_step=grid_step)
+        assert table.converged and table.pi_low == 0.0
+        # continuing beats a "genuine" verdict at the first positive grid point
+        assert table.values[1] < EQUAL_COSTS.miss * table.grid[1]
+    assert table.values[1] == pytest.approx(9.71e-6, rel=1e-3)  # 1e-5 grid
+    costly = solve_thresholds(CostSpec(false_alarm=10.0, miss=10.0, per_step=2.0), outcomes)
+    assert costly.pi_low == pytest.approx(0.104)  # off zero once steps are costly
+
+
 def test_doubling_step_cost_shrinks_interval(ref_model):
     outcomes = single_step_outcomes(ref_model)
     base = solve_thresholds(EQUAL_COSTS, outcomes)
