@@ -28,7 +28,7 @@ from cascaudit.errors import (
     ModelError,
     TraceError,
 )
-from cascaudit.graph import PathEnumConfig, load_graph
+from cascaudit.graph import PathEnumConfig, load_graph, read_node_features
 from cascaudit.inference import BeliefState, ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
@@ -305,9 +305,11 @@ def cmd_train(args) -> int:
     traces = read_traces(args.traces)
     if not traces:
         raise DegenerateDataError("corpus is empty")
-    graph = None
+    graph = features = None
     if args.graph:
-        graph = load_graph(args.graph, args.features)
+        if args.features:  # read before the edge list, so its errors win
+            features = read_node_features(args.features)
+        graph = load_graph(args.graph)
     if not {GENUINE, FAKE} <= {t.label for t in traces}:
         raise DegenerateDataError("training needs both genuine and fake traces")
 
@@ -318,7 +320,7 @@ def cmd_train(args) -> int:
         raise TraceError(f"event class {bad} is outside 0..{args.zclasses - 1} (--zclasses)")
     classifier = None
     class_map = None
-    if graph is not None and args.features:
+    if features is not None:
         config = TrainingConfig(
             seed=args.seed,
             epochs=args.epochs,
@@ -326,9 +328,9 @@ def cmd_train(args) -> int:
             l2=args.l2,
             standardize=args.standardize,
         )
-        classifier = train_classifier(traces, graph, config, args.zclasses)
+        classifier = train_classifier(traces, features, config, args.zclasses)
         if not have_recorded:  # the classifier's classes serve only unclassified corpora
-            class_map = classify_graph_edges(classifier, graph)
+            class_map = classify_graph_edges(classifier, graph, features)
 
     if not have_recorded and class_map is None:
         raise DegenerateDataError(

@@ -1,6 +1,6 @@
 """Directed social graph and bounded source-to-edge path enumeration.
 
-The graph stores followee -> follower edges plus a per-node feature vector.
+The graph stores followee -> follower edges and nothing else about a node.
 Node ids may be ints or strings, mixed freely; they are interned to dense
 integer indices at ingestion, and every query speaks original ids.  Ids sort
 with ints before strings, each in natural order.
@@ -90,13 +90,11 @@ class PathEnumeration(Record):
 
 
 class SocialGraph:
-    """Directed graph with node features, built once and never changed.
+    """Directed graph, built once and never changed.
 
-    ``SocialGraph(edges, nodes, feature_dim, features)`` takes the nodes
-    ``nodes`` first and then each endpoint in order of first appearance, in
-    one pass over ``edges``.  A node in the table ``features`` takes its
-    vector there, which must have ``feature_dim`` entries; every other node
-    shares one read-only zero vector of ``feature_dim``.  A self-loop raises
+    ``SocialGraph(edges, nodes)`` takes the nodes ``nodes`` first and then
+    each endpoint in order of first appearance, in one pass over ``edges``.
+    A self-loop raises
     :class:`GraphError` and a repeated edge is skipped.  Follower lists are
     sorted on the first query that reads them.  Queries fill memos (sorted
     followers, the walk-length masks of the nodes within the path bound of a
@@ -105,23 +103,9 @@ class SocialGraph:
     graph from several threads.
     """
 
-    def __init__(self, edges: Sequence[Edge], nodes=(), feature_dim: int = 1,
-                 features: Optional[dict] = None):
+    def __init__(self, edges: Sequence[Edge], nodes=()):
         ids = self._ids = list(dict.fromkeys(chain(nodes, chain.from_iterable(edges))))
         index = self._index = dict(zip(ids, range(len(ids))))
-        self.feature_dim = feature_dim
-        zeros = np.zeros(feature_dim)
-        zeros.flags.writeable = False
-        self._features = [zeros] * len(ids)
-        for node, vec in (features or {}).items():
-            if node in index:
-                vec = np.asarray(vec, dtype=float)
-                if vec.shape != (feature_dim,):
-                    raise GraphError(
-                        f"feature dimension {vec.size} for {node!r} does not match "
-                        f"graph dimension {feature_dim}"
-                    )
-                self._features[index[node]] = vec
         out = self._out = [[] for _ in ids]  # dense index -> follower ids
         pred = self._pred = {node: [] for node in ids}  # node -> followees
         unique = dict.fromkeys(edges)
@@ -156,9 +140,6 @@ class SocialGraph:
     def followers(self, u: NodeId) -> list:
         """Out-neighbors of ``u`` in sorted order."""
         return list(self._sorted_out()[self._index[u]])
-
-    def features(self, node_id: NodeId) -> np.ndarray:
-        return self._features[self._index[node_id]]
 
     @property
     def node_count(self) -> int:
@@ -416,9 +397,9 @@ def _parse_id(token: str):
 def read_node_features(path) -> dict:
     """Read an ``id<TAB>f1,f2,...,fd`` feature file into {id: vector}.
 
-    Every record has the length of the first, and every feature is finite.
-    The fields of all records are converted in one array, whose rows are the
-    vectors.
+    The file holds at least one record, every record has the length of the
+    first, and every feature is finite.  The fields of all records are
+    converted in one array, whose rows are the vectors.
     """
     ids, linenos, rows = [], [], []
     for lineno, line in enumerate(read_text(path, GraphError).split("\n"), start=1):
@@ -437,6 +418,8 @@ def read_node_features(path) -> dict:
         ids.append(node)
         linenos.append(lineno)
         rows.append(row)
+    if not rows:
+        raise GraphError(f"{path}: no feature records")
     try:
         vectors = np.array(rows, dtype=float)
     except ValueError:
@@ -454,18 +437,8 @@ def read_node_features(path) -> dict:
     return dict(zip(ids, vectors))
 
 
-def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGraph:
-    """Build a graph from an edge-list file plus an optional feature file.
-
-    Nodes missing from the feature file (or all nodes, when no feature file is
-    given) share one read-only zero vector of ``feature_dim`` so the graph
-    stays usable for inference, which never reads features.  With a feature
-    file, ``feature_dim`` is the length of its first vector, and every
-    feature must be finite.
-    """
-    features = read_node_features(feature_path) if feature_path else None
-    if features:
-        feature_dim = len(next(iter(features.values())))
+def load_graph(edge_path) -> SocialGraph:
+    """Build a graph from an edge-list file."""
     edges = []
     for lineno, line in enumerate(read_text(edge_path, GraphError).split("\n"), start=1):
         if not line:
@@ -474,15 +447,10 @@ def load_graph(edge_path, feature_path=None, feature_dim: int = 1) -> SocialGrap
         if len(parts) != 2:
             raise GraphError(f"{edge_path}:{lineno}: expected 'u<TAB>v'")
         edges.append((_parse_id(parts[0]), _parse_id(parts[1])))
-    return SocialGraph(edges, feature_dim=feature_dim, features=features)
+    return SocialGraph(edges)
 
 
-def save_graph(graph: SocialGraph, edge_path, feature_path=None) -> None:
+def save_graph(graph: SocialGraph, edge_path) -> None:
     with open(edge_path, "w", encoding="utf-8", newline="\n") as fh:
         for u, v in graph.edges():
             fh.write(f"{u}\t{v}\n")
-    if feature_path is not None:
-        with open(feature_path, "w", encoding="utf-8", newline="\n") as fh:
-            for node in graph.nodes():
-                vec = ",".join(repr(float(x)) for x in graph.features(node))
-                fh.write(f"{node}\t{vec}\n")

@@ -218,7 +218,7 @@ class Trace(Record):
         return len(self.events)
 
     def implied_graph(self) -> SocialGraph:
-        """Graph formed by exactly this trace's nodes and edges (zero features)."""
+        """Graph formed by exactly this trace's nodes and edges."""
         return SocialGraph([ev.edge for ev in self.events], (self.source,))
 
 
@@ -444,18 +444,20 @@ def _event_from_json(record) -> TraceEvent:
 
 
 def _check_lineage(source, events) -> None:
-    """An event names no parent exactly when its tail is the source, and
-    otherwise the edge of an earlier event that ends at its tail."""
-    earlier = set()
+    """Each node is infected once: an event names no parent exactly when its
+    tail is the source, and otherwise the earlier event that infected its
+    tail; its head is neither the source nor a node infected before."""
+    infecting = {source: None}  # infected node -> the edge that infected it
     for edge, _, parent in events:
-        tail = edge[0]
-        if tail == source:
-            if parent is not None:
+        tail, head = edge
+        if tail not in infecting or infecting[tail] != parent:
+            if tail == source:
                 raise ValueError(f"edge {edge!r} leaves the source but names parent {parent!r}")
-        elif parent not in earlier or parent[1] != tail:
             raise ValueError(f"edge {edge!r} does not leave source {source!r}, and its parent "
                              f"{parent!r} is not an earlier event's edge ending at {tail!r}")
-        earlier.add(edge)
+        if head in infecting:
+            raise ValueError(f"edge {edge!r} enters {head!r}, which is already infected")
+        infecting[head] = edge
 
 
 def write_traces(traces: Sequence[Trace], path) -> None:

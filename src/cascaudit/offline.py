@@ -3,7 +3,7 @@
 The pipeline mirrors how the detector will consume its inputs:
 
 1. every labeled cascade is summarized by one feature vector, the mean of the
-   concatenated (followee, follower) feature pairs over its events;
+   concatenated (followee, follower) node-feature pairs over its events;
 2. a linear classifier is fit to those vectors by hinge-loss subgradient
    descent, and its margins are calibrated to [0, 1] by a percentile min-max
    map;
@@ -97,28 +97,37 @@ def score_to_class(score: float, num_classes: int) -> int:
     return min(int(score * num_classes), num_classes - 1)
 
 
-def build_trace_feature(trace: Trace, graph: SocialGraph) -> np.ndarray:
-    """Mean concatenated (followee, follower) feature pair over the events.
+def _vectors(features: dict):
+    """Node -> its row of the non-empty table ``features {node: vector}``, or
+    else one shared read-only zero vector of the table's dimension."""
+    zeros = np.zeros(len(next(iter(features.values()))))
+    zeros.flags.writeable = False
+    return lambda node: features.get(node, zeros)
+
+
+def build_trace_feature(trace: Trace, features: dict) -> np.ndarray:
+    """Mean concatenated (followee, follower) pair of ``features`` rows over the events.
 
     A cascade with n events (n + 1 users) averages n pairs; the follower half
     keeps the information the edge pair carries about who retweeted.
     """
     if len(trace.events) < 1:
         raise TraceError("trace too short: need at least one event (two users)")
+    vector = _vectors(features)
     total = None
     for ev in trace.events:
         u, v = ev.edge
-        pair = np.concatenate([graph.features(u), graph.features(v)])
+        pair = np.concatenate([vector(u), vector(v)])
         total = pair if total is None else total + pair
     return total / len(trace.events)
 
 
 # overflow is checked once, on the fitted classifier, so numpy need not warn of it
 @np.errstate(over="ignore", invalid="ignore")
-def train_classifier(traces, graph: SocialGraph, config: TrainingConfig,
+def train_classifier(traces, features: dict, config: TrainingConfig,
                      num_classes: int) -> EdgeClassifier:
     """Fit the linear edge scorer on the per-trace features of the labeled
-    ``traces`` over the featured ``graph``, binning scores into
+    ``traces`` under the node-feature table ``features``, binning scores into
     ``num_classes`` classes.
 
     Minimizes the L2-regularized hinge loss by per-sample subgradient steps
@@ -129,24 +138,24 @@ def train_classifier(traces, graph: SocialGraph, config: TrainingConfig,
     """
     if not {GENUINE, FAKE} <= {t.label for t in traces}:
         raise DegenerateDataError("classifier training needs both labels present")
-    features = np.stack([build_trace_feature(t, graph) for t in traces])
+    samples = np.stack([build_trace_feature(t, features) for t in traces])
     labels = np.array([1.0 if t.label == FAKE else -1.0 for t in traces])
 
     mean = scale = None
     if config.standardize:
-        mean = features.mean(axis=0)
-        scale = features.std(axis=0)
+        mean = samples.mean(axis=0)
+        scale = samples.std(axis=0)
         scale[scale == 0.0] = 1.0
-        features = (features - mean) / scale
+        samples = (samples - mean) / scale
 
     rng = derive_rng(config.seed)
-    n, dim = features.shape
+    n, dim = samples.shape
     weights = np.zeros(dim)
     bias = 0.0
     for epoch in range(1, config.epochs + 1):
         lr = config.learning_rate / epoch
         for i in rng.permutation(n):
-            x, y = features[i], labels[i]
+            x, y = samples[i], labels[i]
             decay = 1.0 - lr * config.l2
             if y * (weights @ x + bias) < 1.0:
                 weights = decay * weights + lr * y * x
@@ -154,7 +163,7 @@ def train_classifier(traces, graph: SocialGraph, config: TrainingConfig,
             else:
                 weights = decay * weights
 
-    margins = np.sort(features @ weights + bias)
+    margins = np.sort(samples @ weights + bias)
     cal_low = _percentile(margins, 1.0)
     cal_high = _percentile(margins, 99.0)
     if cal_high - cal_low < 1e-12:
@@ -194,12 +203,11 @@ def _percentile(ordered: np.ndarray, q: float) -> float:
     return float(ordered[-1]) if math.isnan(ordered[-1]) else value
 
 
-def classify_graph_edges(classifier: EdgeClassifier, graph: SocialGraph) -> dict:
-    """Class of every graph edge under the classifier."""
-    return {
-        (u, v): classifier.classify(graph.features(u), graph.features(v))
-        for u, v in graph.edges()
-    }
+def classify_graph_edges(classifier: EdgeClassifier, graph: SocialGraph,
+                         features: dict) -> dict:
+    """Class of every graph edge under the classifier, over the table ``features``."""
+    vector = _vectors(features)
+    return {(u, v): classifier.classify(vector(u), vector(v)) for u, v in graph.edges()}
 
 
 # ---- parameter estimation ---------------------------------------------------------

@@ -36,8 +36,8 @@ def _unfreeze_after_test():
     gc.unfreeze()
 
 
-def build_graph(edges, feature_dim=2):
-    return SocialGraph(edges, sorted({n for e in edges for n in e}), feature_dim)
+def build_graph(edges):
+    return SocialGraph(edges, sorted({n for e in edges for n in e}))
 
 
 def candidates(enumeration):
@@ -77,7 +77,7 @@ def random_digraph(rng, max_nodes=8, edge_prob=0.35):
         for v in range(n)
         if u != v and rng.random() < edge_prob
     ]
-    return SocialGraph(edges, range(n), 2), edges
+    return SocialGraph(edges, range(n)), edges
 
 
 def random_model(rng, num_classes, prior=None):

@@ -148,14 +148,7 @@ def test_train_is_byte_deterministic(tmp_path):
 def test_train_with_features_runs_full_pipeline(tmp_path):
     # two-cluster featured corpus written through the file formats; the traces
     # carry no classes, so estimation must use classifier-assigned classes
-    from .test_offline import featured_corpus
-
-    traces, graph = featured_corpus(n_per_label=15, seed=8)
-    traces_path = tmp_path / "traces.jsonl"
-    edges_path = tmp_path / "graph.tsv"
-    feats_path = tmp_path / "features.tsv"
-    write_traces(traces, traces_path)
-    save_graph(graph, edges_path, feats_path)
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
     model_path = tmp_path / "model.json"
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
                    "--features", feats_path, "--seed", 6, "--smoothing",
@@ -176,7 +169,7 @@ def _write_featured_corpus(tmp_path, recorded):
     """Featured corpus files; with ``recorded``, every event carries a class."""
     from .test_offline import featured_corpus
 
-    traces, graph = featured_corpus(n_per_label=15, seed=8)
+    traces, graph, features = featured_corpus(n_per_label=15, seed=8)
     if recorded:
         traces = [
             trace._replace(events=tuple(
@@ -187,7 +180,9 @@ def _write_featured_corpus(tmp_path, recorded):
         ]
     paths = tmp_path / "traces.jsonl", tmp_path / "graph.tsv", tmp_path / "features.tsv"
     write_traces(traces, paths[0])
-    save_graph(graph, paths[1], paths[2])
+    save_graph(graph, paths[1])
+    paths[2].write_text("".join(f"{node}\t{','.join(repr(float(x)) for x in features[node])}\n"
+                                for node in graph.nodes()), encoding="utf-8")
     return paths
 
 
@@ -195,9 +190,9 @@ def _write_featured_corpus(tmp_path, recorded):
 def test_train_classifies_edges_only_for_unclassified_events(tmp_path, monkeypatch, recorded):
     calls = []
 
-    def counting(classifier, graph):
+    def counting(classifier, graph, features):
         calls.append(graph)
-        return classify_graph_edges(classifier, graph)
+        return classify_graph_edges(classifier, graph, features)
 
     monkeypatch.setattr(cli, "classify_graph_edges", counting)
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded)
@@ -217,7 +212,7 @@ def test_train_classifies_edges_only_for_unclassified_events(tmp_path, monkeypat
 def test_train_without_classes_or_features_exits_3(tmp_path):
     from .test_offline import featured_corpus
 
-    traces, _ = featured_corpus(n_per_label=5, seed=8)
+    traces, _, _ = featured_corpus(n_per_label=5, seed=8)
     traces_path = tmp_path / "traces.jsonl"
     write_traces(traces, traces_path)
     code = run_cli("train", "--traces", traces_path, "--seed", 6,
@@ -307,6 +302,42 @@ def test_train_feature_dimension_mismatch_exits_2(tmp_path, capsys):
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
                    "--features", feats_path, "--seed", 6, "--out", tmp_path / "m.json")
     assert code == 2 and "feature dimension 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["classified", "unclassified"])
+def test_train_gives_a_trace_node_off_the_graph_zero_features(tmp_path, capsys, recorded):
+    # node 5 is in neither the graph nor the feature file; it was a KeyError traceback
+    records = [
+        {"label": label, "source": 0, "events": [
+            {"u": 0, "v": 1, "class": 2 * label if recorded else None, "parent": None},
+            {"u": 1, "v": v, "class": 2 * label + 1 if recorded else None, "parent": [0, 1]},
+        ]}
+        for label, v in ((GENUINE, 5), (FAKE, 2))
+    ]
+    paths = tmp_path / "traces.jsonl", tmp_path / "graph.tsv", tmp_path / "features.tsv"
+    paths[0].write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    paths[1].write_text("0\t1\n1\t2\n", encoding="utf-8")
+    paths[2].write_text("0\t0.5,1.0\n1\t-1.0,0.25\n2\t2.0,0.0\n", encoding="utf-8")
+    code = run_cli("train", "--traces", paths[0], "--graph", paths[1], "--features", paths[2],
+                   "--seed", 6, "--out", tmp_path / "m.json")
+    captured = capsys.readouterr()
+    if recorded:
+        assert code == 0 and (tmp_path / "m.json").exists()
+    else:
+        assert code == 3 and not (tmp_path / "m.json").exists()
+        assert captured.err == "cascaudit: error: edge (1, 5) has no assigned class\n"
+
+
+def test_train_empty_feature_file_exits_2_naming_it(tmp_path, capsys):
+    # it fitted a classifier on 1-dimensional zeros, which put every edge in one class
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
+    feats_path.write_text("", encoding="utf-8")
+    code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, "--out", tmp_path / "m.json")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"cascaudit: error: {feats_path}: no feature records\n"
     assert not (tmp_path / "m.json").exists()
 
 
@@ -933,11 +964,31 @@ def _source_edge_with_parent(record):  # the first, source-adjacent event names 
     events[0]["parent"] = [events[-1]["u"], events[-1]["v"]]
 
 
+def _repeated_edge(record):  # the last event again, with another class
+    events = record["events"]
+    events.append({**events[-1], "class": (events[-1]["class"] + 1) % 4})
+
+
+def _second_infection(record):  # a source edge into a node an off-source event infected
+    events = record["events"]
+    head = next(e["v"] for e in reversed(events) if e["u"] != record["source"])
+    events.append({"u": record["source"], "v": head, "class": 0, "parent": None})
+
+
+def _edge_into_source(record):  # the last event's head infects the source
+    events = record["events"]
+    last = events[-1]
+    events.append({"u": last["v"], "v": record["source"], "class": 0,
+                   "parent": [last["u"], last["v"]]})
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 @pytest.mark.parametrize("fault", [
     _orphan, _parent_ends_elsewhere, _later_parent, _source_edge_with_parent,
+    _repeated_edge, _second_infection, _edge_into_source,
     lambda record: record.update(label=2),
-], ids=["orphan", "parent-ends-elsewhere", "later-parent", "source-edge-with-parent", "label-2"])
+], ids=["orphan", "parent-ends-elsewhere", "later-parent", "source-edge-with-parent",
+        "repeated-edge", "second-infection", "edge-into-source", "label-2"])
 def test_trace_lineage_or_label_fault_exits_2_naming_the_line(tmp_path, capsys, command, fault):
     traces = make_eval_corpus(tmp_path, n=8)
     records = [json.loads(line) for line in traces.read_text(encoding="utf-8").splitlines()]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from cascaudit.errors import GraphError
@@ -20,16 +19,9 @@ from .oracles import all_simple_paths_to_edge
 
 
 def test_add_node_basics():
-    graph = SocialGraph([], (1,), 2, {1: [0.3, 0.7]})
+    graph = SocialGraph([], (1,))
     assert graph.node_count == 1
     assert graph.has_node(1)
-    assert graph.feature_dim == 2
-    np.testing.assert_allclose(graph.features(1), [0.3, 0.7])
-
-
-def test_add_node_dimension_mismatch():
-    with pytest.raises(GraphError, match="dimension"):
-        SocialGraph([(1, 2)], (1, 2), 2, {1: [0.3, 0.7], 2: [0.1, 0.2, 0.3]})
 
 
 def test_add_edge_directedness():
@@ -136,12 +128,10 @@ def test_target_edge_back_to_source():
 
 def test_edge_list_round_trip(tmp_path, demo_graph):
     edge_file = tmp_path / "edges.tsv"
-    feat_file = tmp_path / "features.tsv"
-    save_graph(demo_graph, edge_file, feat_file)
-    loaded = load_graph(edge_file, feat_file)
+    save_graph(demo_graph, edge_file)
+    loaded = load_graph(edge_file)
     assert loaded.edges() == demo_graph.edges()
     assert loaded.nodes() == demo_graph.nodes()
-    assert loaded.feature_dim == demo_graph.feature_dim
 
 
 def test_feature_records_parse_in_one_array_and_errors_name_the_line(tmp_path):
@@ -151,7 +141,8 @@ def test_feature_records_parse_in_one_array_and_errors_name_the_line(tmp_path):
     assert list(table) == ["a", 7]  # a repeated id keeps its last record
     assert table["a"].tolist() == [3.0, 4.0] and table[7].tolist() == [10.0, 5.0]
     for text, message in (
-        ("", None),
+        ("", r"features.tsv: no feature records$"),
+        ("\n\n", r"features.tsv: no feature records$"),
         ("a\t0.1,-2e3\n\n7\t1_0, inf\n8\tnan,1\n", r":3: features of node 7 are not finite$"),
         ("1\t0.5,1\n2\t0.5\n", r":2: feature dimension 1 for 2 does not match .* 2$"),
         ("1\t0.5,x\n2\t0.5\n", r":2: feature dimension 1 for 2"),  # lengths first
@@ -159,9 +150,6 @@ def test_feature_records_parse_in_one_array_and_errors_name_the_line(tmp_path):
         ("1\t0.5,1\n2 0.5,1\n", r":2: bad feature record"),
     ):
         feat_file.write_text(text, encoding="utf-8")
-        if message is None:
-            assert read_node_features(feat_file) == {}
-            continue
         with pytest.raises(GraphError, match=message):
             read_node_features(feat_file)
 
@@ -173,28 +161,10 @@ def test_load_graph_without_features(tmp_path):
     assert graph.has_edge(1, 2) and graph.has_edge(2, 3)
 
 
-def test_load_graph_shares_one_zero_vector_among_featureless_nodes(tmp_path):
-    edge_file, feat_file = tmp_path / "edges.tsv", tmp_path / "features.tsv"
-    edge_file.write_text("1\t2\n2\t3\n3\t4\n", encoding="utf-8")
-    feat_file.write_text("2\t0.5,1.5\n9\t1.0,1.0\n", encoding="utf-8")
-    graph = load_graph(edge_file, feat_file)
-    assert graph.features(2).tolist() == [0.5, 1.5] and graph.features(2).flags.writeable
-    zeros = graph.features(1)
-    assert zeros.tolist() == [0.0, 0.0] and not zeros.flags.writeable
-    assert graph.features(3) is zeros and graph.features(4) is zeros
-    assert not graph.has_node(9)  # a featured node without edges stays out
-    bare = load_graph(edge_file, feature_dim=3)
-    assert bare.features(1).shape == (3,) and not bare.features(1).flags.writeable
-    assert all(bare.features(node) is bare.features(1) for node in (2, 3, 4))
-    feat_file.write_text("2\t0.5,1.5\n3\t1.0\n", encoding="utf-8")
-    with pytest.raises(GraphError, match="feature dimension 1 for 3"):
-        load_graph(edge_file, feat_file)
-
-
-def _grown(edges, nodes=(), features=None, feature_dim=1):
+def _grown(edges, nodes=()):
     """The expected graph of ``edges``, grown in plain dicts one node and one
     edge at a time: (ids in order of first appearance, edges, followers and
-    followees by node in insertion order, the feature vector of each node)."""
+    followees by node in insertion order)."""
     ids, followers, followees, grown_edges = [], {}, {}, []
     for node in [*nodes, *(node for edge in edges for node in edge)]:
         if node not in followers:
@@ -205,12 +175,11 @@ def _grown(edges, nodes=(), features=None, feature_dim=1):
             grown_edges.append((u, v))
             followers[u].append(v)
             followees[v].append(u)
-    vectors = {node: list((features or {}).get(node, [0.0] * feature_dim)) for node in ids}
-    return ids, grown_edges, followers, followees, vectors
+    return ids, grown_edges, followers, followees
 
 
 def _assert_same_graph(built, grown):
-    ids, edges, followers, followees, vectors = grown
+    ids, edges, followers, followees = grown
     assert built._ids == ids and built._index == {node: i for i, node in enumerate(ids)}
     assert built.nodes() == sorted(ids, key=_id_key)
     assert built.edges() == sorted(edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
@@ -218,7 +187,6 @@ def _assert_same_graph(built, grown):
     for node in ids:
         assert built.followers(node) == sorted(followers[node], key=_id_key)
         assert built._pred[node] == followees[node]  # followees, in insertion order
-        assert built.features(node).tolist() == vectors[node]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -228,24 +196,11 @@ def test_bulk_build_matches_a_graph_grown_edge_by_edge(tmp_path, seed):
     edges = [tuple(ids[int(i)] for i in rng.choice(len(ids), 2, replace=False))
              for _ in range(int(rng.integers(1, 40)))]
     edges += [edges[int(i)] for i in rng.integers(len(edges), size=5)]  # repeated edges
-    features = {node: rng.random(3) for node in ids if rng.random() < 0.5}
-    features.setdefault("unlinked", rng.random(3))
-    built = SocialGraph(edges, ("s",), feature_dim=3, features=features)
-    _assert_same_graph(built, _grown(edges, ("s",), features, feature_dim=3))
-    zeros = built.features("s")
-    assert zeros.tolist() == [0.0] * 3 and not zeros.flags.writeable
-    for node in built._ids:
-        assert built.features(node) is features.get(node, zeros)
-    assert not built.has_node("unlinked")
+    _assert_same_graph(SocialGraph(edges, ("s",)), _grown(edges, ("s",)))
 
-    edge_file, feat_file = tmp_path / "edges.tsv", tmp_path / "features.tsv"
+    edge_file = tmp_path / "edges.tsv"
     edge_file.write_text("".join(f"{u}\t{v}\n" for u, v in edges), encoding="utf-8")
-    feat_file.write_text("".join(f"{node}\t{','.join(map(repr, vec.tolist()))}\n"
-                                 for node, vec in features.items()), encoding="utf-8")
-    loaded = load_graph(edge_file, feat_file)
-    _assert_same_graph(loaded, _grown(edges, (), features, feature_dim=3))
-    featureless = [node for node in loaded._ids if node not in features]
-    assert all(loaded.features(node) is loaded.features(featureless[0]) for node in featureless)
+    _assert_same_graph(load_graph(edge_file), _grown(edges))
 
 
 def test_bulk_build_keeps_the_edge_checks(tmp_path):
@@ -257,8 +212,6 @@ def test_bulk_build_keeps_the_edge_checks(tmp_path):
     edge_file.write_text("0\t1\n2\t2\n", encoding="utf-8")
     with pytest.raises(GraphError, match="self-loop on 2"):
         load_graph(edge_file)
-    with pytest.raises(GraphError, match="dimension 2 for 1 does not match graph dimension 3"):
-        SocialGraph([(0, 1)], feature_dim=3, features={1: np.ones(2)})
 
 
 def test_load_graph_bad_record(tmp_path):

@@ -504,6 +504,16 @@ _BAD_LINEAGES = {
                     "earlier event's edge ending at 1"),
     "source-edge-with-parent": ([{"u": 0, "v": 2, "class": 1, "parent": [0, 1]}],
                                 "edge (0, 2) leaves the source but names parent (0, 1)"),
+    # a node is infected once, and the source is infected from the start
+    "repeated-edge": ([{"u": 0, "v": 1, "class": 3}],
+                      "edge (0, 1) enters 1, which is already infected"),
+    "second-infection": ([{"u": 1, "v": 2, "class": 1, "parent": [0, 1]},
+                          {"u": 0, "v": 2, "class": 1}],
+                         "edge (0, 2) enters 2, which is already infected"),
+    "edge-into-source": ([{"u": 1, "v": 0, "class": 1, "parent": [0, 1]}],
+                         "edge (1, 0) enters 0, which is already infected"),
+    "self-loop-with-valid-parent": ([{"u": 1, "v": 1, "class": 1, "parent": [0, 1]}],
+                                    "edge (1, 1) enters 1, which is already infected"),
     # field checks run first, over every event of the record
     "orphan-then-bad-field": ([{"u": 5, "v": 6, "class": 1}, {"u": 1, "v": 2, "class": 2.0}],
                               "event class 2.0 is not an integer or null"),
@@ -581,7 +591,7 @@ def _pinned_graph(seed, acyclic):
     rng = derive_rng(seed)
     edges = [(u, v) for u in range(40) for v in range(40)
              if (u < v if acyclic else u != v) and rng.random() < (0.2 if acyclic else 0.08)]
-    return SocialGraph(edges, range(40), 2)
+    return SocialGraph(edges, range(40))
 
 
 # sha256 of write_traces over 24 graph-mode cascades (both labels, binding and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascaudit.errors import DegenerateDataError, EstimationError, TraceError
-from cascaudit.graph import SocialGraph
+from cascaudit.graph import SocialGraph, read_node_features
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -20,6 +20,7 @@ from cascaudit.offline import (
     EdgeClassifier,
     TrainingConfig,
     _percentile,
+    _vectors,
     build_spread_model,
     build_trace_feature,
     classify_graph_edges,
@@ -42,8 +43,8 @@ def chain_trace(label, source, node_ids, classes=None):
 
 
 def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
-    """Synthetic ``(traces, graph)``: genuine user features cluster at -1,
-    fake at +1; the events carry no class."""
+    """Synthetic ``(traces, graph, features)``: genuine user features cluster
+    at -1, fake at +1; the events carry no class."""
     rng = derive_rng(seed)
     features, edges, traces = {}, [], []
     uid = 0
@@ -56,48 +57,67 @@ def featured_corpus(n_per_label=30, users_per_trace=5, seed=0, spread=0.4):
                 features[node] = rng.normal(center, spread, size=2)
             edges += zip(ids[:-1], ids[1:])
             traces.append(chain_trace(label, ids[0], ids))
-    graph = SocialGraph(edges, features, 2, features)
-    return traces, graph
+    return traces, SocialGraph(edges, features), features
 
 
 # ---- trace features ----
 
 
 def test_single_event_trace_feature():
-    graph = SocialGraph([(0, 1)], (0, 1), 2, {0: [1.0, 2.0], 1: [3.0, 4.0]})
     trace = chain_trace(FAKE, 0, [0, 1])
-    np.testing.assert_allclose(build_trace_feature(trace, graph), [1.0, 2.0, 3.0, 4.0])
+    features = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
+    np.testing.assert_allclose(build_trace_feature(trace, features), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_identical_features_average_to_themselves():
-    graph = SocialGraph([(0, 1), (1, 2), (2, 3)], range(4), 2, dict.fromkeys(range(4), [0.7, -0.2]))
     trace = chain_trace(GENUINE, 0, [0, 1, 2, 3])
-    np.testing.assert_allclose(build_trace_feature(trace, graph), [0.7, -0.2, 0.7, -0.2])
+    features = dict.fromkeys(range(4), np.array([0.7, -0.2]))
+    np.testing.assert_allclose(build_trace_feature(trace, features), [0.7, -0.2, 0.7, -0.2])
 
 
 def test_three_event_trace_feature_hand_average():
-    feats = {0: [1.0], 1: [2.0], 2: [4.0], 3: [8.0]}
-    graph = SocialGraph([(0, 1), (1, 2), (2, 3)], feats, 1, feats)
+    features = {node: np.array([x]) for node, x in enumerate([1.0, 2.0, 4.0, 8.0])}
     trace = chain_trace(FAKE, 0, [0, 1, 2, 3])
     # pairs: (1,2), (2,4), (4,8) -> mean (7/3, 14/3)
-    np.testing.assert_allclose(build_trace_feature(trace, graph), [7.0 / 3.0, 14.0 / 3.0])
+    np.testing.assert_allclose(build_trace_feature(trace, features), [7.0 / 3.0, 14.0 / 3.0])
 
 
 def test_empty_trace_feature_rejected():
-    graph = SocialGraph([], (0,), 1, {0: [1.0]})
     with pytest.raises(TraceError, match="too short"):
-        build_trace_feature(Trace(label=FAKE, source=0, events=()), graph)
+        build_trace_feature(Trace(label=FAKE, source=0, events=()), {0: np.array([1.0])})
+
+
+def test_nodes_without_a_record_share_one_zero_vector_of_the_table_dimension(tmp_path):
+    feat_file = tmp_path / "features.tsv"
+    feat_file.write_text("2\t0.5,1.5\n9\t1.0,1.0\n", encoding="utf-8")
+    vector = _vectors(read_node_features(feat_file))
+    assert vector(2).tolist() == [0.5, 1.5] and vector(2).flags.writeable
+    zeros = vector(1)
+    assert zeros.tolist() == [0.0, 0.0] and not zeros.flags.writeable
+    assert vector(3) is zeros and vector("x") is zeros
+    assert vector(9).tolist() == [1.0, 1.0]  # a record needs no edge
+    bare = _vectors({1: np.ones(3)})
+    assert bare(2).shape == (3,) and not bare(2).flags.writeable
+    assert all(bare(node) is bare(2) for node in (3, 4))
+    # nodes without a record pair as zeros in the trace feature and in edge classes
+    features = read_node_features(feat_file)
+    trace = chain_trace(FAKE, 1, [1, 2, 3])
+    np.testing.assert_allclose(build_trace_feature(trace, features), [0.25, 0.75, 0.25, 0.75])
+    clf = EdgeClassifier(weights=np.array([0.0, 0.0, 1.0, 0.0]), bias=0.0, cal_low=0.0,
+                         cal_high=1.0, num_classes=4)
+    classes = classify_graph_edges(clf, SocialGraph([(1, 2), (2, 3)]), features)
+    assert classes == {(1, 2): 2, (2, 3): 0}
 
 
 # ---- classifier training ----
 
 
 def test_separable_corpus_trains_to_perfect_accuracy():
-    traces, graph = featured_corpus(n_per_label=25, seed=3)
-    clf = train_classifier(traces, graph, TrainingConfig(seed=11), 4)
+    traces, _, features = featured_corpus(n_per_label=25, seed=3)
+    clf = train_classifier(traces, features, TrainingConfig(seed=11), 4)
     correct = 0
     for trace in traces:
-        feature = build_trace_feature(trace, graph)
+        feature = build_trace_feature(trace, features)
         margin = float(clf.weights @ feature + clf.bias)
         predicted = FAKE if margin > 0 else GENUINE
         correct += predicted == trace.label
@@ -105,23 +125,23 @@ def test_separable_corpus_trains_to_perfect_accuracy():
 
 
 def test_label_flip_negates_weights_exactly():
-    traces, graph = featured_corpus(n_per_label=20, seed=5)
+    traces, _, features = featured_corpus(n_per_label=20, seed=5)
     flipped = [Trace(label=1 - t.label, source=t.source, events=t.events) for t in traces]
     config = TrainingConfig(seed=21)
-    clf = train_classifier(traces, graph, config, 4)
-    clf_flipped = train_classifier(flipped, graph, config, 4)
+    clf = train_classifier(traces, features, config, 4)
+    clf_flipped = train_classifier(flipped, features, config, 4)
     np.testing.assert_array_equal(clf_flipped.weights, -clf.weights)
     assert clf_flipped.bias == -clf.bias
 
 
 def test_score_distributions_separate_by_label():
-    traces, graph = featured_corpus(n_per_label=40, seed=9)
-    clf = train_classifier(traces, graph, TrainingConfig(seed=1), 4)
+    traces, _, features = featured_corpus(n_per_label=40, seed=9)
+    clf = train_classifier(traces, features, TrainingConfig(seed=1), 4)
     scores = {GENUINE: [], FAKE: []}
     for trace in traces:
         for ev in trace.events:
             u, v = ev.edge
-            scores[trace.label].append(clf.score(graph.features(u), graph.features(v)))
+            scores[trace.label].append(clf.score(features[u], features[v]))
     genuine, fake = np.array(scores[GENUINE]), np.array(scores[FAKE])
     assert genuine.mean() < fake.mean()
     # mass concentrates at the ends of the calibrated range
@@ -130,16 +150,16 @@ def test_score_distributions_separate_by_label():
 
 
 def test_single_label_corpus_rejected():
-    traces, graph = featured_corpus(n_per_label=10)
+    traces, _, features = featured_corpus(n_per_label=10)
     only_fake = [t for t in traces if t.label == FAKE]
     with pytest.raises(DegenerateDataError, match="both labels"):
-        train_classifier(only_fake, graph, TrainingConfig(seed=0), 4)
+        train_classifier(only_fake, features, TrainingConfig(seed=0), 4)
 
 
 def test_training_determinism():
-    traces, graph = featured_corpus(n_per_label=15, seed=2)
-    a = train_classifier(traces, graph, TrainingConfig(seed=7), 4)
-    b = train_classifier(traces, graph, TrainingConfig(seed=7), 4)
+    traces, _, features = featured_corpus(n_per_label=15, seed=2)
+    a = train_classifier(traces, features, TrainingConfig(seed=7), 4)
+    b = train_classifier(traces, features, TrainingConfig(seed=7), 4)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert (a.cal_low, a.cal_high) == (b.cal_low, b.cal_high)
@@ -148,8 +168,8 @@ def test_training_determinism():
 def test_classifier_round_trip(tmp_path):
     # the model file's classifier section holds every field of the
     # classifier exactly
-    traces, graph = featured_corpus(n_per_label=10, seed=4)
-    clf = train_classifier(traces, graph, TrainingConfig(seed=2, standardize=True), 4)
+    traces, _, features = featured_corpus(n_per_label=10, seed=4)
+    clf = train_classifier(traces, features, TrainingConfig(seed=2, standardize=True), 4)
     path = tmp_path / "model.json"
     save_model(reference_model(), path, classifier=clf.to_dict())
     section = json.loads(path.read_text(encoding="utf-8"))["classifier"]
@@ -199,10 +219,10 @@ def test_classify_edge_uses_calibrated_margin():
 
 
 def test_classify_graph_edges_covers_all_edges():
-    traces, graph = featured_corpus(n_per_label=5, seed=6)
-    clf = train_classifier(traces, graph, TrainingConfig(seed=3), 3)
+    traces, graph, features = featured_corpus(n_per_label=5, seed=6)
+    clf = train_classifier(traces, features, TrainingConfig(seed=3), 3)
     assert clf.num_classes == 3
-    classes = classify_graph_edges(clf, graph)
+    classes = classify_graph_edges(clf, graph, features)
     assert set(classes) == set(graph.edges())
     assert all(0 <= cls < 3 for cls in classes.values())
     assert 2 in classes.values()  # the top class of three is in use
