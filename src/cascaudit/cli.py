@@ -28,7 +28,7 @@ from cascaudit.errors import (
     ModelError,
     TraceError,
 )
-from cascaudit.graph import PathEnumConfig, load_graph, read_node_features
+from cascaudit.graph import PathEnumConfig, load_graph, read_node_features, save_graph
 from cascaudit.inference import BeliefState, ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
@@ -286,13 +286,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     traces = simulate_corpus(model, args.n, args.seed, growth, args.label)
     write_traces(traces, out_dir / "traces.jsonl")
-    union = {}
-    for trace in traces:
-        for ev in trace.events:
-            union[ev.edge] = True
-    with open(out_dir / "graph.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for u, v in sorted(union):
-            fh.write(f"{u}\t{v}\n")
+    save_graph(sorted({ev.edge for trace in traces for ev in trace.events}), out_dir / "graph.tsv")
     print(f"wrote {len(traces)} traces to {out_dir / 'traces.jsonl'}")
     return EXIT_OK
 
@@ -301,6 +295,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.features and not args.graph:
+        raise CascauditError("--features needs --graph: the classifier classifies the graph's edges")
     _bind_offline()
     traces = read_traces(args.traces)
     if not traces:
@@ -572,6 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FLAG_RULES = (
     ("seed", lambda v: v >= 0, ">= 0"),
     ("n", lambda v: v >= 0, ">= 0"),
+    ("max_events", lambda v: v < TRACE_ID_STRIDE, f"< {TRACE_ID_STRIDE}, the trace id stride"),
     ("zclasses", lambda v: v >= 2, ">= 2"),
     ("zclasses", lambda v: v <= MAX_CLASSES, f"<= {MAX_CLASSES}"),
     ("epochs", lambda v: v >= 1, ">= 1"),
@@ -583,7 +580,8 @@ _FLAG_RULES = (
 def _check_flags(args) -> None:
     """Reject a flag value that would fail late or write nonsense: a negative
     ``--seed`` or ``--n``, which numpy refuses with a traceback; a
-    ``--zclasses`` outside ``2..MAX_CLASSES``, whose count tables are
+    ``--max-events`` that would run one simulated trace into the next one's
+    ids; a ``--zclasses`` outside ``2..MAX_CLASSES``, whose count tables are
     allocated first; and ``train`` settings that leave the classifier
     untrained or its weights not finite."""
     for flag, test, requirement in _FLAG_RULES:

@@ -1,9 +1,8 @@
 """Directed social graph and bounded source-to-edge path enumeration.
 
 The graph stores followee -> follower edges and nothing else about a node.
-Node ids may be ints or strings, mixed freely; they are interned to dense
-integer indices at ingestion, and every query speaks original ids.  Ids sort
-with ints before strings, each in natural order.
+Node ids may be ints or strings, mixed freely, and every table is keyed by
+them.  Ids sort with ints before strings, each in natural order.
 
 The one non-trivial query is :func:`enumerate_paths`: all simple directed
 paths that start at a source node and end with a given target edge, with a
@@ -93,30 +92,26 @@ class SocialGraph:
     """Directed graph, built once and never changed.
 
     ``SocialGraph(edges, nodes)`` takes the nodes ``nodes`` first and then
-    each endpoint in order of first appearance, in one pass over ``edges``.
-    A self-loop raises
-    :class:`GraphError` and a repeated edge is skipped.  Follower lists are
-    sorted on the first query that reads them.  Queries fill memos (sorted
-    followers, the walk-length masks of the nodes within the path bound of a
-    tail, the lazy ``source ~> u`` prefix search, forward balls) that stay
-    exact for the graph's lifetime, and are single-threaded: do not query one
-    graph from several threads.
+    each endpoint in order of first appearance, in one pass over ``edges``,
+    and keys its follower and followee lists by node id in that order.  A
+    self-loop raises :class:`GraphError` and a repeated edge is skipped.
+    Every follower list is sorted once, on the first query that reads one.
+    Queries fill memos (sorted followers, the walk-length masks of the nodes
+    within the path bound of a tail, the lazy ``source ~> u`` prefix search,
+    forward balls) that stay exact for the graph's lifetime, and are
+    single-threaded: do not query one graph from several threads.
     """
 
     def __init__(self, edges: Sequence[Edge], nodes=()):
-        ids = self._ids = list(dict.fromkeys(chain(nodes, chain.from_iterable(edges))))
-        index = self._index = dict(zip(ids, range(len(ids))))
-        out = self._out = [[] for _ in ids]  # dense index -> follower ids
-        pred = self._pred = {node: [] for node in ids}  # node -> followees
-        unique = dict.fromkeys(edges)
+        out = self._out = {node: [] for node in chain(nodes, chain.from_iterable(edges))}
+        pred = self._pred = {node: [] for node in out}  # node -> followees
+        unique = self._edges = dict.fromkeys(edges)
         for u, v in unique:
             if u == v:
                 raise GraphError(f"self-loop on {u!r}")
-            out[index[u]].append(v)
+            out[u].append(v)
             pred[v].append(u)
-        self._edges = set(unique)
-        # dense indices whose follower lists still await their sort
-        self._unsorted = {i for i, followers in enumerate(out) if len(followers) > 1}
+        self._sorted = False  # whether the follower lists are sorted yet
         self._mask_cache: dict = {}
         self._prefix_cache: dict = {}
         self._ball_cache: dict = {}
@@ -125,32 +120,34 @@ class SocialGraph:
     # ---- queries ----------------------------------------------------------
 
     def has_node(self, node_id: NodeId) -> bool:
-        return node_id in self._index
+        return node_id in self._out
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return (u, v) in self._edges
 
-    def _sorted_out(self) -> list:
-        """The follower lists (by dense index), each sorted on the id key."""
-        for i in self._unsorted:
-            self._out[i].sort(key=_id_key)
-        self._unsorted.clear()
+    def _sorted_out(self) -> dict:
+        """The follower lists by node, each sorted on the id key."""
+        if not self._sorted:
+            for followers in self._out.values():
+                if len(followers) > 1:
+                    followers.sort(key=_id_key)
+            self._sorted = True
         return self._out
 
     def followers(self, u: NodeId) -> list:
         """Out-neighbors of ``u`` in sorted order."""
-        return list(self._sorted_out()[self._index[u]])
+        return list(self._sorted_out()[u])
 
     @property
     def node_count(self) -> int:
-        return len(self._ids)
+        return len(self._out)
 
     @property
     def edge_count(self) -> int:
         return len(self._edges)
 
     def nodes(self) -> list:
-        return sorted(self._ids, key=_id_key)
+        return sorted(self._out, key=_id_key)
 
     def edges(self) -> list:
         return sorted(self._edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
@@ -183,13 +180,13 @@ class SocialGraph:
             if max(map(len, self._pred.values()), default=0) <= 1:
                 self._shape_memo = "single"
             else:
-                indegree = [len(self._pred[node]) for node in self._ids]
-                removed = [i for i, degree in enumerate(indegree) if not degree]
-                for i in removed:  # grows as the pass removes nodes
-                    for child in self._out[i]:
-                        indegree[self._index[child]] -= 1
-                        if not indegree[self._index[child]]:
-                            removed.append(self._index[child])
+                indegree = {node: len(followees) for node, followees in self._pred.items()}
+                removed = [node for node, degree in indegree.items() if not degree]
+                for node in removed:  # grows as the pass removes nodes
+                    for child in self._out[node]:
+                        indegree[child] -= 1
+                        if not indegree[child]:
+                            removed.append(child)
                 self._shape_memo = "dag" if len(removed) == len(indegree) else "cyclic"
         return self._shape_memo
 
@@ -298,12 +295,12 @@ def forward_ball(graph: SocialGraph, source: NodeId, max_path_length: int):
         return None
     if not graph.has_node(source):
         raise GraphError(f"source {source!r} is not a node")
-    out, index = graph._sorted_out(), graph._index
+    out = graph._sorted_out()
     layer, steps, edge_rows, node_rows = [source], [], {}, {}
     for depth in range(1, max_path_length):
         into: dict = {}  # head -> rows of its tails, in layer order
         for row, node in enumerate(layer):
-            for child in out[index[node]]:
+            for child in out[node]:
                 into.setdefault(child, []).append(row)
         if not into:
             break
@@ -335,16 +332,16 @@ def _prefixes(graph, masks, source, u, length):
     if memo is None:
         # the search holds the graph's tables, not the graph, so the memo
         # forms no reference cycle through the graph
-        search = _prefix_search(graph._sorted_out(), graph._index, masks, source, u, length)
+        search = _prefix_search(graph._sorted_out(), masks, source, u, length)
         memo = graph._prefix_cache[key] = tee(search, 1)[0]
     return copy(memo)
 
 
-def _prefix_search(out, index, masks, source, u, length):
+def _prefix_search(out, masks, source, u, length):
     """Yield the simple paths source ~> u of exactly ``length`` edges, as
     :class:`Prefix` records.
 
-    ``out`` holds the sorted follower lists by dense ``index``, so yields are
+    ``out`` holds the sorted follower lists by node, so yields are
     lexicographic.  A prefix ends at its first visit to u, and the search
     enters a child only when the walk masks ``masks`` admit a walk of exactly
     the remaining length from it to u.  The edge pairs of the current branch
@@ -357,7 +354,7 @@ def _prefix_search(out, index, masks, source, u, length):
     path = [source]
     edges = []
     on_path = {source}
-    children = [iter(out[index[source]])]
+    children = [iter(out[source])]
     while children:
         remaining = length - len(path)  # edges left after stepping to a child
         bit = 1 << remaining
@@ -370,7 +367,7 @@ def _prefix_search(out, index, masks, source, u, length):
                 edges.append((path[-1], child))
                 path.append(child)
                 on_path.add(child)
-                children.append(iter(out[index[child]]))
+                children.append(iter(out[child]))
                 break
         else:
             children.pop()
@@ -450,7 +447,8 @@ def load_graph(edge_path) -> SocialGraph:
     return SocialGraph(edges)
 
 
-def save_graph(graph: SocialGraph, edge_path) -> None:
+def save_graph(edges, edge_path) -> None:
+    """Write ``edges`` to an edge-list file, in the order given."""
     with open(edge_path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, v in graph.edges():
+        for u, v in edges:
             fh.write(f"{u}\t{v}\n")

@@ -410,7 +410,7 @@ def test_c11_cli_byte_determinism(tmp_path):
 
         graph_path = base / "graph.tsv"
         stream_path = base / "stream.json"
-        save_graph(trace.implied_graph(), graph_path)
+        save_graph(trace.implied_graph().edges(), graph_path)
         write_stream(stream, stream_path)
         traj = base / "trajectory.csv"
         assert main(["detect", "--graph", str(graph_path), "--stream", str(stream_path),

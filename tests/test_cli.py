@@ -53,7 +53,7 @@ def write_detect_inputs(tmp_path, label, seed=0, growth=WIDE, rho=1.0):
     stream = subsample(trace, rho, seed=seed + 1)
     graph_path = tmp_path / f"graph_{label}_{seed}.tsv"
     stream_path = tmp_path / f"stream_{label}_{seed}.json"
-    save_graph(trace.implied_graph(), graph_path)
+    save_graph(trace.implied_graph().edges(), graph_path)
     write_stream(stream, stream_path)
     return graph_path, stream_path
 
@@ -108,6 +108,21 @@ def test_simulate_node_ids_disjoint_across_traces(tmp_path):
     for i in range(len(node_sets)):
         for j in range(i + 1, len(node_sets)):
             assert not (node_sets[i] & node_sets[j])
+    union = sorted({ev.edge for t in traces for ev in t.events})
+    graph_lines = (tmp_path / "dis" / "graph.tsv").read_text(encoding="utf-8").splitlines()
+    assert graph_lines == [f"{u}\t{v}" for u, v in union]
+
+
+def test_simulate_max_events_at_the_id_stride_exits_2(tmp_path, capsys):
+    # trace i mints ids from i * TRACE_ID_STRIDE, so a longer trace would run into
+    # the next trace's ids and graph.tsv would merge the two
+    code = run_cli("simulate", "--n", 0, "--max-events", cli.TRACE_ID_STRIDE, "--seed", 1,
+                   "--out", tmp_path / "sim")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"cascaudit: error: --max-events must be < {cli.TRACE_ID_STRIDE}, "
+                            f"the trace id stride, got {cli.TRACE_ID_STRIDE}\n")
+    assert not (tmp_path / "sim").exists()
 
 
 # ---- train ----
@@ -180,7 +195,7 @@ def _write_featured_corpus(tmp_path, recorded):
         ]
     paths = tmp_path / "traces.jsonl", tmp_path / "graph.tsv", tmp_path / "features.tsv"
     write_traces(traces, paths[0])
-    save_graph(graph, paths[1])
+    save_graph(graph.edges(), paths[1])
     paths[2].write_text("".join(f"{node}\t{','.join(repr(float(x)) for x in features[node])}\n"
                                 for node in graph.nodes()), encoding="utf-8")
     return paths
@@ -327,6 +342,18 @@ def test_train_gives_a_trace_node_off_the_graph_zero_features(tmp_path, capsys, 
     else:
         assert code == 3 and not (tmp_path / "m.json").exists()
         assert captured.err == "cascaudit: error: edge (1, 5) has no assigned class\n"
+
+
+def test_train_features_without_graph_exits_2_reading_no_file(tmp_path, capsys):
+    # the feature file was never opened and a model without a classifier was written
+    traces_path = _write_featured_corpus(tmp_path, recorded=True)[0]
+    code = run_cli("train", "--traces", traces_path, "--features", tmp_path / "missing.tsv",
+                   "--seed", 1, "--out", tmp_path / "m.json")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("cascaudit: error: --features needs --graph: "
+                            "the classifier classifies the graph's edges\n")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_empty_feature_file_exits_2_naming_it(tmp_path, capsys):
@@ -1085,7 +1112,7 @@ def test_dp_eval_on_a_layered_dag_reproduces_recorded_outputs(tmp_path):
     traces = [sample_trace(graph, reference_model(), label, seed=s, growth=growth, source=0)
               for s, label in enumerate([GENUINE, FAKE] * 10)]
     write_traces(traces, tmp_path / "traces.jsonl")
-    save_graph(graph, tmp_path / "graph.tsv")
+    save_graph(graph.edges(), tmp_path / "graph.tsv")
     out_dir = tmp_path / "dag_eval"
     assert run_cli("eval", "--traces", tmp_path / "traces.jsonl", "--graph", tmp_path / "graph.tsv",
                    "--seed", 4, "--rho", 0.7, "--policy", "dp", "--out", out_dir) == 0
@@ -1115,7 +1142,7 @@ def test_eval_with_shared_graph(tmp_path):
     traces_path = tmp_path / "traces.jsonl"
     graph_path = tmp_path / "graph.tsv"
     write_traces(traces, traces_path)
-    save_graph(graph, graph_path)
+    save_graph(graph.edges(), graph_path)
     out_dir = tmp_path / "shared_eval"
     assert run_cli("eval", "--traces", traces_path, "--graph", graph_path,
                    "--seed", 3, "--rho", 0.6, "--out", out_dir) == 0
@@ -1135,7 +1162,7 @@ def test_eval_skips_source_edges_off_the_graph(tmp_path):
               for s, label in enumerate([GENUINE, FAKE] * 4)]
     off = [t._replace(events=t.events[:1] + (TraceEvent((1, 900 + i), 3),) + t.events[1:])
            for i, t in enumerate(traces)]
-    save_graph(graph, tmp_path / "graph.tsv")
+    save_graph(graph.edges(), tmp_path / "graph.tsv")
     outputs = {}
     for name, corpus in (("on", traces), ("off", off)):
         write_traces(corpus, tmp_path / f"{name}.jsonl")

@@ -128,7 +128,7 @@ def test_target_edge_back_to_source():
 
 def test_edge_list_round_trip(tmp_path, demo_graph):
     edge_file = tmp_path / "edges.tsv"
-    save_graph(demo_graph, edge_file)
+    save_graph(demo_graph.edges(), edge_file)
     loaded = load_graph(edge_file)
     assert loaded.edges() == demo_graph.edges()
     assert loaded.nodes() == demo_graph.nodes()
@@ -180,7 +180,7 @@ def _grown(edges, nodes=()):
 
 def _assert_same_graph(built, grown):
     ids, edges, followers, followees = grown
-    assert built._ids == ids and built._index == {node: i for i, node in enumerate(ids)}
+    assert list(built._pred) == ids and list(built._out) == ids  # first-appearance order
     assert built.nodes() == sorted(ids, key=_id_key)
     assert built.edges() == sorted(edges, key=lambda e: (_id_key(e[0]), _id_key(e[1])))
     assert built.edge_count == len(edges)
