@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate, train, detect, eval, thresholds.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 degenerate data,
-4 unconverged threshold solver.  Every command is deterministic given its
-flags and ``--seed``: all randomness derives from that one seed by counters,
-and outputs are byte-stable across reruns.
+Exit codes: 0 success, 1 an error raised outside the package (one line
+naming its type), 2 usage or parse failure, 3 degenerate data, 4 unconverged
+threshold solver.  Every command is deterministic given its flags and
+``--seed``: all randomness derives from that one seed by counters, and
+outputs are byte-stable across reruns.
 
 ``simulate``, ``eval`` and the Monte Carlo risk (:func:`risk_estimate`) share
 one evaluation path: :func:`simulate_corpus` draws a labeled corpus,
@@ -93,6 +94,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_UNCONVERGED = 4
@@ -605,6 +607,9 @@ def main(argv=None) -> int:
     except (CascauditError, OSError, json.JSONDecodeError) as exc:
         _err(str(exc))
         return EXIT_USAGE
+    except Exception as exc:  # raised outside the package's own checks
+        _err(f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

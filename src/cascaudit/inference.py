@@ -1,10 +1,12 @@
 """Exact Bayesian posterior over the fake/genuine hypothesis.
 
 Given a known source and a stream of observed retweets, the engine maintains
-the posterior probability that the spreading item is fake.  Each observation
-multiplies the running likelihood ratio by ``a_fake / a_genuine``, where
-``a_hyp`` is the probability of the observed edge class given everything seen
-so far under hypothesis ``hyp``:
+the posterior probability that the spreading item is fake.  A retweet is one
+event on one edge, so a stream observes each edge at most once: the engine
+refuses a repeated edge with :class:`InvalidEvidenceError` before scoring it,
+and never skips one.  Each observation multiplies the running likelihood
+ratio by ``a_fake / a_genuine``, where ``a_hyp`` is the probability of the
+observed edge class given everything seen so far under hypothesis ``hyp``:
 
 * a source-adjacent edge has probability ``initial_probs[hyp][class]``;
 * any other edge is explained through the candidate directed paths from the
@@ -271,8 +273,8 @@ class ChainTables:
 
 # An evidence key is (depth, ((position, cls), ...)): the length of a
 # candidate path and the classes of the earlier observations on it, by 1-based
-# edge position, in (position, stream index) order.  Everything a path
-# contributes to the mixture is a function of its key.
+# edge position, in position order.  Everything a path contributes to the
+# mixture is a function of its key.
 
 
 def _log_chain(tables: ChainTables, hyp: int, entries: tuple) -> float:
@@ -307,12 +309,6 @@ def _distinct_keys(keys) -> tuple:
     return list(slots), np.array(key_of_path, dtype=np.intp)
 
 
-def _keep(indicators: np.ndarray, classes: list):
-    """Factor of an edge observed with ``classes``: its class's indicator
-    row, or 0.0 when two observations of the edge disagree."""
-    return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
-
-
 def _per_path(per_key: list, key_of_path) -> np.ndarray:
     """Per-key scores expanded to one entry per path, in path order."""
     values = np.array(per_key)
@@ -321,20 +317,17 @@ def _per_path(per_key: list, key_of_path) -> np.ndarray:
 
 def _evidence_keys(enumeration: PathEnumeration, by_edge: dict) -> list:
     """Evidence key of each candidate of ``enumeration``; ``by_edge`` maps an
-    edge to the classes observed on it, in stream order."""
-    target_hits = by_edge.get(enumeration.target_edge, ())
+    observed edge to its class, and holds no target edge."""
     keys = []
     for prefix in enumeration.prefixes:
         edges = prefix.edges
-        depth = len(edges) + 1
         entries = []
         if not by_edge.keys().isdisjoint(edges):
             for position, edge in enumerate(edges, start=1):
-                for cls in by_edge.get(edge, ()):
+                cls = by_edge.get(edge)
+                if cls is not None:
                     entries.append((position, cls))
-        for cls in target_hits:
-            entries.append((depth, cls))
-        keys.append((depth, tuple(entries)))
+        keys.append((len(edges) + 1, tuple(entries)))
     return keys
 
 
@@ -409,27 +402,30 @@ class PosteriorEngine:
     @property
     def accepted(self) -> tuple:
         """The observations folded in so far, in stream order."""
-        return tuple(self._accepted)
+        return tuple(Observation(u, v, cls) for (u, v), cls in self._by_edge.items())
 
     @accepted.setter
     def accepted(self, observations: Sequence[Observation]) -> None:
         """Replace the accepted observations, and their index with them."""
-        self._accepted: list = []
-        self._by_edge: dict = {}  # edge -> classes observed on it, in stream order
-        self._ball = None  # forward ball; per depth, slot -> classes and (message, log scale)
+        self._by_edge: dict = {}  # edge -> its observed class, in stream order
+        self._ball = None  # forward ball; per depth, slot -> class and (message, log scale)
         for obs in observations:
+            self._refuse_repeat(obs)
             self._accept(obs)
 
+    def _refuse_repeat(self, obs: Observation) -> None:
+        if obs.edge in self._by_edge:
+            raise InvalidEvidenceError(
+                f"edge {obs.edge!r} observed twice; a stream observes each edge at most once"
+            )
+
     def _accept(self, obs: Observation) -> None:
-        edge = (obs.u, obs.v)
-        self._accepted.append(obs)
-        classes = self._by_edge.setdefault(edge, [])
-        classes.append(obs.cls)
+        self._by_edge[obs.edge] = obs.cls
         if self._ball is not None:
-            rows = self._ball.edge_rows.get(edge)
+            rows = self._ball.edge_rows.get(obs.edge)
             if rows:
                 for depth, slot in rows:
-                    self._evidence[depth - 1][slot] = classes
+                    self._evidence[depth - 1][slot] = obs.cls
                 del self._messages[rows[0][0] - 1:]  # stale from the edge's shallowest depth on
 
     def log_conditionals(self, obs: Observation) -> tuple:
@@ -439,6 +435,7 @@ class PosteriorEngine:
             raise ModelError(f"observed class {obs.cls} out of range")
         if not self.graph.has_edge(obs.u, obs.v):  # a source-adjacent edge too
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
+        self._refuse_repeat(obs)
         if obs.u == self.source:
             eta = self.model.initial_probs
             return _safe_log(float(eta[GENUINE][obs.cls])), _safe_log(float(eta[FAKE][obs.cls]))
@@ -452,11 +449,11 @@ class PosteriorEngine:
         arrivals), or a rescaled entry so far below its layer's peak that the
         next step's products could leave the normal doubles and lose mass
         silently.  Per depth, the stacked transition moves each node's class
-        vector onto its out-edges, an observed edge keeps only its class
-        (nothing on a conflict), and each head sums its in-edges.  The
-        transition is row-stochastic, so a vector's mass is its paths' chain
-        score.  A depth's messages depend only on the evidence at it and
-        above, so only depths at or below a newly accepted edge rerun.
+        vector onto its out-edges, an observed edge keeps only its class,
+        and each head sums its in-edges.  The transition is row-stochastic,
+        so a vector's mass is its paths' chain score.  A depth's messages
+        depend only on the evidence at it and above, so only depths at or
+        below a newly accepted edge rerun.
 
         Each ``(depth, row)`` of the tail then adds its log arrival and log
         chain mass per hypothesis, in depth order.  The sum starts from the
@@ -467,9 +464,9 @@ class PosteriorEngine:
             return None
         if ball is not self._ball:  # the first pass, or a new prefix
             self._ball, self._evidence, self._messages = ball, [{} for _ in ball.steps], []
-            for edge, classes in self._by_edge.items():
+            for edge, cls in self._by_edge.items():
                 for depth, slot in ball.edge_rows.get(edge, ()):
-                    self._evidence[depth - 1][slot] = classes
+                    self._evidence[depth - 1][slot] = cls
         rows = ball.node_rows[obs.u]
         transition, seed, indicators, floors = self._tables.stacked()
         messages = self._messages
@@ -477,8 +474,8 @@ class PosteriorEngine:
             src_rows, starts = ball.steps[depth - 1]
             # the source's row of out-edge classes is the seed
             edges = (seed[None] if depth == 1 else messages[-1][0] @ transition)[src_rows]
-            for slot, classes in self._evidence[depth - 1].items():
-                edges[slot] *= _keep(indicators, classes)
+            for slot, cls in self._evidence[depth - 1].items():
+                edges[slot] *= indicators[cls]
             msg = np.add.reduceat(edges, starts)
             blocks = msg.reshape(len(msg), 2, -1)
             peak = np.maximum.reduce(blocks, axis=(0, 2))
@@ -487,17 +484,12 @@ class PosteriorEngine:
             if ((blocks > 0.0) & (blocks < floors[:, None])).any():
                 return None
             messages.append((msg, (messages[-1][1] if messages else 0.0) + np.log(peak)))
-        target = self._by_edge.get((obs.u, obs.v))
-        kept = _keep(indicators, target) if target else None
         logs = np.empty((2, 2))  # log (chain x arrival, chain) per hypothesis
         log_sums = None
         with np.errstate(divide="ignore"):
             for depth, row in rows:
                 msg, log_scale = messages[depth - 1]
-                vec = msg[row] @ transition
-                if kept is not None:
-                    vec *= kept
-                vec = vec.reshape(2, -1)
+                vec = (msg[row] @ transition).reshape(2, -1)
                 logs[0] = vec[:, obs.cls]
                 vec.sum(axis=1, out=logs[1])
                 np.log(logs, out=logs)
@@ -531,7 +523,8 @@ class PosteriorEngine:
         )
 
     def observe(self, obs: Observation) -> BeliefState:
-        """Fold one observation into the belief (raises if unreachable)."""
+        """Fold one observation into the belief (raises if unreachable or
+        repeated, and leaves the belief as it was)."""
         log_a0, log_a1 = self.log_conditionals(obs)
         self.belief = _update_from_logs(self.belief, log_a0, log_a1)
         self._accept(obs)
@@ -542,8 +535,10 @@ class PosteriorEngine:
 
         ``on_unreachable`` is ``"skip"`` (drop the observation with a warning
         and record its index in :attr:`skipped`, the robust default for
-        partial real-world data) or ``"fail"`` (raise).  The stream is read
-        lazily, so a consumer that stops early leaves the rest unprocessed.
+        partial real-world data) or ``"fail"`` (raise).  A repeated edge is
+        never skipped: it raises :class:`InvalidEvidenceError`.  The stream is
+        read lazily, so a consumer that stops early leaves the rest
+        unprocessed.
         """
         if on_unreachable not in ("skip", "fail"):
             raise ValueError(f"unknown unreachable policy {on_unreachable!r}")

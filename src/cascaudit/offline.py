@@ -264,8 +264,9 @@ def estimate_alpha(
     """Transition estimates from parent-child class pairs, per label.
 
     Source-adjacent events have no parent and are excluded.  Rows whose
-    parent class never occurs stay all-zero and are reported via the log;
-    with ``smoothing`` they become uniform instead.
+    parent class never occurs stay all-zero (:func:`build_spread_model`
+    fills them, with a warning); with ``smoothing`` they become uniform
+    instead.
     """
     counts = np.zeros((2, num_classes, num_classes))
     for trace in traces:
@@ -288,8 +289,6 @@ def estimate_alpha(
             total = row_totals[label][z]
             if total > 0:
                 estimates[label][z] = counts[label][z] / total
-            else:
-                log(__name__, WARNING, "no transitions out of class %d under label %d", z, label)
     return estimates
 
 

@@ -69,9 +69,9 @@ class CostSpec(Record):
         return false_alarm / (false_alarm + miss)
 
 
-def stop_cost(pi: float, costs: CostSpec) -> float:
-    """Expected cost of stopping now at posterior ``pi`` with the better verdict."""
-    return min(costs.miss * pi, costs.false_alarm * (1.0 - pi))
+def stop_cost(pi, costs: CostSpec):
+    """Expected cost of stopping now at posterior(s) ``pi`` with the better verdict."""
+    return np.minimum(costs.miss * pi, costs.false_alarm * (1.0 - pi))
 
 
 def bayes_verdict(pi: float, costs: CostSpec) -> int:
@@ -225,7 +225,7 @@ def solve_thresholds(
         raise ModelError(f"tol must be positive and finite, got {tol}")
     n = round(1.0 / grid_step)
     grid = np.linspace(0.0, 1.0, n + 1)
-    stop_values = np.minimum(costs.miss * grid, costs.false_alarm * (1.0 - grid))
+    stop_values = stop_cost(grid, costs)
 
     outcomes = np.asarray(next_obs_model, dtype=float)
     if outcomes.ndim != 2 or outcomes.shape[1] != 2:

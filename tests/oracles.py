@@ -192,16 +192,11 @@ def forward_arrival_logs(engine, obs):
     first row, with a ``np.logaddexp`` from -inf for every row of the tail, a
     log of a two-row list, and ``np.errstate`` entered per row."""
     rows = engine._ball.node_rows[obs.u]
-    transition, _, indicators, _ = engine._tables.stacked()
-
-    def keep(classes):
-        return indicators[classes[0]] if len(set(classes)) == 1 else 0.0
-
-    target = engine._by_edge.get(obs.edge, ())
+    transition = engine._tables.stacked()[0]
     log_sums = np.full((2, 2), -np.inf)
     for depth, row in rows:
         msg, log_scale = engine._messages[depth - 1]
-        vec = (msg[row] @ transition * (keep(target) if target else 1.0)).reshape(2, -1)
+        vec = (msg[row] @ transition).reshape(2, -1)
         with np.errstate(divide="ignore"):
             logs = log_scale + np.log([vec[:, obs.cls], vec.sum(axis=1)])
         log_sums = np.logaddexp(log_sums, logs)

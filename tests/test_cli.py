@@ -264,6 +264,16 @@ def test_train_negative_seed_exits_2(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_an_error_from_outside_the_package_exits_1_with_one_line(tmp_path, capsys):
+    # numpy refuses to draw this many labels; main names the exception's type
+    code = run_cli("simulate", "--n", 10**29, "--seed", 1, "--out", tmp_path / "sim")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("cascaudit: error: ValueError: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["train", "--zclasses", 0], "--zclasses must be >= 2"),
     (["train", "--zclasses", 1], "--zclasses must be >= 2"),
@@ -550,6 +560,35 @@ def test_detect_gives_no_verdict_on_source_edges_off_the_graph(tmp_path, capsys,
     assert "verdict" not in captured.out
     expected = "no observation could be processed" if mode == "skip" else "no source path"
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("kind", ["source-same", "source-other", "deeper-same", "deeper-other"])
+def test_detect_refuses_a_repeated_edge_without_verdict(tmp_path, capsys, kind):
+    # the first six events of this trace run to the horizon, so the detector
+    # reaches the repeat; a source-adjacent one follows the first event, a
+    # deeper one ends the stream
+    assert run_cli("simulate", "--n", 20, "--seed", 1, "--min-children", 1,
+                   "--max-events", 30, "--out", tmp_path / "sim") == 0
+    trace = read_traces(tmp_path / "sim" / "traces.jsonl")[0]
+    events = [(*event.edge, event.cls) for event in trace.events[:6]]
+    where, change = kind.split("-")
+    if where == "source":
+        (u, v, cls), at = events[0], 1
+    else:
+        (u, v, cls), at = next(e for e in events if e[0] != trace.source), len(events)
+    events.insert(at, (u, v, cls if change == "same" else (cls + 1) % 4))
+    stream_path, out = tmp_path / "stream.json", tmp_path / "trajectory.csv"
+    stream_path.write_text(json.dumps({"source": trace.source, "observations": [
+        {"u": u, "v": v, "class": cls} for u, v, cls in events]}), encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli("detect", "--graph", tmp_path / "sim" / "graph.tsv",
+                   "--stream", stream_path, "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"cascaudit: error: edge {(u, v)!r} observed twice; "
+                            "a stream observes each edge at most once\n")
+    assert not out.exists()
 
 
 def test_detect_empty_stream_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ from .oracles import (
 
 def obs(u, v, cls):
     return Observation(u=u, v=v, cls=cls)
+
+
+def distinct_prefix(rng, edges, size, num_classes):
+    """Up to ``size`` observations of random classes on distinct ``edges``,
+    in random order: a stream observes each edge at most once."""
+    picks = rng.permutation(len(edges))[:size]
+    return [obs(*edges[int(i)], int(rng.integers(num_classes))) for i in picks]
 
 
 # ---- belief updates ----
@@ -237,9 +245,7 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
         transition_probs=np.array([np.eye(2), np.eye(2)]),
         prior_fake=0.5,
     )
-    seen = dict.fromkeys(
-        ("checked", "mixed_lengths", "repeated", "target_seen", "truncated", "long"), 0
-    )
+    seen = dict.fromkeys(("checked", "mixed_lengths", "truncated", "long"), 0)
     with caplog.at_level("WARNING", logger="cascaudit.inference"):
         while seen["checked"] < 400:
             edge_prob = float(rng.choice([0.3, 0.6]))
@@ -262,13 +268,8 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
             if not enumeration:
                 continue
             model = zero if rng.random() < 0.3 else random_model(rng, int(rng.integers(2, 4)))
-            prefix = [
-                obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
-                for _ in range(int(rng.integers(0, 10)))
-            ]
-            if rng.random() < 0.3:
-                prefix.insert(int(rng.integers(len(prefix) + 1)), obs(*target, 1))
-            rng.random()  # unused; it keeps the seeded instances the counts were set on
+            others = [e for e in edges if e != target]
+            prefix = distinct_prefix(rng, others, int(rng.integers(0, 10)), model.num_classes)
             new = obs(*target, int(rng.integers(model.num_classes)))
             engine = PosteriorEngine(model, graph, source, cfg)
             engine.accepted = prefix
@@ -278,8 +279,6 @@ def test_keyed_scores_equal_per_path_scoring_bit_for_bit(caplog):
             assert engine._enumeration_logs(new) == expected
             seen["checked"] += 1
             seen["mixed_lengths"] += len({len(p.edges) for p in enumeration.prefixes}) > 1
-            seen["repeated"] += len({o.edge for o in prefix}) < len(prefix)
-            seen["target_seen"] += any(o.edge == target for o in prefix)
             seen["truncated"] += enumeration.truncated
             seen["long"] += len(enumeration) > 8
     fallbacks = caplog.text.count("zero score")
@@ -589,6 +588,25 @@ def test_engine_beliefs_record_skips_and_stop_lazily(ref_model, caplog):
         next(engine.beliefs(observations, on_unreachable="ignore"))
 
 
+@pytest.mark.parametrize("repeat", [obs(0, 1, 3), obs(0, 1, 0), obs(1, 2, 2), obs(1, 2, 1)],
+                         ids=["source-same", "source-other", "deeper-same", "deeper-other"])
+def test_engine_refuses_a_repeated_edge_and_keeps_its_belief(ref_model, repeat):
+    stream = [obs(0, 1, 3), obs(1, 2, 2)]
+    engine = PosteriorEngine(ref_model, build_chain_graph(3), 0)
+    *_, belief = engine.beliefs(stream)
+    refused = re.escape(f"edge {repeat.edge!r} observed twice")
+    with pytest.raises(InvalidEvidenceError, match=refused):
+        engine.observe(repeat)
+    with pytest.raises(InvalidEvidenceError, match=refused):
+        list(engine.beliefs([repeat]))  # never skipped
+    assert engine.belief is belief and engine.skipped == []
+    assert engine.accepted == tuple(stream)
+    fresh = PosteriorEngine(ref_model, build_chain_graph(3), 0)
+    with pytest.raises(InvalidEvidenceError, match=refused):
+        fresh.accepted = stream + [repeat]
+    assert fresh.belief == BeliefState(prior=ref_model.prior_fake)
+
+
 # ---- truncated multi-path golden trajectory ----
 
 
@@ -644,7 +662,7 @@ def _relative_gap(logs, expected) -> float:
 
 def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
     rng = derive_rng(53)
-    seen = dict.fromkeys(("forward", "repeated", "conflict", "target_seen", "mixed_lengths"), 0)
+    seen = dict.fromkeys(("forward", "on_path", "mixed_lengths"), 0)
     bounds = set()
     while seen["forward"] < 300:
         edges = _random_dag(rng)
@@ -662,15 +680,9 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
             continue
         model = random_model(rng, int(rng.integers(2, 4)))
         on_paths = sorted({e for p in enumeration.prefixes for e in p.edges})
-        prefix = [obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
-                  for _ in range(int(rng.integers(0, 6)))]
-        for _ in range(int(rng.integers(0, 4)) if on_paths else 0):
-            edge = on_paths[int(rng.integers(len(on_paths)))]
-            cls = int(rng.integers(model.num_classes))
-            other = (cls + int(rng.random() < 0.2)) % model.num_classes  # mostly a repeat
-            prefix += [obs(*edge, cls), obs(*edge, other)]
-        if rng.random() < 0.3:
-            prefix.append(obs(*target, int(rng.integers(model.num_classes))))
+        off_paths = [e for e in edges if e not in on_paths and e != target]
+        prefix = distinct_prefix(rng, off_paths, int(rng.integers(0, 6)), model.num_classes)
+        prefix += distinct_prefix(rng, on_paths, int(rng.integers(0, 4)), model.num_classes)
         prefix = [prefix[int(i)] for i in rng.permutation(len(prefix))]
         engine = PosteriorEngine(model, graph, source, cfg)
         engine.accepted = prefix
@@ -679,14 +691,8 @@ def test_forward_pass_matches_uncapped_enumeration_on_random_dags():
         assert _relative_gap(logs, expected) <= 1e-12, (edges, source, target, prefix, new)
         if engine._forward_logs(new) is None:
             continue
-        classes: dict = {}
-        for o in prefix:
-            classes.setdefault(o.edge, []).append(o.cls)
-        on_path = [c for e, c in classes.items() if e in on_paths]
         seen["forward"] += 1
-        seen["repeated"] += any(len(c) > len(set(c)) for c in on_path)
-        seen["conflict"] += any(len(set(c)) > 1 for c in on_path)
-        seen["target_seen"] += target in classes
+        seen["on_path"] += any(o.edge in on_paths for o in prefix)
         seen["mixed_lengths"] += len({len(p.edges) for p in enumeration.prefixes}) > 1
         bounds.add(cfg.max_path_length)
     assert min(seen.values()) >= 30, seen
@@ -703,10 +709,10 @@ def _fallback_case(case):
         tree = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 5), (5, 6)]
         return model, tree, [obs(1, 3, 2)], obs(5, 6, 1)
     # class 1 is impossible at the source and the chain never changes class,
-    # so every candidate, all carrying the earlier class-1 target, scores zero
+    # so every candidate, each entering the tail 31 by a class-1 edge, scores zero
     zero = SpreadModel(num_classes=2, initial_probs=np.array([[1.0, 0.0], [1.0, 0.0]]),
                        transition_probs=np.array([np.eye(2), np.eye(2)]), prior_fake=0.5)
-    return zero, dag, [obs(31, 40, 1)], obs(31, 40, 0)
+    return zero, dag, [obs(20, 31, 1), obs(21, 31, 1), obs(22, 31, 1)], obs(31, 40, 0)
 
 
 def _bits(logs):
@@ -714,12 +720,11 @@ def _bits(logs):
 
 
 def test_forward_arrival_fold_equals_the_earlier_fold_bit_for_bit():
-    # tails at one depth and at several, observed targets (agreeing or not),
-    # conflicting edges and models with zero entries; the earlier fold ran a
-    # np.logaddexp from -inf for every row, the engine starts from the first
-    # row's logs plus 0.0
+    # tails at one depth and at several, and models with zero entries; the
+    # earlier fold ran a np.logaddexp from -inf for every row, the engine
+    # starts from the first row's logs plus 0.0
     rng = derive_rng(71)
-    seen = dict.fromkeys(("several_depths", "target_seen", "conflict", "zero", "no_mass"), 0)
+    seen = dict.fromkeys(("several_depths", "zero", "no_mass"), 0)
     forward = 0
     while forward < 400 or min(seen.values()) < 20:
         edges = _random_dag(rng, max_nodes=10)
@@ -737,24 +742,20 @@ def test_forward_arrival_fold_equals_the_earlier_fold_bit_for_bit():
                 table[below_max & (rng.random(table.shape) < 0.4)] = 0.0
                 table /= table.sum(axis=-1, keepdims=True)
         cfg = PathEnumConfig(max_path_length=int(rng.integers(2, 8)), max_paths=10**6)
-        prefix = [obs(*edges[int(rng.integers(len(edges)))], int(rng.integers(model.num_classes)))
-                  for _ in range(int(rng.integers(0, 8)))]
         target = targets[int(rng.integers(len(targets)))]
-        if rng.random() < 0.3:
-            prefix.append(obs(*target, int(rng.integers(model.num_classes))))
+        others = [e for e in edges if e != target]
         engine = PosteriorEngine(model, graph, source, cfg)
-        engine.accepted = [prefix[int(i)] for i in rng.permutation(len(prefix))]
+        engine.accepted = distinct_prefix(rng, others, int(rng.integers(0, 8)), model.num_classes)
         new = obs(*target, int(rng.integers(model.num_classes)))
         logs = engine._forward_logs(new)
         ball = forward_ball(graph, source, cfg.max_path_length)
         if new.u not in ball.node_rows or len(engine._messages) < ball.node_rows[new.u][-1][0]:
             assert logs is None  # out of reach, or the floor check sent it to enumeration
             continue
-        assert _bits(logs) == _bits(forward_arrival_logs(engine, new)), (edges, source, prefix, new)
+        assert _bits(logs) == _bits(forward_arrival_logs(engine, new)), (
+            edges, source, engine.accepted, new)
         forward += 1
         seen["several_depths"] += len(ball.node_rows[new.u]) > 1
-        seen["target_seen"] += new.edge in engine._by_edge
-        seen["conflict"] += any(len(set(c)) > 1 for c in engine._by_edge.values())
         seen["zero"] += logs is not None and -math.inf in logs
         seen["no_mass"] += logs is None
 
@@ -853,8 +854,7 @@ def test_forward_pass_falls_back_before_the_rescaling_drops_a_path():
 def _incremental_case(rng, order):
     """(graph, source, cfg, model, stream) on a random multi-path DAG whose
     nodes sit at several depths.  The stream observes every edge below the
-    source once, by its tail's least depth (``"time"``) or shuffled, plus
-    three edges observed again later, mostly with another class."""
+    source once, by its tail's least depth (``"time"``) or shuffled."""
     while True:
         edges = _random_dag(rng, max_nodes=12)
         if not edges or build_graph(edges)._shape() != "dag":
@@ -877,18 +877,13 @@ def _incremental_case(rng, order):
     else:
         below = [below[int(i)] for i in rng.permutation(len(below))]
     stream = [obs(*e, int(rng.integers(model.num_classes))) for e in below]
-    for _ in range(3):
-        at = int(rng.integers(1, len(stream) + 1))
-        again = stream[int(rng.integers(at))]
-        cls = (again.cls + int(rng.random() < 0.8)) % model.num_classes
-        stream.insert(at, obs(again.u, again.v, cls))
     return graph, source, cfg, model, stream
 
 
 @pytest.mark.parametrize("order", ["time", "shuffled"])
 def test_incremental_forward_state_equals_a_fresh_pass(order):
     rng = derive_rng(97 if order == "time" else 98)
-    seen = dict.fromkeys(("forward", "reused", "recomputed", "conflict", "reset"), 0)
+    seen = dict.fromkeys(("forward", "reused", "recomputed", "reset"), 0)
     while min(seen.values()) < 40:
         graph, source, cfg, model, stream = _incremental_case(rng, order)
         engine = PosteriorEngine(model, graph, source, cfg)
@@ -917,5 +912,4 @@ def test_incremental_forward_state_equals_a_fresh_pass(order):
             if new.u != source and engine._forward_logs(new) is not None:
                 seen["forward"] += 1
                 seen["reused" if held >= ball.node_rows[new.u][-1][0] else "recomputed"] += 1
-                seen["conflict"] += any(len(set(c)) > 1 for c in engine._by_edge.values())
             engine._accept(new)

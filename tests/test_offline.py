@@ -339,11 +339,17 @@ def test_recovery_error_shrinks_with_more_data(ref_model):
     assert err_large <= err_small + 0.01
 
 
-def test_build_spread_model_fills_unseen_rows():
+def test_build_spread_model_fills_unseen_rows(caplog):
     trace = chain_trace(FAKE, 0, [0, 1, 2], classes=[3, 3])
     genuine = chain_trace(GENUINE, 10, [10, 11, 12], classes=[0, 0])
-    eta = estimate_eta([trace, genuine], num_classes=4)
-    alpha = estimate_alpha([trace, genuine], num_classes=4)
-    model = build_spread_model(eta, alpha, prior_fake=0.5)
+    with caplog.at_level("WARNING", logger="cascaudit.offline"):
+        eta = estimate_eta([trace, genuine], num_classes=4)
+        alpha = estimate_alpha([trace, genuine], num_classes=4)
+        model = build_spread_model(eta, alpha, prior_fake=0.5)
     assert isinstance(model, SpreadModel)
     np.testing.assert_allclose(model.transition_probs[FAKE][1], 0.25)
+    # one warning per unseen row, where the row is filled
+    unseen = [(GENUINE, z) for z in (1, 2, 3)] + [(FAKE, z) for z in (0, 1, 2)]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"filling unseen transition row [{label}][{z}] uniformly" for label, z in unseen
+    ]
