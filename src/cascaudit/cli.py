@@ -284,9 +284,9 @@ def cmd_simulate(args) -> int:
         max_children=args.max_children,
         min_children=args.min_children,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     traces = simulate_corpus(model, args.n, args.seed, growth, args.label)
+    out_dir = Path(args.out)  # made only once the draw succeeded
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_traces(traces, out_dir / "traces.jsonl")
     save_graph(sorted({ev.edge for trace in traces for ev in trace.events}), out_dir / "graph.tsv")
     print(f"wrote {len(traces)} traces to {out_dir / 'traces.jsonl'}")
@@ -359,24 +359,16 @@ def cmd_detect(args) -> int:
     policy, code = _make_policy(args, model, costs)
     if policy is None:
         return code
-    outcome, belief = run_detection(
-        model,
-        graph,
-        stream,
-        policy,
-        cfg=_enum_cfg(args),
-        on_unreachable=args.on_unreachable,
-    )
-    trajectory_path = None
+    outcome, belief = run_detection(model, graph, stream, policy, cfg=_enum_cfg(args),
+                                    on_unreachable=args.on_unreachable)
     if args.out:
-        trajectory_path = str(args.out)
         write_trajectory(belief, args.out)
     record = {
         "T": outcome.step,
         "verdict": outcome.verdict,
         "rule_used": outcome.rule,
         "final_posterior": belief.posterior,
-        "trajectory_csv": trajectory_path,
+        "trajectory_csv": str(args.out) if args.out else None,
     }
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
@@ -449,13 +441,8 @@ def _write_accuracy_curve(results, costs, path) -> None:
 def cmd_thresholds(args) -> int:
     model = _load_model_arg(args)
     costs = _costs(args)
-    table = solve_thresholds(
-        costs,
-        single_step_outcomes(model),
-        grid_step=args.grid_step,
-        max_sweeps=args.max_sweeps,
-        tol=args.tol,
-    )
+    table = solve_thresholds(costs, single_step_outcomes(model), grid_step=args.grid_step,
+                             max_sweeps=args.max_sweeps, tol=args.tol)
     if args.out:
         table.save(args.out)
     print(

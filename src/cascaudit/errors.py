@@ -104,14 +104,17 @@ def read_text(path, error: type) -> str:
 
 def log(name: str, level: int, msg: str, *args) -> None:
     """Emit ``msg % args`` at ``level`` on ``logging.getLogger(name)``, and
-    import :mod:`logging` only for a record that can be seen.
+    import :mod:`logging` only where it is already loaded.
 
     Until :mod:`logging` is imported no handler or level can have been set,
-    and the default root level, WARNING, drops every lower record; so such a
-    record is dropped here without the import.
+    so the default root level, WARNING, drops every lower record, and
+    ``logging.lastResort`` writes every other one to stderr as its message
+    and a newline; those are the bytes written here without the import.
     """
-    if level < WARNING and "logging" not in sys.modules:
-        return
-    import logging
+    if "logging" in sys.modules:
+        import logging
 
-    logging.getLogger(name).log(level, msg, *args, stacklevel=2)
+        logging.getLogger(name).log(level, msg, *args, stacklevel=2)
+    elif level >= WARNING:
+        sys.stderr.write(f"{msg % args if args else msg}\n")
+        sys.stderr.flush()

@@ -13,22 +13,22 @@ explodes, must keep the shortest paths, which carry the bulk of the
 probability mass.
 
 On a single-followee graph (every node has at most one followee, as in every
-trace's implied graph) a target has at most one candidate, found by walking
-up the followee chain from ``u`` in O(path length), with no masks or
-memoized search.  Elsewhere every target edge ``(u, v)`` with the same tail
-``u`` shares one search for the prefixes ``source ~> u``: the graph memoizes
-them lazily per ``(source, u, length)``, and each target drops the prefixes
-that pass through its own ``v``.  The search is pruned by walk-length
+trace's implied graph) a target has at most one candidate, which
+:func:`followee_path` finds by walking up the followee chain from ``u`` in
+O(path length), with no masks, memoized search or enumeration records; the
+engine asks it first.  Elsewhere every target edge ``(u, v)`` with the same
+tail ``u`` shares one search for the prefixes ``source ~> u``: the graph
+memoizes them lazily per ``(source, u, length)``, and each target drops the
+prefixes that pass through its own ``v``.  The search is pruned by walk-length
 bitmasks held only for the ball of radius ``max_path_length - 1`` around
 ``u``.  A prefix carries its vertex and edge tuples, built once by the search,
-and an enumeration holds its candidates as prefixes plus the target edge.
-On an acyclic graph where a node has two followees, :func:`forward_ball`
-lays out all walks from the source within the path bound by depth instead,
-once per ``(source, max_path_length)``, for the engine's forward recursion,
-which no ``max_paths`` cap limits.  A graph never changes once built, so
-each memo is filled once and never cleared.  Queries write to the graph's
-memos and to the enumerations they return, so they must not run
-concurrently.
+and an enumeration holds its candidates as prefixes plus the target edge. On
+an acyclic graph where a node has two followees, :func:`forward_ball` lays out
+all walks from the source within the path bound by depth instead, once per
+``(source, max_path_length)``, for the engine's forward recursion, which no
+``max_paths`` cap limits.  A graph never changes once built, so each memo is
+filled once and never cleared.  Queries write to the graph's memos and to the
+enumerations they return, so they must not run concurrently.
 """
 
 from __future__ import annotations
@@ -215,9 +215,11 @@ def enumerate_paths(
 
     found: list = []
     truncated = False
-    if graph._shape() == "single":
-        found = _followee_chain(graph._pred, source, u, v, max_path_length)
-    elif v != source:  # a simple path cannot return to its own source
+    path = followee_path(graph, source, target_edge, max_path_length)
+    if path:
+        edges = path[:-1]
+        found.append(Prefix((source, *[head for _, head in edges]), edges))
+    elif path is None and v != source:  # a simple path cannot return to its own source
         masks = graph._walk_masks(u, max_path_length)
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)
@@ -243,27 +245,31 @@ def enumerate_paths(
     return PathEnumeration(prefixes=tuple(found), target_edge=(u, v), truncated=truncated)
 
 
-def _followee_chain(pred, source, u, v, max_path_length) -> list:
-    """The one prefix ``source ~> u`` avoiding ``v``, as a list of zero or one
-    :class:`Prefix`, when every node has at most one followee: the walk up
-    ``u``'s followees, which ends without a prefix where the chain ends,
-    repeats (a cycle that misses the source) or exceeds the path bound."""
-    walk = [u]
-    on_walk = {u}
-    node = u
+def followee_path(graph: SocialGraph, source: NodeId, target_edge: Edge, max_path_length: int):
+    """The edges of the one candidate path from ``source`` ending with the
+    graph's edge ``target_edge`` ``(u, v)``, in path order, or ``()`` when
+    there is none; None unless every node has at most one followee (then a
+    missing source errors as in enumerate_paths).  The walk up ``u``'s
+    followees ends without a path where the chain ends, reaches ``v`` or a
+    node it passed (a cycle that misses the source), or would exceed
+    ``max_path_length`` edges; it visits no node twice, so no bound needs
+    clamping."""
+    if graph._shape() != "single":
+        return None
+    if not graph.has_node(source):
+        raise GraphError(f"source {source!r} is not a node")
+    pred = graph._pred
+    node = target_edge[0]
+    walk = [target_edge]  # the path's edges, last first
+    seen = {node, target_edge[1]}
     while node != source:
         followees = pred[node]
-        if len(walk) == max_path_length or not followees:
-            return []
+        if len(walk) == max_path_length or not followees or followees[0] in seen:
+            return ()
+        walk.append((followees[0], node))
         node = followees[0]
-        if node in on_walk:
-            return []
-        walk.append(node)
-        on_walk.add(node)
-    if v in on_walk:
-        return []
-    vertices = tuple(reversed(walk))
-    return [Prefix(vertices, tuple(zip(vertices[:-1], vertices[1:])))]
+        seen.add(node)
+    return tuple(reversed(walk))
 
 
 class ForwardBall(NamedTuple):

@@ -25,16 +25,17 @@ source is scored exactly, with no path cap, by the HMM forward recursion over
 the source's memoized forward ball, rescaled per layer.  The engine keeps the
 per-depth messages across its stream and recomputes only the depths a newly
 accepted edge made stale, each in O(layer edges x Z^2) for both hypotheses.
-Any other (cyclic graph or forest, a zero denominator, or an entry too far
+On a single-followee graph, as every trace's implied graph is, an
+observation has at most one candidate, which :func:`followee_path` finds
+first; it costs O(path length) in plain floats, with no enumeration, masks or
+arrays, as does an enumeration that finds one candidate.  Any other (a cyclic
+graph with a node of two followees, a zero denominator, or an entry too far
 below its layer's peak) costs one pass over its capped path enumeration,
-O(paths x length), in log space.  An observation with one candidate, which
-is every observation on a single-followee graph (a walk up the followee
-chain finds it), costs O(path length) in plain floats, with no masks,
-memoized search or arrays.  Each candidate looks up its edges in the engine's
-index of accepted observations to form its evidence key: the path depth plus
-the ``(position, class)`` pairs of the earlier observations on it.  Each
-distinct key is scored once and expanded back to one entry per path, in path
-order, before the log-sum-exp.
+O(paths x length), in log space.  Each candidate looks up its edges in the
+engine's index of accepted observations to form its evidence key: the path
+depth plus the ``(position, class)`` pairs of the earlier observations on it.
+Each distinct key is scored once and expanded back to one entry per path, in
+path order, before the log-sum-exp.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from cascaudit.errors import (
 )
 from cascaudit.graph import (
     PathEnumConfig,
-    PathEnumeration,
     SocialGraph,
     enumerate_paths,
+    followee_path,
     forward_ball,
 )
 from cascaudit.markov import FAKE, GENUINE, Observation, SpreadModel
@@ -315,20 +316,17 @@ def _per_path(per_key: list, key_of_path) -> np.ndarray:
     return values if key_of_path is None else values[key_of_path]
 
 
-def _evidence_keys(enumeration: PathEnumeration, by_edge: dict) -> list:
-    """Evidence key of each candidate of ``enumeration``; ``by_edge`` maps an
-    observed edge to its class, and holds no target edge."""
-    keys = []
-    for prefix in enumeration.prefixes:
-        edges = prefix.edges
-        entries = []
-        if not by_edge.keys().isdisjoint(edges):
-            for position, edge in enumerate(edges, start=1):
-                cls = by_edge.get(edge)
-                if cls is not None:
-                    entries.append((position, cls))
-        keys.append((len(edges) + 1, tuple(entries)))
-    return keys
+def _evidence_key(edges: tuple, by_edge: dict) -> tuple:
+    """Evidence key of the candidate path whose edges before its target are
+    ``edges``; ``by_edge`` maps an observed edge to its class, and holds no
+    target edge."""
+    entries = []
+    if not by_edge.keys().isdisjoint(edges):
+        for position, edge in enumerate(edges, start=1):
+            cls = by_edge.get(edge)
+            if cls is not None:
+                entries.append((position, cls))
+    return len(edges) + 1, tuple(entries)
 
 
 def _log_weights(tables, hyp, distinct, key_of_path) -> tuple:
@@ -430,7 +428,8 @@ class PosteriorEngine:
 
     def log_conditionals(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) for the next observation: by the initial
-        distribution, the exact forward recursion or the enumeration scorer."""
+        distribution, the one followee path, the exact forward recursion or
+        the enumeration scorer."""
         if not 0 <= obs.cls < self.model.num_classes:
             raise ModelError(f"observed class {obs.cls} out of range")
         if not self.graph.has_edge(obs.u, obs.v):  # a source-adjacent edge too
@@ -439,8 +438,11 @@ class PosteriorEngine:
         if obs.u == self.source:
             eta = self.model.initial_probs
             return _safe_log(float(eta[GENUINE][obs.cls])), _safe_log(float(eta[FAKE][obs.cls]))
-        logs = self._forward_logs(obs)
-        return self._enumeration_logs(obs) if logs is None else logs
+        path = followee_path(self.graph, self.source, obs.edge, self.cfg.max_path_length)
+        if path is None:
+            logs = self._forward_logs(obs)
+            return self._enumeration_logs(obs) if logs is None else logs
+        return self._keyed_logs(obs, [path[:-1]] if path else [])
 
     def _forward_logs(self, obs: Observation) -> Optional[tuple]:
         """(log a_genuine, log a_fake) by the forward recursion, or None where
@@ -505,18 +507,25 @@ class PosteriorEngine:
 
     def _enumeration_logs(self, obs: Observation) -> tuple:
         """(log a_genuine, log a_fake) scored over the enumerated candidate
-        paths, once per distinct evidence key; exact up to the path cap.  The
-        observation is off the source, and :meth:`log_conditionals` checked it."""
+        paths; exact up to the path cap.  The observation is off the source,
+        and :meth:`log_conditionals` checked it."""
         enumeration = enumerate_paths(self.graph, self.source, obs.edge, self.cfg)
-        if not enumeration:
+        return self._keyed_logs(obs, [prefix.edges for prefix in enumeration.prefixes])
+
+    def _keyed_logs(self, obs: Observation, prefixes: list) -> tuple:
+        """(log a_genuine, log a_fake) over the candidate paths whose edges
+        before ``obs``'s edge are each of ``prefixes``, once per distinct
+        evidence key; unreachable when there is no candidate."""
+        if not prefixes:
             raise UnreachableObservationError(obs.edge, self.cfg.max_path_length)
-        if len(enumeration) == 1:
-            [(depth, entries)] = _evidence_keys(enumeration, self._by_edge)
+        keys = [_evidence_key(edges, self._by_edge) for edges in prefixes]
+        if len(keys) == 1:
+            [(depth, entries)] = keys
             return (
                 _one_log_a(self._tables, GENUINE, depth, entries, obs.cls),
                 _one_log_a(self._tables, FAKE, depth, entries, obs.cls),
             )
-        distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, self._by_edge))
+        distinct, key_of_path = _distinct_keys(keys)
         return (
             _log_a(self._tables, GENUINE, distinct, key_of_path, obs.cls),
             _log_a(self._tables, FAKE, distinct, key_of_path, obs.cls),

@@ -108,22 +108,15 @@ class SpreadModel(Record):
         alpha = np.asarray(transition_probs, dtype=float)
         if np.any(eta < 0) or np.any(alpha < 0):
             raise ModelError("negative probability entries cannot be renormalized")
-        deviations = [
-            float(np.abs(eta.sum(axis=-1) - 1.0).max()),
-            float(np.abs(alpha.sum(axis=-1) - 1.0).max()),
-        ]
-        worst = max(deviations)
+        worst = max(float(np.abs(eta.sum(axis=-1) - 1.0).max()),
+                    float(np.abs(alpha.sum(axis=-1) - 1.0).max()))
         if worst > _ROW_SUM_TOL:
             log(__name__, INFO, "renormalizing model rows (worst row-sum deviation %.3g)",
                 worst)
         eta = eta / eta.sum(axis=-1, keepdims=True)
         alpha = alpha / alpha.sum(axis=-1, keepdims=True)
-        return cls(
-            num_classes=eta.shape[-1],
-            initial_probs=eta,
-            transition_probs=alpha,
-            prior_fake=prior_fake,
-        )
+        return cls(num_classes=eta.shape[-1], initial_probs=eta, transition_probs=alpha,
+                   prior_fake=prior_fake)
 
     def to_dict(self) -> dict:
         return {
@@ -540,6 +533,12 @@ def read_stream(path) -> ObservationStream:
         record = json.loads(read_text(path, TraceError))
         observations = tuple(map(_observation_from_json, record["observations"]))
         source = _node_from_json(record["source"])
+        seen: set = set()
+        for obs in observations:  # the whole stream: a detector may stop before a repeat
+            if obs.edge in seen:
+                raise ValueError(f"edge {obs.edge!r} observed twice; "
+                                 "a stream observes each edge at most once")
+            seen.add(obs.edge)
         return ObservationStream(source=source, observations=observations)
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise TraceError(f"{path}: bad observation stream: {exc}") from exc

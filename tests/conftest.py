@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from cascaudit.graph import Prefix, SocialGraph
+from cascaudit.inference import _evidence_key
 from cascaudit.markov import Observation, ObservationStream, SpreadModel, reference_model
 
 from .oracles import all_simple_paths_to_edge
@@ -45,6 +46,12 @@ def candidates(enumeration):
     whole path: its prefix followed by the target edge."""
     u, v = enumeration.target_edge
     return [Prefix(p.vertices + (v,), p.edges + ((u, v),)) for p in enumeration.prefixes]
+
+
+def evidence_keys(enumeration, by_edge):
+    """The engine's evidence key of each candidate of ``enumeration``, given
+    its index ``by_edge`` of accepted observations."""
+    return [_evidence_key(prefix.edges, by_edge) for prefix in enumeration.prefixes]
 
 
 def build_chain_graph(length):

@@ -18,7 +18,6 @@ from cascaudit.inference import (
     ChainTables,
     PosteriorEngine,
     _distinct_keys,
-    _evidence_keys,
     _log_weights,
     posterior_from_log_lr,
 )
@@ -46,7 +45,7 @@ from cascaudit.policy import (
 )
 from cascaudit.rng import derive_rng, derive_seed
 
-from .conftest import build_chain_graph, random_inference_instance
+from .conftest import build_chain_graph, evidence_keys, random_inference_instance
 from .oracles import kstep_brute, posterior_brute
 
 REF = reference_model()
@@ -84,7 +83,7 @@ def oracle_suite():
             if belief.step == len(observations) or observations[belief.step].u == stream.source:
                 continue
             enumeration = enumerate_paths(graph, stream.source, observations[belief.step].edge, cfg)
-            distinct, key_of_path = _distinct_keys(_evidence_keys(enumeration, engine._by_edge))
+            distinct, key_of_path = _distinct_keys(evidence_keys(enumeration, engine._by_edge))
             for hyp in (GENUINE, FAKE):
                 log_nums, log_denom = _log_weights(engine._tables, hyp, distinct, key_of_path)
                 score_sum_errors.append(abs(float(np.exp(log_nums - log_denom).sum()) - 1.0))

@@ -256,6 +256,12 @@ def test_simulate_negative_seed_or_count_exits_2(tmp_path, capsys, flag, seed, n
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_that_fails_to_draw_leaves_no_output_directory(tmp_path):
+    # the count passes the flag check, and numpy then refuses to draw it
+    assert run_cli("simulate", "--n", 10**29, "--seed", 1, "--out", tmp_path / "sim") == 1
+    assert not (tmp_path / "sim").exists()
+
+
 def test_train_negative_seed_exits_2(tmp_path, capsys):
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
@@ -586,7 +592,38 @@ def test_detect_refuses_a_repeated_edge_without_verdict(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == (f"cascaudit: error: edge {(u, v)!r} observed twice; "
+    assert captured.err == (f"cascaudit: error: {stream_path}: bad observation stream: "
+                            f"edge {(u, v)!r} observed twice; "
+                            "a stream observes each edge at most once\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("policy", ["convergence", "sprt", "dp"])
+def test_detect_refuses_a_repeat_after_the_stopping_step(tmp_path, capsys, policy):
+    # the whole stream is read before detection: convergence and sprt stop
+    # this stream long before its last event, which is repeated at its end
+    assert run_cli("simulate", "--n", 20, "--seed", 1, "--min-children", 1,
+                   "--max-events", 30, "--out", tmp_path / "sim") == 0
+    trace = read_traces(tmp_path / "sim" / "traces.jsonl")[0]
+    observations = [{"u": ev.edge[0], "v": ev.edge[1], "class": ev.cls} for ev in trace.events]
+    stream_path, out = tmp_path / "stream.json", tmp_path / "trajectory.csv"
+    argv = ["detect", "--graph", tmp_path / "sim" / "graph.tsv", "--stream", stream_path,
+            "--policy", policy]
+    stream_path.write_text(json.dumps({"source": trace.source, "observations": observations}),
+                           encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    stopped_at = json.loads(capsys.readouterr().out)["T"]
+    assert stopped_at < len(observations) or policy == "dp"
+    stream_path.write_text(json.dumps({"source": trace.source,
+                                       "observations": observations + observations[-1:]}),
+                           encoding="utf-8")
+    code = run_cli(*argv, "--out", out)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"cascaudit: error: {stream_path}: bad observation stream: "
+                            f"edge {trace.events[-1].edge!r} observed twice; "
                             "a stream observes each edge at most once\n")
     assert not out.exists()
 
@@ -609,8 +646,9 @@ def test_detect_empty_stream_exits_2(tmp_path):
     (0, [{"u": 0, "v": [1], "class": 1}]),
     (0, [{"u": 0.0, "v": 1, "class": 1}]),
     (True, [{"u": 0, "v": 1, "class": 1}]),
+    (0, [{"u": 0, "v": 1, "class": 1}, {"u": 1, "v": 2, "class": 1}, {"u": 0, "v": 1, "class": 1}]),
 ], ids=["float-and-bool-class", "float-class", "bool-class", "null-class", "string-class",
-        "list-source", "list-u", "list-v", "float-u", "bool-source"])
+        "list-source", "list-u", "list-v", "float-u", "bool-source", "repeated-edge"])
 def test_detect_rejects_malformed_stream_without_verdict(tmp_path, capsys, source, observations):
     graph_path = tmp_path / "graph.tsv"
     graph_path.write_text("0\t1\n1\t2\n", encoding="utf-8")
@@ -788,19 +826,19 @@ def test_main_freezes_the_heap_and_keeps_the_collector_switch(tmp_path, collecti
         gc.enable() if was else gc.disable()
 
 
-def _loaded_after_command(tmp_path, *argv) -> list:
+def _loaded_after_command(tmp_path, *argv, before="") -> tuple:
     """Which of ``logging``, ``cascaudit.offline``, ``dataclasses`` and
     ``numpy.ma`` a fresh process holds after running one CLI command, which
-    must exit 0."""
+    must exit 0, and the bytes it wrote to stderr; ``before`` runs first."""
     env = _fresh_process_env()
-    probe = ("import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
+    probe = (f"{before}import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
              "print(code, sorted({'logging', 'cascaudit.offline', 'dataclasses', 'numpy.ma'}"
              " & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
-                            capture_output=True, text=True, check=True, cwd=tmp_path)
-    code, loaded = result.stdout.strip().splitlines()[-1].split(" ", 1)
+                            capture_output=True, check=True, cwd=tmp_path)
+    code, loaded = result.stdout.decode().strip().splitlines()[-1].split(" ", 1)
     assert code == "0", result.stderr
-    return loaded
+    return loaded, result.stderr
 
 
 def test_detect_loads_neither_logging_nor_offline(tmp_path):
@@ -808,18 +846,32 @@ def test_detect_loads_neither_logging_nor_offline(tmp_path):
     # nothing configured logging, so it is dropped without the import
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=4)
     assert _loaded_after_command(tmp_path, "detect", "--graph", graph_path,
-                                 "--stream", stream_path) == "[]"
+                                 "--stream", stream_path) == ("[]", b"")
 
 
-def test_eval_without_unreachable_observations_loads_neither_logging_nor_offline(tmp_path):
+def _wide_eval_argv(tmp_path, *flags) -> list:
     traces = [sample_trace(None, reference_model(), i % 2, seed=30 + i, growth=WIDE)
               for i in range(6)]
     write_traces(traces, tmp_path / "traces.jsonl")
-    assert _loaded_after_command(
-        tmp_path, "eval", "--traces", tmp_path / "traces.jsonl", "--seed", 2, "--policy",
-        "convergence", "--max-path-len", WIDE.max_events, "--on-unreachable", "fail",
-        "--out", tmp_path / "ev",
-    ) == "[]"
+    return ["eval", "--traces", tmp_path / "traces.jsonl", "--seed", 2, *flags,
+            "--out", tmp_path / "ev"]
+
+
+def test_eval_without_unreachable_observations_loads_neither_logging_nor_offline(tmp_path):
+    argv = _wide_eval_argv(tmp_path, "--policy", "convergence", "--max-path-len",
+                           WIDE.max_events, "--on-unreachable", "fail")
+    assert _loaded_after_command(tmp_path, *argv) == ("[]", b"")
+
+
+def test_eval_skip_warnings_are_logging_bytes_without_logging(tmp_path):
+    # observations deeper than two edges are skipped with a warning, which a
+    # process that never imported logging writes as logging's last resort does
+    argv = _wide_eval_argv(tmp_path, "--policy", "dp", "--max-path-len", 2)
+    loaded, stderr = _loaded_after_command(tmp_path, *argv)
+    assert loaded == "[]"
+    assert stderr.count(b"skipping unreachable observation ") >= 10
+    assert _loaded_after_command(tmp_path, *argv, before="import logging; ") == (
+        "['logging']", stderr)
 
 
 @pytest.mark.parametrize("command", ["simulate", "train", "thresholds"])
@@ -832,7 +884,7 @@ def test_no_command_loads_dataclasses_or_numpy_ma(tmp_path, command):
                   "--seed", 6, "--out", tmp_path / "m.json"],
         "thresholds": ["--out", tmp_path / "table.csv"],
     }[command]
-    loaded = _loaded_after_command(tmp_path, command, *argv)
+    loaded, _ = _loaded_after_command(tmp_path, command, *argv)
     assert "dataclasses" not in loaded and "numpy.ma" not in loaded
 
 
@@ -903,6 +955,11 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
     assert traced.install(recorder) == []
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
+    # of these graphs, only a cyclic one where a node has two followees is enumerated
+    cyclic_path, cyclic_stream = tmp_path / "cyclic.tsv", tmp_path / "cyclic.json"
+    cyclic_path.write_text("0\t1\n1\t2\n2\t1\n0\t2\n2\t3\n", encoding="utf-8")
+    cyclic_stream.write_text(json.dumps({"source": 0, "observations": [
+        {"u": u, "v": v, "class": 1} for u, v in [(0, 1), (1, 2), (2, 3)]]}), encoding="utf-8")
     sim, model = tmp_path / "sim", tmp_path / "model.json"
     commands = [
         ["simulate", "--n", 4, "--seed", 1, "--min-children", 1, "--max-events", 20, "--out", sim],
@@ -914,6 +971,7 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
         ["eval", "--traces", sim / "traces.jsonl", "--graph", sim / "graph.tsv", "--seed", 1,
          "--policy", "dp", "--out", tmp_path / "eval_shared"],
         ["detect", "--graph", graph_path, "--stream", stream_path, "--policy", "dp"],
+        ["detect", "--graph", cyclic_path, "--stream", cyclic_stream],
     ]
     for argv in commands:
         assert cli.main([str(a) for a in argv]) == 0, argv

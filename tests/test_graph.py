@@ -4,9 +4,9 @@ from cascaudit.errors import GraphError
 from cascaudit.graph import (
     PathEnumConfig,
     SocialGraph,
-    _followee_chain,
     _id_key,
     enumerate_paths,
+    followee_path,
     forward_ball,
     load_graph,
     read_node_features,
@@ -372,6 +372,8 @@ def test_followee_chain_walk_matches_the_oracle():
                     result = enumerate_paths(graph, source, target, cfg)
                     expected = all_simple_paths_to_edge(edges, source, target, max_len)
                     assert [p.vertices for p in candidates(result)] == expected
+                    assert followee_path(graph, source, target, max_len) == (
+                        tuple(zip(expected[0][:-1], expected[0][1:])) if expected else ())
                     assert not result.truncated
                     seen["found"] += bool(expected)
                     seen["v_is_source"] += target[1] == source
@@ -404,22 +406,30 @@ def _has_cycle(edges):
 
 
 def test_chain_walk_cases():
-    graph = build_graph([(i, i + 1) for i in range(12)] + [(20, 21), (21, 22), (22, 20)])
+    graph = build_graph([(i, i + 1) for i in range(12)]
+                        + [(20, 21), (21, 22), (22, 20), (22, 23)])
     cfg = PathEnumConfig(max_path_length=4)
 
     def vertices(source, target):
         return [p.vertices for p in candidates(enumerate_paths(graph, source, target, cfg))]
 
     assert vertices(2, (4, 5)) == [(2, 3, 4, 5)]
+    assert followee_path(graph, 2, (4, 5), 4) == ((2, 3), (3, 4), (4, 5))
+    assert followee_path(graph, 2, (4, 5), 3) == ((2, 3), (3, 4), (4, 5))
+    assert followee_path(graph, 2, (4, 5), 2) == ()  # three edges > 2
     assert enumerate_paths(graph, 0, (4, 5), cfg).prefixes == ()  # five edges > 4
     assert enumerate_paths(graph, 5, (4, 5), cfg).prefixes == ()  # v is the source
     assert enumerate_paths(graph, 7, (4, 5), cfg).prefixes == ()  # source below the tail
     assert enumerate_paths(graph, 0, (21, 22), cfg).prefixes == ()  # a cycle without the source
     assert vertices(20, (21, 22)) == [(20, 21, 22)]
     assert vertices(21, (22, 20)) == [(21, 22, 20)]
+    assert vertices(20, (22, 23)) == [(20, 21, 22, 23)]
     assert enumerate_paths(graph, 20, (22, 20), cfg).prefixes == ()  # v is the source
     assert enumerate_paths(graph, 22, (21, 22), cfg).prefixes == ()  # v is the source
     assert vertices(4, (4, 5)) == [(4, 5)]
+    assert followee_path(graph, 4, (4, 5), 1) == ((4, 5),)
+    for source, target in [(5, (4, 5)), (7, (4, 5)), (0, (21, 22)), (22, (21, 22))]:
+        assert followee_path(graph, source, target, 4) == ()
 
     class CountingPred(dict):
         reads = 0
@@ -429,8 +439,24 @@ def test_chain_walk_cases():
             assert self.reads <= 6, "the walk went round the cycle again"
             return super().__getitem__(node)
 
-    # the walk stops on its first revisit, however large the bound
-    assert _followee_chain(CountingPred(graph._pred), 0, 21, 22, 10**9) == []
+    # the walk stops on its first revisit, however large the bound: of v, or
+    # of the tail of (22, 23) on a cycle that misses the source
+    for target in [(21, 22), (22, 23)]:
+        graph._pred = CountingPred(graph._pred)
+        assert followee_path(graph, 0, target, 10**9) == ()
+
+
+def test_followee_path_answers_only_single_followee_graphs():
+    single = build_graph([(0, 1), (1, 2)])
+    with pytest.raises(GraphError, match="source 9 is not a node"):
+        followee_path(single, 9, (1, 2), 8)
+    with pytest.raises(GraphError, match="source 9 is not a node"):
+        enumerate_paths(single, 9, (1, 2))
+    diamond = build_graph([(0, 1), (0, 2), (1, 3), (2, 3)])
+    cyclic = build_graph([(0, 1), (1, 2), (2, 1), (0, 2)])
+    for graph in (diamond, cyclic):
+        assert followee_path(graph, 0, (1, 3) if graph is diamond else (1, 2), 8) is None
+        assert followee_path(graph, 9, (0, 1), 8) is None  # the source is checked only after
 
 
 def test_path_bounds_above_the_node_count_are_clamped():

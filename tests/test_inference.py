@@ -3,17 +3,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cascaudit.errors import GraphError, InvalidEvidenceError, UnreachableObservationError
-from cascaudit.graph import PathEnumConfig, enumerate_paths, forward_ball
+from cascaudit.graph import PathEnumConfig, Prefix, enumerate_paths, forward_ball
 from cascaudit.inference import (
     BeliefState,
     ChainTables,
     PosteriorEngine,
     _distinct_keys,
-    _evidence_keys,
     _log_a,
     _log_weights,
     _logsumexp,
@@ -40,11 +39,13 @@ from .conftest import (
     build_chain_graph,
     build_graph,
     candidates,
+    evidence_keys,
     random_digraph,
     random_inference_instance,
     random_model,
 )
 from .oracles import (
+    all_simple_paths_to_edge,
     conditional_prob_brute,
     forward_arrival_logs,
     log_conditionals_per_path,
@@ -174,7 +175,7 @@ def test_path_context_positions_and_gaps(ref_model, demo_graph):
     # the engine's evidence key of the same path: its depth and (position, cls) pairs
     engine = PosteriorEngine(ref_model, demo_graph, 1)
     engine.accepted = prefix
-    assert _evidence_keys(enumeration, engine._by_edge)[at] == (3, ((1, 3), (2, 2)))
+    assert evidence_keys(enumeration, engine._by_edge)[at] == (3, ((1, 3), (2, 2)))
 
 
 def test_path_contexts_match_direct_scan_with_repeated_edges():
@@ -318,19 +319,110 @@ def test_one_candidate_scalar_scoring_equals_the_array_scorer(caplog):
     assert fallbacks >= 50
 
 
+@st.composite
+def followee_instances(draw):
+    """(edges, source, target edge, path bound, accepted ``((u, v), cls)``
+    pairs, target class, model seed) on a random graph in which every node has
+    at most one followee, so directed cycles are common.  The source is most
+    often on the followee chain above the target edge's tail, else any other
+    node, or rarely ``n``, which is no node; it is never the tail."""
+    n = draw(st.integers(2, 10))
+    edges = []
+    for v in range(n):
+        u = draw(st.integers(0, n - 1))  # n - 1: v has no followee
+        if u < n - 1:
+            edges.append((u + (u >= v), v))
+    assume(edges)
+    target = draw(st.sampled_from(edges))
+    followee, chain = {v: u for u, v in edges}, [target[0]]
+    while chain[-1] in followee and followee[chain[-1]] not in chain:
+        chain.append(followee[chain[-1]])
+    pick = draw(st.integers(0, 9))
+    if pick < 5 and len(chain) > 1:
+        source = draw(st.sampled_from(chain[1:]))
+    else:
+        source = n if pick == 9 else draw(st.integers(0, n - 1))
+    assume(target[0] != source)
+    others = [e for e in edges if e != target]
+    accepted = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    classes = draw(st.lists(st.integers(0, 2), min_size=len(accepted), max_size=len(accepted)))
+    return (edges, source, target, draw(st.integers(1, 9)), tuple(zip(accepted, classes)),
+            draw(st.integers(0, 2)), draw(st.integers(0, 2**16)))
+
+
+ZERO_MODEL = SpreadModel(num_classes=3, initial_probs=np.array([[1.0, 0.0, 0.0]] * 2),
+                         transition_probs=np.array([np.eye(3)] * 2), prior_fake=0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=followee_instances())
+# a cycle that misses the source, entered below it
+@example(instance=([(0, 1), (2, 3), (3, 4), (4, 2), (4, 5)], 0, (4, 5), 9, (), 0, 1))
+# v on the walk: the cycle closed by (u, v)
+@example(instance=([(0, 4), (1, 2), (2, 3), (3, 1)], 0, (2, 3), 9, (((3, 1), 1),), 2, 1))
+# v is the source
+@example(instance=([(0, 1), (1, 2), (2, 0)], 0, (2, 0), 9, (((0, 1), 0),), 1, 1))
+# a chain of nine edges, with its first edge observed, under bounds that cut
+# it and under the bound that keeps it
+@example(instance=([(i, i + 1) for i in range(9)], 0, (8, 9), 1, (((0, 1), 2),), 1, 7))
+@example(instance=([(i, i + 1) for i in range(9)], 0, (8, 9), 8, (((0, 1), 2),), 1, 7))
+@example(instance=([(i, i + 1) for i in range(9)], 0, (8, 9), 9, (((0, 1), 2),), 1, 7))
+# a missing source, and the zero-score fallback
+@example(instance=([(0, 1), (1, 2)], 3, (1, 2), 9, (), 0, 1))
+@example(instance=([(0, 1), (1, 2), (2, 3)], 0, (2, 3), 9, (((0, 1), 1),), 0, 4))
+def test_followee_walk_scores_as_the_enumeration_scorer_bit_for_bit(instance):
+    # enumerate_paths answers from the same walk on these graphs, so the
+    # walk's path is also checked against the oracle's, scored path by path
+    edges, source, target, bound, accepted, cls, model_seed = instance
+    model = ZERO_MODEL if model_seed % 4 == 0 else random_model(derive_rng(model_seed), 3)
+    graph = build_graph(edges)
+    engine = PosteriorEngine(model, graph, source, PathEnumConfig(bound))
+    engine.accepted = [obs(u, v, c) for (u, v), c in accepted]
+    new = obs(*target, cls)
+    outcomes = []
+    for score in (engine.log_conditionals, engine._enumeration_logs):
+        try:
+            outcomes.append([x.hex() for x in score(new)])
+        except (UnreachableObservationError, GraphError) as exc:
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+    paths = all_simple_paths_to_edge(edges, source, target, bound)
+    if paths:
+        [path] = paths
+        expected = log_conditionals_per_path(
+            engine._tables, [Prefix(path, tuple(zip(path[:-1], path[1:])))], engine.accepted, new
+        )
+        assert outcomes[0] == [x.hex() for x in expected]
+    else:
+        error = "UnreachableObservationError" if graph.has_node(source) else "GraphError"
+        assert outcomes[0].startswith(error)
+
+
+def test_a_single_followee_observation_is_never_enumerated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a single-followee observation")
+
+    monkeypatch.setattr("cascaudit.inference.enumerate_paths", refuse)
+    graph = build_graph([(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)])
+    engine = PosteriorEngine(reference_model(), graph, 0, PathEnumConfig(max_path_length=2))
+    stream = [obs(0, 1, 0), obs(1, 2, 1), obs(2, 3, 2), obs(5, 6, 0), obs(1, 4, 3)]
+    list(engine.beliefs(stream))
+    assert engine.belief.step == 3 and engine.skipped == [2, 3]
+
+
 # A path's weight in the mixture: its chain weight (the evidence key of the
 # path, scored once per distinct key) over their log normalizer.
 
 
 def test_path_weight_single_candidate_is_one(ref_model, demo_graph):
-    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (2, 5)), {})
+    keys = evidence_keys(enumerate_paths(demo_graph, 1, (2, 5)), {})
     log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys))
     np.testing.assert_allclose(np.exp(log_nums - log_denom), [1.0])
 
 
 def test_path_weights_symmetric_paths_split_evenly(ref_model, demo_graph):
     # no prior evidence on either path
-    keys = _evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), {})
+    keys = evidence_keys(enumerate_paths(demo_graph, 1, (6, 14)), {})
     log_nums, log_denom = _log_weights(ChainTables(ref_model), FAKE, *_distinct_keys(keys))
     weights = np.exp(log_nums - log_denom)
     np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
@@ -351,7 +443,7 @@ def test_path_weights_hand_evaluated_two_gap_case():
     engine = PosteriorEngine(model, graph, "s")
     # path via a: observed (a, t) class 0 ; path via b: observed (b, t) class 1
     engine.accepted = [obs("s", "a", 0), obs("s", "b", 0), obs("a", "t", 0), obs("b", "t", 1)]
-    keys = _evidence_keys(enumerate_paths(graph, "s", ("t", "w")), engine._by_edge)
+    keys = evidence_keys(enumerate_paths(graph, "s", ("t", "w")), engine._by_edge)
     log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys))
     # both routes anchor identically (class 0 at depth 1, eta uniform), then
     # one gap each: 0 -> 0 vs 0 -> 1
@@ -367,7 +459,7 @@ def test_path_weights_normalize_on_random_instances():
             continue
         engine = PosteriorEngine(model, graph, stream.source)
         engine.accepted = stream.observations[:-1]
-        keys = _evidence_keys(enumerate_paths(graph, stream.source, last.edge), engine._by_edge)
+        keys = evidence_keys(enumerate_paths(graph, stream.source, last.edge), engine._by_edge)
         log_nums, log_denom = _log_weights(engine._tables, FAKE, *_distinct_keys(keys))
         assert np.exp(log_nums - log_denom).sum() == pytest.approx(1.0, abs=1e-12)
 
