@@ -359,16 +359,24 @@ def cmd_detect(args) -> int:
     policy, code = _make_policy(args, model, costs)
     if policy is None:
         return code
-    outcome, belief = run_detection(model, graph, stream, policy, cfg=_enum_cfg(args),
-                                    on_unreachable=args.on_unreachable)
+    outcome, belief = run_detection(
+        model,
+        graph,
+        stream,
+        policy,
+        cfg=_enum_cfg(args),
+        on_unreachable=args.on_unreachable,
+    )
+    trajectory_path = None
     if args.out:
+        trajectory_path = str(args.out)
         write_trajectory(belief, args.out)
     record = {
         "T": outcome.step,
         "verdict": outcome.verdict,
         "rule_used": outcome.rule,
         "final_posterior": belief.posterior,
-        "trajectory_csv": str(args.out) if args.out else None,
+        "trajectory_csv": trajectory_path,
     }
     print(json.dumps(record, sort_keys=True))
     return EXIT_OK
@@ -441,8 +449,13 @@ def _write_accuracy_curve(results, costs, path) -> None:
 def cmd_thresholds(args) -> int:
     model = _load_model_arg(args)
     costs = _costs(args)
-    table = solve_thresholds(costs, single_step_outcomes(model), grid_step=args.grid_step,
-                             max_sweeps=args.max_sweeps, tol=args.tol)
+    table = solve_thresholds(
+        costs,
+        single_step_outcomes(model),
+        grid_step=args.grid_step,
+        max_sweeps=args.max_sweeps,
+        tol=args.tol,
+    )
     if args.out:
         table.save(args.out)
     print(

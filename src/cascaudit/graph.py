@@ -16,9 +16,9 @@ On a single-followee graph (every node has at most one followee, as in every
 trace's implied graph) a target has at most one candidate, which
 :func:`followee_path` finds by walking up the followee chain from ``u`` in
 O(path length), with no masks, memoized search or enumeration records; the
-engine asks it first.  Elsewhere every target edge ``(u, v)`` with the same
-tail ``u`` shares one search for the prefixes ``source ~> u``: the graph
-memoizes them lazily per ``(source, u, length)``, and each target drops the
+engine asks it first.  :func:`enumerate_paths` runs the general search on every
+graph: every target edge ``(u, v)`` with the same tail ``u`` shares one search
+for the prefixes ``source ~> u``: the graph memoizes them lazily per ``(source, u, length)``, and each target drops the
 prefixes that pass through its own ``v``.  The search is pruned by walk-length
 bitmasks held only for the ball of radius ``max_path_length - 1`` around
 ``u``.  A prefix carries its vertex and edge tuples, built once by the search,
@@ -215,11 +215,7 @@ def enumerate_paths(
 
     found: list = []
     truncated = False
-    path = followee_path(graph, source, target_edge, max_path_length)
-    if path:
-        edges = path[:-1]
-        found.append(Prefix((source, *[head for _, head in edges]), edges))
-    elif path is None and v != source:  # a simple path cannot return to its own source
+    if v != source:  # a simple path cannot return to its own source
         masks = graph._walk_masks(u, max_path_length)
         # Exploring one exact length at a time yields the shortest-first order
         # needed for truncation without ranking the full (potentially huge)

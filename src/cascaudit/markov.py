@@ -108,15 +108,22 @@ class SpreadModel(Record):
         alpha = np.asarray(transition_probs, dtype=float)
         if np.any(eta < 0) or np.any(alpha < 0):
             raise ModelError("negative probability entries cannot be renormalized")
-        worst = max(float(np.abs(eta.sum(axis=-1) - 1.0).max()),
-                    float(np.abs(alpha.sum(axis=-1) - 1.0).max()))
+        deviations = [
+            float(np.abs(eta.sum(axis=-1) - 1.0).max()),
+            float(np.abs(alpha.sum(axis=-1) - 1.0).max()),
+        ]
+        worst = max(deviations)
         if worst > _ROW_SUM_TOL:
             log(__name__, INFO, "renormalizing model rows (worst row-sum deviation %.3g)",
                 worst)
         eta = eta / eta.sum(axis=-1, keepdims=True)
         alpha = alpha / alpha.sum(axis=-1, keepdims=True)
-        return cls(num_classes=eta.shape[-1], initial_probs=eta, transition_probs=alpha,
-                   prior_fake=prior_fake)
+        return cls(
+            num_classes=eta.shape[-1],
+            initial_probs=eta,
+            transition_probs=alpha,
+            prior_fake=prior_fake,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -283,8 +283,13 @@ def estimate_alpha(
     for label in (GENUINE, FAKE):
         if row_totals[label].sum() == 0:
             raise EstimationError(f"label {label} has no parent-child edge pairs")
-    totals = row_totals[..., None]
-    return np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
+    estimates = np.zeros_like(counts)
+    for label in (GENUINE, FAKE):
+        for z in range(num_classes):
+            total = row_totals[label][z]
+            if total > 0:
+                estimates[label][z] = counts[label][z] / total
+    return estimates
 
 
 def build_spread_model(eta_hat: np.ndarray, alpha_hat: np.ndarray,

@@ -943,7 +943,7 @@ UNREACHED_TARGETS = {
 def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
     # a target that resolves but is no longer called records no span, and the
     # benchmark's per-layer metric then reads zero: run every bench command
-    # in-process under the benchmark's own wrappers
+    # in-process under the benchmark's own wrappers, plus one stand-in below
     traced = _bench_module("traced")
     for module_name, attr, _ in traced.TARGETS:
         owner = importlib.import_module(module_name)
@@ -955,7 +955,11 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
     assert traced.install(recorder) == []
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
-    # of these graphs, only a cyclic one where a node has two followees is enumerated
+    # the engine enumerates paths only where neither the followee walk nor
+    # the forward recursion answers, as on a cyclic graph where a node has
+    # two followees, and no bench workload reaches that (ROADMAP item 1b):
+    # the last detect is no bench command but a stand-in for that workload,
+    # and the graph.enum_* metrics read 0 in every bench run until it exists
     cyclic_path, cyclic_stream = tmp_path / "cyclic.tsv", tmp_path / "cyclic.json"
     cyclic_path.write_text("0\t1\n1\t2\n2\t1\n0\t2\n2\t3\n", encoding="utf-8")
     cyclic_stream.write_text(json.dumps({"source": 0, "observations": [

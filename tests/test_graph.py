@@ -299,8 +299,7 @@ def test_prefix_memo_serves_interleaved_path_bounds_on_cyclic_graphs():
 
 
 def test_walk_masks_stay_within_the_path_bound():
-    # a node with two followees, away from the chain, keeps the general search
-    # (a graph of chains alone is answered by the followee-chain walk)
+    # a long chain, with a node of two followees away from it
     graph = build_graph([(i, i + 1) for i in range(1000)] + [(-1, -3), (-2, -3)])
     assert graph._shape() == "dag"
     cfg = PathEnumConfig(max_path_length=8)

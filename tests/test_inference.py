@@ -371,8 +371,8 @@ ZERO_MODEL = SpreadModel(num_classes=3, initial_probs=np.array([[1.0, 0.0, 0.0]]
 @example(instance=([(0, 1), (1, 2)], 3, (1, 2), 9, (), 0, 1))
 @example(instance=([(0, 1), (1, 2), (2, 3)], 0, (2, 3), 9, (((0, 1), 1),), 0, 4))
 def test_followee_walk_scores_as_the_enumeration_scorer_bit_for_bit(instance):
-    # enumerate_paths answers from the same walk on these graphs, so the
-    # walk's path is also checked against the oracle's, scored path by path
+    # _enumeration_logs scores the general prefix search's candidates, and
+    # the oracle's path, scored path by path, checks both
     edges, source, target, bound, accepted, cls, model_seed = instance
     model = ZERO_MODEL if model_seed % 4 == 0 else random_model(derive_rng(model_seed), 3)
     graph = build_graph(edges)
