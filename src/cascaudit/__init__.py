@@ -8,7 +8,7 @@ The package follows one pipeline:
 * ``policy``    -- stopping rules: DP thresholds, SPRT, convergence
 * ``offline``   -- training: edge classifier and parameter estimation
 * ``cli``       -- command-line pipeline (simulate / train / detect / eval /
-  thresholds) and the evaluation path it shares with the Monte Carlo risk
+  thresholds) and the evaluation path that ``simulate`` and ``eval`` share
 """
 
 from cascaudit.errors import (

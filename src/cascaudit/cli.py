@@ -6,10 +6,9 @@ threshold solver.  Every command is deterministic given its flags and
 ``--seed``: all randomness derives from that one seed by counters, and
 outputs are byte-stable across reruns.
 
-``simulate``, ``eval`` and the Monte Carlo risk (:func:`risk_estimate`) share
-one evaluation path: :func:`simulate_corpus` draws a labeled corpus,
-:func:`detect_corpus` runs the detector on each trace, and
-:func:`count_errors` turns the results into the report and the risk terms.
+``simulate`` and ``eval`` share one evaluation path: :func:`simulate_corpus`
+draws a labeled corpus, :func:`detect_corpus` runs the detector on each
+trace, and :func:`count_errors` turns the results into the report.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from cascaudit.errors import (
     CascauditError,
     DegenerateDataError,
     EstimationError,
-    ModelError,
     TraceError,
 )
 from cascaudit.graph import PathEnumConfig, load_graph, read_node_features, save_graph
@@ -144,7 +142,7 @@ def _make_policy(args, model: SpreadModel, costs: CostSpec):
     return DpThresholdPolicy(table), None
 
 
-# ---- the evaluation path: detection over a corpus, its errors and its risk --------
+# ---- the evaluation path: detection over a corpus and its errors ------------------
 
 
 def simulate_corpus(model: SpreadModel, n: int, seed: int, growth: GrowthConfig,
@@ -174,27 +172,32 @@ class TraceResult(NamedTuple):
     belief: BeliefState
 
 
-def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, graph=None,
-                  cfg: PathEnumConfig = PathEnumConfig(), on_unreachable: str = "skip") -> list:
+def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, graph,
+                  cfg: PathEnumConfig, on_unreachable: str) -> list:
     """One :class:`TraceResult` per trace.  Trace ``i`` is subsampled to keep
     ``rho`` of its events with seed ``derive_seed(seed, i, 2)`` and detected
     on ``graph``, or on its own implied graph when ``graph`` is None; every
-    run shares one set of chain tables."""
+    run shares one set of chain tables.  A package error that detection
+    raises on trace ``i`` keeps its type, its message prefixed ``trace i: ``."""
     tables = ChainTables(model)
     results = []
     for index, trace in enumerate(traces):
         stream = subsample(trace, rho, derive_seed(seed, index, 2))
-        outcome, belief = run_detection(
-            model, graph if graph is not None else trace.implied_graph(), stream, policy,
-            cfg=cfg, on_unreachable=on_unreachable, tables=tables,
-        )
+        try:
+            outcome, belief = run_detection(
+                model, graph if graph is not None else trace.implied_graph(), stream, policy,
+                cfg=cfg, on_unreachable=on_unreachable, tables=tables,
+            )
+        except CascauditError as exc:
+            exc.args = (f"trace {index}: {exc}",)
+            raise
         results.append(TraceResult(trace.label, outcome, belief))
     return results
 
 
 def count_errors(results) -> dict:
     """Error rates and detection times of labeled results: the metrics of
-    ``report.json``, from which the risk is also built."""
+    ``report.json``."""
     n = len(results)
     n_fake = sum(1 for r in results if r.label == FAKE)
     n_genuine = n - n_fake
@@ -217,60 +220,6 @@ def count_errors(results) -> dict:
         "n_fake": n_fake,
         "n_genuine": n_genuine,
     }
-
-
-class RiskReport(NamedTuple):
-    """Empirical risk decomposition with binomial standard errors."""
-
-    risk: float
-    pe_false_alarm: float       # P(verdict fake | genuine)
-    pe_miss: float              # P(verdict genuine | fake)
-    se_false_alarm: float
-    se_miss: float
-    mean_steps_fake: float      # E[steps * 1{fake}] over all traces
-    n_genuine: int
-    n_fake: int
-
-
-def summarize_risk(count: dict, costs: CostSpec, prior: float) -> RiskReport:
-    """The evaluation objective from an error count of :func:`count_errors`:
-
-    risk = false_alarm * (1 - prior) * fp + miss * prior * fn
-         + per_step * prior * mean_events_fake
-    """
-    pe_fa, pe_miss = count["fp"], count["fn"]
-    n0, n1 = count["n_genuine"], count["n_fake"]
-    mean_steps_fake = prior * count["mean_events_fake"] if n1 else 0.0
-    return RiskReport(
-        risk=(
-            costs.false_alarm * (1.0 - prior) * pe_fa
-            + costs.miss * prior * pe_miss
-            + costs.per_step * mean_steps_fake
-        ),
-        pe_false_alarm=pe_fa,
-        pe_miss=pe_miss,
-        se_false_alarm=math.sqrt(pe_fa * (1 - pe_fa) / n0) if n0 else 0.0,
-        se_miss=math.sqrt(pe_miss * (1 - pe_miss) / n1) if n1 else 0.0,
-        mean_steps_fake=mean_steps_fake,
-        n_genuine=n0,
-        n_fake=n1,
-    )
-
-
-def risk_estimate(policy, model: SpreadModel, n_traces: int, seed: int, costs: CostSpec,
-                  growth: GrowthConfig = GrowthConfig()) -> tuple:
-    """Monte Carlo estimate of the sequential risk for ``policy``.
-
-    Simulates a labeled corpus from the model's prior mixture as ``simulate``
-    does, detects on each fully observed trace over its implied graph, with a
-    path bound of ``growth.max_events`` edges so that no event of a trace is
-    out of reach, and returns ``(RiskReport, list[TraceResult])``.
-    """
-    if n_traces < 1:
-        raise ModelError("n_traces must be >= 1")
-    results = detect_corpus(model, simulate_corpus(model, n_traces, seed, growth), policy,
-                            1.0, seed, cfg=PathEnumConfig(max_path_length=growth.max_events))
-    return summarize_risk(count_errors(results), costs, model.prior_fake), results
 
 
 # ---- simulate ---------------------------------------------------------------------
@@ -398,10 +347,8 @@ def cmd_eval(args) -> int:
     if policy is None:
         return code
 
-    results = detect_corpus(
-        model, traces, policy, args.rho, args.seed, graph=shared_graph, cfg=_enum_cfg(args),
-        on_unreachable=args.on_unreachable,
-    )
+    results = detect_corpus(model, traces, policy, args.rho, args.seed, shared_graph,
+                            _enum_cfg(args), args.on_unreachable)
     report = {**count_errors(results), "seed": args.seed, "rho": args.rho, "policy": args.policy}
 
     out_dir = Path(args.out)

@@ -191,23 +191,20 @@ def build_path_contexts(paths, prior_observations: Sequence[Observation]) -> lis
     """One :class:`PathContext` per path; a path is anything whose ``edges``
     lists its edges from the source on.
 
-    The prior observations are indexed once by edge, in stream order; each
-    path then looks up its own edges in order, so its entries come out sorted
-    by (position, index) without a scan of the whole prefix per path.  The
-    engine builds no contexts (it scores evidence keys); a context is the
-    per-path view of the same evidence.
+    The prior observations repeat no edge, as the engine requires.  They are
+    indexed once by edge; each path then looks up its own edges in order, so
+    its entries come out sorted by position without a scan of the whole
+    prefix per path.  The engine builds no contexts (it scores evidence
+    keys); a context is the per-path view of the same evidence.
     """
-    by_edge: dict = {}
-    for idx, obs in enumerate(prior_observations):
-        by_edge.setdefault(obs.edge, []).append((idx, obs.cls))
+    by_edge = {obs.edge: (idx, obs.cls) for idx, obs in enumerate(prior_observations)}
     contexts = []
     for path in paths:
-        edges = path.edges
         entries = []
-        if not by_edge.keys().isdisjoint(edges):
-            for position, edge in enumerate(edges, start=1):
-                for idx, cls in by_edge.get(edge, ()):
-                    entries.append(OnPathObservation(idx, position, cls))
+        for position, edge in enumerate(path.edges, start=1):
+            if edge in by_edge:
+                idx, cls = by_edge[edge]
+                entries.append(OnPathObservation(idx, position, cls))
         contexts.append(PathContext(path=path, on_path=tuple(entries)))
     return contexts
 

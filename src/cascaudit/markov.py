@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from bisect import bisect_right
 from collections import deque
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
@@ -301,12 +302,12 @@ def sample_trace(
     if label not in (GENUINE, FAKE):
         raise TraceError(f"label must be 0 or 1, got {label!r}")
     rng = derive_rng(seed)
-    eta_cum = np.cumsum(model.initial_probs[label])
-    alpha_cum = np.cumsum(model.transition_probs[label], axis=1)
+    eta_cum = np.cumsum(model.initial_probs[label]).tolist()
+    alpha_cum = np.cumsum(model.transition_probs[label], axis=1).tolist()
 
     def draw_class(in_class):
         cum = eta_cum if in_class is None else alpha_cum[in_class]
-        return min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
+        return min(bisect_right(cum, rng.random()), len(cum) - 1)
 
     if graph is None:
         source = last_id = growth.id_base

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from cascaudit.graph import PathEnumConfig, enumerate_paths
+from cascaudit.graph import PathEnumConfig, enumerate_paths, followee_path
 from cascaudit.inference import (
     BeliefState,
     ChainTables,
@@ -25,6 +25,7 @@ from cascaudit.markov import (
     FAKE,
     GENUINE,
     GrowthConfig,
+    Observation,
     SpreadModel,
     read_traces,
     reference_model,
@@ -45,7 +46,13 @@ from cascaudit.policy import (
 )
 from cascaudit.rng import derive_rng, derive_seed
 
-from .conftest import build_chain_graph, evidence_keys, random_inference_instance
+from .conftest import (
+    build_chain_graph,
+    build_graph,
+    evidence_keys,
+    random_inference_instance,
+    random_model,
+)
 from .oracles import kstep_brute, posterior_brute
 
 REF = reference_model()
@@ -102,6 +109,59 @@ def test_c1_posterior_oracle_equivalence(oracle_suite):
     assert worst <= 1e-9
     assert elapsed <= 120.0
     _announce("C1", f"200 instances, max |recursive - brute| = {worst:.2e}, {elapsed:.1f}s")
+
+
+def _single_followee_instance(rng, max_nodes=8):
+    """Random (graph, edges, source, model, observations) on a graph where each
+    node follows at most one other: a tree from node 0 (a chain in a third of
+    the instances), plus in half of them a 2-4-node cycle with one follower,
+    which no walk from the source reaches.  The source is node 0 or, now and
+    then, a tree node whose ancestors are then out of reach."""
+    n = int(rng.integers(3, max_nodes + 1))
+    chain = rng.random() < 1 / 3
+    edges = [(v - 1 if chain else int(rng.integers(v)), v) for v in range(1, n)]
+    if rng.random() < 0.5:
+        cycle = list(range(n, n + int(rng.integers(2, 5))))
+        edges += [(cycle[i - 1], cycle[i]) for i in range(len(cycle))]
+        edges.append((cycle[int(rng.integers(len(cycle)))], cycle[-1] + 1))
+    source = 0 if rng.random() < 0.75 else int(rng.integers(n))
+    model = random_model(rng, int(rng.integers(2, 4)))
+    observations = [
+        Observation(*edges[i], int(rng.integers(model.num_classes)))
+        for i in rng.permutation(len(edges))[:int(rng.integers(1, 7))]
+    ]
+    return build_graph(edges), edges, source, model, observations
+
+
+def test_c1_followee_walk_posterior_oracle_equivalence(monkeypatch):
+    # C1's instances score few observations by the followee walk, the route
+    # tree traffic takes; single-followee graphs score most of theirs by it
+    walked = []
+
+    def counting_followee_path(*args):
+        path = followee_path(*args)
+        walked.append(bool(path))
+        return path
+
+    monkeypatch.setattr("cascaudit.inference.followee_path", counting_followee_path)
+    rng = derive_rng(4711)
+    worst = 0.0
+    start = time.monotonic()
+    for _ in range(300):
+        graph, edges, source, model, observations = _single_followee_instance(rng)
+        bound = int(rng.integers(1, graph.node_count + 1))
+        engine = PosteriorEngine(model, graph, source, PathEnumConfig(bound))
+        for _ in engine.beliefs(observations, "skip"):
+            pass
+        # an observation the engine accepted with no path within the bound
+        # would leave the oracle without one, and raise
+        expected = posterior_brute(model, edges, source, engine.accepted, bound)
+        worst = max(worst, abs(engine.belief.posterior - expected))
+    elapsed = time.monotonic() - start
+    assert sum(walked) >= 100
+    assert worst <= 1e-9
+    _announce("C1 followee walk", f"{sum(walked)} of {len(walked)} walks scored, "
+              f"max |recursive - brute| = {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_c3_path_weight_normalization(oracle_suite):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import cascaudit
 from cascaudit import cli
-from cascaudit.cli import TraceResult, count_errors, main, risk_estimate, summarize_risk
+from cascaudit.cli import TraceResult, count_errors, main
 from cascaudit.graph import SocialGraph, save_graph
 from cascaudit.inference import BeliefState
 from cascaudit.offline import classify_graph_edges
@@ -38,7 +38,7 @@ from cascaudit.markov import (
     write_stream,
     write_traces,
 )
-from cascaudit.policy import CostSpec, DecisionOutcome, SprtPolicy, wald_bounds
+from cascaudit.policy import DecisionOutcome
 
 WIDE = GrowthConfig(max_events=20, min_children=2, mean_children=3.0)
 
@@ -566,6 +566,28 @@ def test_detect_gives_no_verdict_on_source_edges_off_the_graph(tmp_path, capsys,
     assert "verdict" not in captured.out
     expected = "no observation could be processed" if mode == "skip" else "no source path"
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("mode, exit_code, message", [
+    ("skip", 3, "trace 1: no observation could be processed"),
+    ("fail", 2, "trace 1: no source path to edge (10, 11) within 8 edges"),
+])
+def test_eval_names_the_trace_it_cannot_score(tmp_path, capsys, mode, exit_code, message):
+    # trace 0 is scored; trace 1 leaves its source on an edge the shared
+    # graph does not hold, so it has nothing to score
+    traces_path, graph_path = tmp_path / "traces.jsonl", tmp_path / "graph.tsv"
+    traces_path.write_text("".join(
+        json.dumps({"label": label, "source": u,
+                    "events": [{"u": u, "v": u + 1, "class": 0, "parent": None}]}) + "\n"
+        for label, u in ((0, 0), (1, 10))
+    ), encoding="utf-8")
+    graph_path.write_text("0\t1\n11\t10\n", encoding="utf-8")
+    code = run_cli("eval", "--traces", traces_path, "--graph", graph_path, "--seed", 1,
+                   "--rho", 1.0, "--on-unreachable", mode, "--out", tmp_path / "ev")
+    captured = capsys.readouterr()
+    assert code == exit_code
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"cascaudit: error: {message}"
 
 
 @pytest.mark.parametrize("kind", ["source-same", "source-other", "deeper-same", "deeper-other"])
@@ -1276,92 +1298,94 @@ def test_eval_skips_source_edges_off_the_graph(tmp_path):
     assert run_cli(*argv, "--on-unreachable", "fail", "--out", tmp_path / "fail") == 2
 
 
-def test_eval_sprt_errors_within_wald_bounds(tmp_path):
-    # single-path corpus, full observation: boundary-crossing error rates must
-    # respect the Wald inequalities up to Monte Carlo noise
-    assert run_cli("simulate", "--n", 400, "--seed", 19, "--min-children", 1,
+def _eval_sprt_chains(tmp_path, n, seed, max_events, max_path_len, eval_seed, wald,
+                      name="eval") -> Path:
+    """Simulate ``n`` chains of ``max_events`` events and evaluate them, fully
+    observed, under SPRT with both error targets ``wald``; returns the eval
+    output directory."""
+    sim, out_dir = tmp_path / f"{name}_chains", tmp_path / name
+    assert run_cli("simulate", "--n", n, "--seed", seed, "--min-children", 1,
                    "--max-children", 1, "--mean-children", 1.0,
-                   "--max-events", 50, "--out", tmp_path / "chains") == 0
-    out_dir = tmp_path / "wald_eval"
-    assert run_cli("eval", "--traces", tmp_path / "chains" / "traces.jsonl",
-                   "--seed", 23, "--rho", 1.0, "--policy", "sprt",
-                   "--wald-p", 0.05, "--wald-q", 0.05,
-                   "--max-path-len", 51, "--out", out_dir) == 0
+                   "--max-events", max_events, "--out", sim) == 0
+    assert run_cli("eval", "--traces", sim / "traces.jsonl", "--seed", eval_seed,
+                   "--rho", 1.0, "--policy", "sprt", "--wald-p", wald, "--wald-q", wald,
+                   "--max-path-len", max_path_len, "--out", out_dir) == 0
+    return out_dir
+
+
+def _report_with_standard_errors(out_dir) -> tuple:
+    """``(fp, fn, se_fp, se_fn)`` of an eval report, with binomial standard errors."""
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     fp, fn = report["fp"], report["fn"]
-    se_fp = (fp * (1 - fp) / report["n_genuine"]) ** 0.5
-    se_fn = (fn * (1 - fn) / report["n_fake"]) ** 0.5
+    return (fp, fn, (fp * (1 - fp) / report["n_genuine"]) ** 0.5,
+            (fn * (1 - fn) / report["n_fake"]) ** 0.5)
+
+
+@pytest.mark.parametrize("n, seed, max_events, max_path_len, eval_seed", [
+    (400, 19, 50, 51, 23),
+    (300, 5150, 40, 40, 5150),
+], ids=["400-chains-of-50", "300-chains-of-40"])
+def test_eval_sprt_errors_within_wald_bounds(tmp_path, capsys, caplog, n, seed, max_events,
+                                             max_path_len, eval_seed):
+    # single-path corpus, full observation: the likelihood ratio is exact and
+    # the boundary-crossing error rates must respect the Wald inequalities up
+    # to Monte Carlo noise
+    with caplog.at_level(logging.WARNING, logger="cascaudit"):
+        out_dir = _eval_sprt_chains(tmp_path, n, seed, max_events, max_path_len, eval_seed,
+                                    0.05)
+    # the path bound reaches every event of the chains, so no observation is
+    # skipped and nearly every trace stops by the SPRT rule
+    assert "skipping unreachable" not in capsys.readouterr().err + caplog.text
+    rows = (out_dir / "per_trace.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == n
+    assert sum(row.split(",")[4] == "sprt" for row in rows) >= 0.95 * n
+    fp, fn, se_fp, se_fn = _report_with_standard_errors(out_dir)
     assert fp <= (1 - fn) / 19.0 + 3 * se_fp
     assert fn <= (1 / 19.0) * (1 - fp) + 3 * se_fn
 
 
-# ---- Monte Carlo risk ----
+def test_tighter_boundaries_do_not_increase_errors(tmp_path):
+    # 300 chains of 40 events each, evaluated under loose and tight targets
+    loose, tight = (
+        _report_with_standard_errors(_eval_sprt_chains(tmp_path, 300, 42, 40, 40, 42, wald,
+                                                       name=f"wald_{wald}"))
+        for wald in (0.15, 0.03)
+    )
+    noise = 3 * math.sqrt(sum(se**2 for report in (loose, tight) for se in report[2:]))
+    assert tight[0] + tight[1] <= loose[0] + loose[1] + noise
 
 
-RISK_COSTS = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.05)
+# ---- the error count ----
 
 
-def test_summarize_risk_oracle_policy_is_free():
-    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
+def test_count_errors_of_an_errorless_policy():
     results = [
         TraceResult(label=lab, outcome=DecisionOutcome(step=3, verdict=lab, rule="sprt"),
                     belief=BeliefState(prior=float(lab)))
         for lab in (0, 1, 0, 1, 1)
     ]
-    report = summarize_risk(count_errors(results), costs, prior=0.5)
-    assert report.risk == 0.0
-    assert report.pe_false_alarm == 0.0
-    assert report.pe_miss == 0.0
+    count = count_errors(results)
+    assert (count["fp"], count["fn"]) == (0.0, 0.0)
+    assert (count["n_genuine"], count["n_fake"]) == (2, 3)
+    assert count["mean_events_fake"] == 3.0
 
 
-def test_summarize_risk_counts_errors():
-    costs = CostSpec(false_alarm=10.0, miss=10.0, per_step=0.0)
+def test_count_errors_counts_errors():
     results = [
         TraceResult(0, DecisionOutcome(step=2, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
         TraceResult(0, DecisionOutcome(step=2, verdict=0, rule="sprt"), BeliefState(prior=0.1)),
         TraceResult(1, DecisionOutcome(step=4, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
     ]
-    report = summarize_risk(count_errors(results), costs, prior=0.5)
-    assert report.pe_false_alarm == 0.5
-    assert report.pe_miss == 0.0
-    assert report.mean_steps_fake == pytest.approx(0.5 * 4.0)
-    assert report.risk == pytest.approx(10 * 0.5 * 0.5)
-
-
-def test_sprt_risk_respects_wald_bounds_smoke(ref_model, caplog):
-    # single-path cascades, fully observed: the likelihood ratio is exact and
-    # the boundary-crossing bounds must hold up to Monte Carlo noise
-    costs = RISK_COSTS
-    policy = SprtPolicy(*wald_bounds(0.05, 0.05), costs)
-    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
-    with caplog.at_level(logging.WARNING, logger="cascaudit"):
-        report, results = risk_estimate(
-            policy, ref_model, n_traces=300, seed=5150, costs=costs, growth=growth
-        )
-    # the path bound reaches every event of the 40-event chains, so the
-    # streams are not cut short and nearly every trace stops by the SPRT rule
-    assert not [r for r in caplog.records if "unreachable" in r.getMessage()]
-    assert sum(r.outcome.rule == "sprt" for r in results) >= 0.95 * len(results)
-    assert report.pe_false_alarm <= (1 - report.pe_miss) / 19.0 + 3 * report.se_false_alarm
-    assert report.pe_miss <= (1 / 19.0) * (1 - report.pe_false_alarm) + 3 * report.se_miss
-
-
-def test_tighter_boundaries_do_not_increase_errors(ref_model):
-    costs = RISK_COSTS
-    growth = GrowthConfig(max_events=40, mean_children=1.0, max_children=1, min_children=1)
-    loose = SprtPolicy(*wald_bounds(0.15, 0.15), costs)
-    tight = SprtPolicy(*wald_bounds(0.03, 0.03), costs)
-    report_loose, _ = risk_estimate(loose, ref_model, 300, seed=42, costs=costs, growth=growth)
-    report_tight, _ = risk_estimate(tight, ref_model, 300, seed=42, costs=costs, growth=growth)
-    noise = 3 * math.sqrt(
-        report_loose.se_false_alarm**2
-        + report_loose.se_miss**2
-        + report_tight.se_false_alarm**2
-        + report_tight.se_miss**2
-    )
-    total_loose = report_loose.pe_false_alarm + report_loose.pe_miss
-    total_tight = report_tight.pe_false_alarm + report_tight.pe_miss
-    assert total_tight <= total_loose + noise
+    count = count_errors(results)
+    assert (count["fp"], count["fn"]) == (0.5, 0.0)
+    assert (count["n_genuine"], count["n_fake"]) == (2, 1)
+    assert count["mean_events_fake"] == 4.0
+    # a label with no trace has error rate 0 and no mean detection time
+    genuine_only = count_errors(results[:2])
+    assert (genuine_only["fp"], genuine_only["fn"]) == (0.5, 0.0)
+    assert (genuine_only["n_genuine"], genuine_only["n_fake"]) == (2, 0)
+    assert genuine_only["mean_events_fake"] is None
+    assert genuine_only["mean_events_genuine"] == 2.0
 
 
 # ---- thresholds ----
