@@ -177,13 +177,14 @@ def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, gra
     """One :class:`TraceResult` per trace.  Trace ``i`` is subsampled to keep
     ``rho`` of its events with seed ``derive_seed(seed, i, 2)`` and detected
     on ``graph``, or on its own implied graph when ``graph`` is None; every
-    run shares one set of chain tables.  A package error that detection
-    raises on trace ``i`` keeps its type, its message prefixed ``trace i: ``."""
+    run shares one set of chain tables.  A package error that subsampling
+    or detection raises on trace ``i`` keeps its type, its message prefixed
+    ``trace i: ``."""
     tables = ChainTables(model)
     results = []
     for index, trace in enumerate(traces):
-        stream = subsample(trace, rho, derive_seed(seed, index, 2))
         try:
+            stream = subsample(trace, rho, derive_seed(seed, index, 2))
             outcome, belief = run_detection(
                 model, graph if graph is not None else trace.implied_graph(), stream, policy,
                 cfg=cfg, on_unreachable=on_unreachable, tables=tables,
@@ -265,9 +266,12 @@ def cmd_train(args) -> int:
     if have_recorded and not classes <= set(range(args.zclasses)):
         bad = min(classes - set(range(args.zclasses)))
         raise TraceError(f"event class {bad} is outside 0..{args.zclasses - 1} (--zclasses)")
-    classifier = None
     class_map = None
-    if features is not None:
+    if not have_recorded:  # the classifier's classes serve only unclassified corpora
+        if features is None:
+            raise DegenerateDataError(
+                "traces carry no edge classes and no featured graph was given to train a classifier"
+            )
         config = TrainingConfig(
             seed=args.seed,
             epochs=args.epochs,
@@ -276,20 +280,14 @@ def cmd_train(args) -> int:
             standardize=args.standardize,
         )
         classifier = train_classifier(traces, features, config, args.zclasses)
-        if not have_recorded:  # the classifier's classes serve only unclassified corpora
-            class_map = classify_graph_edges(classifier, graph, features)
-
-    if not have_recorded and class_map is None:
-        raise DegenerateDataError(
-            "traces carry no edge classes and no featured graph was given to train a classifier"
-        )
+        class_map = classify_graph_edges(classifier, graph, features)
 
     labels = [t.label for t in traces]
     prior = sum(1 for lab in labels if lab == FAKE) / len(labels)
     eta = estimate_eta(traces, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
     alpha = estimate_alpha(traces, args.zclasses, edge_classes=class_map, smoothing=args.smoothing)
     model = build_spread_model(eta, alpha, prior_fake=prior)
-    save_model(model, args.out, classifier=classifier.to_dict() if classifier else None)
+    save_model(model, args.out)
     print(f"wrote model to {args.out} (prior_fake={prior!r})")
     return EXIT_OK
 
@@ -468,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = commands.add_parser("train", help="estimate a model from labeled traces")
     train.add_argument("--traces", required=True, help="trace JSONL corpus")
     train.add_argument("--graph", default=None, help="edge-list TSV")
-    train.add_argument("--features", default=None, help="node-feature TSV")
+    train.add_argument("--features", default=None,
+                       help="node-feature TSV; the edge classifier is fitted on it only "
+                            "when the traces carry no edge classes")
     train.add_argument("--zclasses", type=int, default=4,
                        help=f"number of edge classes, 2..{MAX_CLASSES}")
     train.add_argument("--seed", type=int, required=True)
@@ -523,6 +523,7 @@ _FLAG_RULES = (
     ("epochs", lambda v: v >= 1, ">= 1"),
     ("learning_rate", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
     ("l2", lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    ("rho", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
 )
 
 
@@ -531,8 +532,9 @@ def _check_flags(args) -> None:
     ``--seed`` or ``--n``, which numpy refuses with a traceback; a
     ``--max-events`` that would run one simulated trace into the next one's
     ids; a ``--zclasses`` outside ``2..MAX_CLASSES``, whose count tables are
-    allocated first; and ``train`` settings that leave the classifier
-    untrained or its weights not finite."""
+    allocated first; ``train`` settings that leave the classifier untrained
+    or its weights not finite; and an ``eval --rho`` outside ``(0, 1]``,
+    which only the first trace's subsample would refuse."""
     for flag, test, requirement in _FLAG_RULES:
         value = getattr(args, flag, None)
         if value is not None and not test(value):

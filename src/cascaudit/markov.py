@@ -381,19 +381,17 @@ def subsample(trace: Trace, keep_fraction: float, seed: int) -> ObservationStrea
 # ---- file formats -------------------------------------------------------------
 
 
-def save_model(model: SpreadModel, path, classifier: Optional[dict] = None) -> None:
-    """Write the model file; ``classifier`` is an optional extra section."""
-    data = model.to_dict()
-    if classifier is not None:
-        data["classifier"] = classifier
+def save_model(model: SpreadModel, path) -> None:
+    """Write the model file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(model.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_model(path) -> SpreadModel:
-    """Read a model file.  Its ``"classifier"`` section, which ``train``
-    writes, is not read."""
+    """Read a model file.  Keys that :meth:`SpreadModel.from_dict` does not
+    read are ignored, so a ``"classifier"`` section, which older versions of
+    ``train`` wrote, still loads."""
     try:
         data = json.loads(read_text(path, ModelError))
     except RecursionError:

@@ -78,19 +78,6 @@ class EdgeClassifier(NamedTuple):
     def classify(self, x_followee, x_follower) -> int:
         return score_to_class(self.score(x_followee, x_follower), self.num_classes)
 
-    def to_dict(self) -> dict:
-        data = {
-            "weights": [float(w) for w in self.weights],
-            "bias": float(self.bias),
-            "cal_low": float(self.cal_low),
-            "cal_high": float(self.cal_high),
-            "num_classes": int(self.num_classes),
-        }
-        if self.feature_mean is not None:
-            data["feature_mean"] = [float(x) for x in self.feature_mean]
-            data["feature_scale"] = [float(x) for x in self.feature_scale]
-        return data
-
 
 def score_to_class(score: float, num_classes: int) -> int:
     """Equal-interval binning of a [0, 1] score into a class index."""

@@ -164,6 +164,58 @@ def test_c1_followee_walk_posterior_oracle_equivalence(monkeypatch):
               f"max |recursive - brute| = {worst:.2e}, {elapsed:.1f}s")
 
 
+def _dag_instance(rng, max_nodes=8):
+    """Random (graph, edges, source, model, observations) on an acyclic graph
+    where some node follows two others: each node ``v > 0`` follows one
+    earlier node, a node ``v >= 2`` follows two more, and every other
+    forward pair is an edge with probability 0.2.  The source is node 0 or,
+    now and then, a later node, whose followees are then out of reach."""
+    n = int(rng.integers(3, max_nodes + 1))
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    head = int(rng.integers(2, n))
+    edges.update((int(u), head) for u in rng.choice(head, 2, replace=False))
+    edges.update((u, v) for v in range(n) for u in range(v) if rng.random() < 0.2)
+    edges = sorted(edges)
+    source = 0 if rng.random() < 0.75 else int(rng.integers(n))
+    model = random_model(rng, int(rng.integers(2, 4)))
+    observations = [
+        Observation(*edges[i], int(rng.integers(model.num_classes)))
+        for i in rng.permutation(len(edges))[:int(rng.integers(1, 7))]
+    ]
+    return build_graph(edges), edges, source, model, observations
+
+
+def test_c1_forward_recursion_posterior_oracle_equivalence(monkeypatch):
+    # C1's instances score few observations by the forward recursion, the
+    # route layered traffic takes; DAGs with a node of two followees score
+    # most of theirs by it
+    forwarded = []
+    forward_logs = PosteriorEngine._forward_logs
+
+    def counting_forward_logs(engine, obs):
+        logs = forward_logs(engine, obs)
+        forwarded.append(logs is not None)
+        return logs
+
+    monkeypatch.setattr(PosteriorEngine, "_forward_logs", counting_forward_logs)
+    rng = derive_rng(5813)
+    worst = 0.0
+    start = time.monotonic()
+    for _ in range(300):
+        graph, edges, source, model, observations = _dag_instance(rng)
+        bound = int(rng.integers(1, graph.node_count + 1))
+        engine = PosteriorEngine(model, graph, source, PathEnumConfig(bound))
+        for _ in engine.beliefs(observations, "skip"):
+            pass
+        expected = posterior_brute(model, edges, source, engine.accepted, bound)
+        worst = max(worst, abs(engine.belief.posterior - expected))
+    elapsed = time.monotonic() - start
+    assert sum(forwarded) >= 100
+    assert worst <= 1e-9
+    _announce("C1 forward recursion", f"{sum(forwarded)} of {len(forwarded)} recursions "
+              f"scored, max |recursive - brute| = {worst:.2e}, {elapsed:.1f}s")
+
+
 def test_c3_path_weight_normalization(oracle_suite):
     _, score_sum_errors, _ = oracle_suite
     assert score_sum_errors, "suite produced no multi-path enumerations"

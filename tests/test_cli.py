@@ -22,7 +22,7 @@ from cascaudit import cli
 from cascaudit.cli import TraceResult, count_errors, main
 from cascaudit.graph import SocialGraph, save_graph
 from cascaudit.inference import BeliefState
-from cascaudit.offline import classify_graph_edges
+from cascaudit.offline import classify_graph_edges, train_classifier
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -160,9 +160,16 @@ def test_train_is_byte_deterministic(tmp_path):
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
 
-def test_train_with_features_runs_full_pipeline(tmp_path):
+def test_train_with_features_runs_full_pipeline(tmp_path, monkeypatch):
     # two-cluster featured corpus written through the file formats; the traces
     # carry no classes, so estimation must use classifier-assigned classes
+    fitted = []
+
+    def keeping(*args):
+        fitted.append(train_classifier(*args))
+        return fitted[-1]
+
+    monkeypatch.setattr(cli, "train_classifier", keeping)
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
     model_path = tmp_path / "model.json"
     code = run_cli("train", "--traces", traces_path, "--graph", edges_path,
@@ -170,8 +177,10 @@ def test_train_with_features_runs_full_pipeline(tmp_path):
                    "--out", model_path)
     assert code == 0
     model = load_model(model_path)
-    classifier = json.loads(model_path.read_text(encoding="utf-8"))["classifier"]
-    assert len(classifier["weights"]) == 4  # concatenated 2-dim feature pair
+    # the classifier serves estimation only, so the model file does not hold it
+    assert "classifier" not in json.loads(model_path.read_text(encoding="utf-8"))
+    [classifier] = fitted
+    assert classifier.weights.shape == (4,)  # concatenated 2-dim feature pair
     assert model.num_classes == 4
     # genuine spread concentrates in low classes, fake in high ones
     genuine_low = model.initial_probs[GENUINE][:2].sum()
@@ -203,23 +212,29 @@ def _write_featured_corpus(tmp_path, recorded):
 
 @pytest.mark.parametrize("recorded", [True, False])
 def test_train_classifies_edges_only_for_unclassified_events(tmp_path, monkeypatch, recorded):
-    calls = []
+    calls, fits = [], []
 
     def counting(classifier, graph, features):
         calls.append(graph)
         return classify_graph_edges(classifier, graph, features)
 
+    def counting_fits(*args):
+        fits.append(args)
+        return train_classifier(*args)
+
     monkeypatch.setattr(cli, "classify_graph_edges", counting)
+    monkeypatch.setattr(cli, "train_classifier", counting_fits)
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded)
     model_path = tmp_path / "model.json"
     assert run_cli("train", "--traces", traces_path, "--graph", edges_path,
                    "--features", feats_path, "--seed", 6, "--smoothing",
                    "--out", model_path) == 0
-    assert len(calls) == (0 if recorded else 1)
-    # recorded before edge classification was skipped for classified corpora
+    assert len(calls) == len(fits) == (0 if recorded else 1)
+    # the files written before train skipped the fit on classified corpora,
+    # with their "classifier" section popped and the rest re-dumped
     digest = {
-        True: "b21e2434e04a048528b91351a0d06642bcc39bbb8af6ebea972f3e802f3bf7b9",
-        False: "de498c2c640d6095ecfbd9d730ae88b71db6b7a1b1b858c3ff3baa0ca2249d64",
+        True: "4aab0ecc078e7f9f12713c06c38d79158ecfdeece96230c9d161e512e8f511ff",
+        False: "243fab568e700319f4e437d361dc9d6aad670a024b0f9ca5f49a8a9d4fe8f502",
     }[recorded]
     assert hashlib.sha256(model_path.read_bytes()).hexdigest() == digest
 
@@ -401,12 +416,11 @@ def test_train_non_finite_feature_exits_2_with_one_line(tmp_path, capsys, record
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("case", ["huge-feature", "huge-feature-unclassified", "huge-learning-rate"])
+@pytest.mark.parametrize("case", ["huge-feature-unclassified", "huge-learning-rate"])
 def test_train_refuses_a_classifier_that_is_not_finite(tmp_path, capsys, recwarn, case):
-    # the model was written with NaN calibration or an infinite bias, or an
-    # unclassified corpus ended in a traceback from score_to_class
-    traces_path, edges_path, feats_path = _write_featured_corpus(
-        tmp_path, recorded=case != "huge-feature-unclassified")
+    # the model was written with an infinite bias, or it ended in a traceback
+    # from score_to_class
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=False)
     flags = ["--learning-rate", 1e308] if case == "huge-learning-rate" else []
     if not flags:
         lines = feats_path.read_text(encoding="utf-8").splitlines()
@@ -419,6 +433,21 @@ def test_train_refuses_a_classifier_that_is_not_finite(tmp_path, capsys, recwarn
     assert captured.err.startswith("cascaudit: error: ") and captured.err.count("\n") == 1
     assert "classifier" in captured.err and "not finite" in captured.err
     assert not (tmp_path / "m.json").exists()
+    assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_train_on_a_classified_corpus_ignores_a_huge_feature(tmp_path, capsys, recwarn):
+    # a classified corpus needs no classifier, so a feature that would overflow
+    # one is read and checked but not used: the model is that of the classes alone
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
+    lines = feats_path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].split("\t")[0] + "\t1e308,0.0"
+    feats_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert run_cli("train", "--traces", traces_path, "--graph", edges_path,
+                   "--features", feats_path, "--seed", 6, "--out", tmp_path / "m.json") == 0
+    assert run_cli("train", "--traces", traces_path, "--seed", 6,
+                   "--out", tmp_path / "plain.json") == 0
+    assert (tmp_path / "m.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
     assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
 
@@ -733,6 +762,33 @@ def test_eval_with_a_keep_fraction_that_keeps_nothing_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "rho 1e-300" in captured.err
 
 
+@pytest.mark.parametrize("rho", ["0", "1.5", "nan"])
+def test_eval_rho_outside_the_unit_interval_exits_2_reading_no_file(tmp_path, capsys, rho):
+    # it was refused only when the first trace was subsampled, as keep_fraction
+    code = run_cli("eval", "--traces", tmp_path / "missing.jsonl", "--seed", 1, "--rho", rho,
+                   "--out", tmp_path / "eval")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"cascaudit: error: --rho must be in (0, 1], got {float(rho)}\n"
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_names_the_trace_it_cannot_subsample(tmp_path, capsys):
+    # trace 1 has an unclassified event; the error did not say which trace
+    traces_path = tmp_path / "traces.jsonl"
+    traces_path.write_text("".join(
+        json.dumps({"label": label, "source": 0,
+                    "events": [{"u": 0, "v": 1, "class": cls, "parent": None}]}) + "\n"
+        for label, cls in ((0, 0), (1, None))
+    ), encoding="utf-8")
+    code = run_cli("eval", "--traces", traces_path, "--seed", 1, "--rho", 1.0,
+                   "--out", tmp_path / "eval")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("cascaudit: error: trace 1: "
+                            "cannot subsample a trace with unclassified events\n")
+
+
 def test_detect_rejects_nan_model_without_verdict(tmp_path, capsys):
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
     data = reference_model().to_dict()
@@ -848,14 +904,15 @@ def test_main_freezes_the_heap_and_keeps_the_collector_switch(tmp_path, collecti
         gc.enable() if was else gc.disable()
 
 
-def _loaded_after_command(tmp_path, *argv, before="") -> tuple:
-    """Which of ``logging``, ``cascaudit.offline``, ``dataclasses`` and
-    ``numpy.ma`` a fresh process holds after running one CLI command, which
-    must exit 0, and the bytes it wrote to stderr; ``before`` runs first."""
+def _loaded_after_command(tmp_path, *argv, before="",
+                          modules=("logging", "cascaudit.offline", "dataclasses", "numpy.ma")
+                          ) -> tuple:
+    """Which of ``modules`` a fresh process holds after running one CLI
+    command, which must exit 0, and the bytes it wrote to stderr; ``before``
+    runs first."""
     env = _fresh_process_env()
     probe = (f"{before}import sys; from cascaudit.cli import main; code = main(sys.argv[1:]); "
-             "print(code, sorted({'logging', 'cascaudit.offline', 'dataclasses', 'numpy.ma'}"
-             " & set(sys.modules)))")
+             f"print(code, sorted(set({list(modules)!r}) & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
                             capture_output=True, check=True, cwd=tmp_path)
     code, loaded = result.stdout.decode().strip().splitlines()[-1].split(" ", 1)
@@ -908,6 +965,19 @@ def test_no_command_loads_dataclasses_or_numpy_ma(tmp_path, command):
     }[command]
     loaded, _ = _loaded_after_command(tmp_path, command, *argv)
     assert "dataclasses" not in loaded and "numpy.ma" not in loaded
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["classified", "unclassified"])
+def test_train_loads_numpy_random_only_to_fit_the_classifier(tmp_path, recorded):
+    # the fit's permutations are the only draws of train, and importing
+    # numpy.random loads OpenSSL's _hashlib through secrets: about 6 MB of
+    # a train process's peak RSS
+    traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded)
+    loaded, _ = _loaded_after_command(tmp_path, "train", "--traces", traces_path,
+                                      "--graph", edges_path, "--features", feats_path,
+                                      "--seed", 6, "--out", tmp_path / "m.json",
+                                      modules=("numpy.random",))
+    assert loaded == ("[]" if recorded else "['numpy.random']")
 
 
 def test_offline_names_bind_on_first_lookup_and_keep_a_replacement(monkeypatch):
@@ -976,12 +1046,19 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
     recorder = traced.Recorder()
     assert traced.install(recorder) == []
     traces_path, edges_path, feats_path = _write_featured_corpus(tmp_path, recorded=True)
+    # train fits the classifier and classifies edges only for a corpus without
+    # edge classes, and the bench corpus has them (ROADMAP item 1a): the second
+    # train is no bench command but a stand-in for an unclassified bench train,
+    # and offline.classifier_s reads 0 in every bench run until one exists
+    (tmp_path / "unclassified").mkdir()
+    unclassified = _write_featured_corpus(tmp_path / "unclassified", recorded=False)
     graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=3)
     # the engine enumerates paths only where neither the followee walk nor
     # the forward recursion answers, as on a cyclic graph where a node has
     # two followees, and no bench workload reaches that (ROADMAP item 1b):
     # the last detect is no bench command but a stand-in for that workload,
-    # and the graph.enum_* metrics read 0 in every bench run until it exists
+    # and the graph.enum_* metrics read 0 in every bench run until it exists;
+    # the last command of all is the stand-in train above
     cyclic_path, cyclic_stream = tmp_path / "cyclic.tsv", tmp_path / "cyclic.json"
     cyclic_path.write_text("0\t1\n1\t2\n2\t1\n0\t2\n2\t3\n", encoding="utf-8")
     cyclic_stream.write_text(json.dumps({"source": 0, "observations": [
@@ -998,6 +1075,8 @@ def test_benchmark_trace_targets_are_reached(tmp_path, monkeypatch, capsys):
          "--policy", "dp", "--out", tmp_path / "eval_shared"],
         ["detect", "--graph", graph_path, "--stream", stream_path, "--policy", "dp"],
         ["detect", "--graph", cyclic_path, "--stream", cyclic_stream],
+        ["train", "--traces", unclassified[0], "--graph", unclassified[1],
+         "--features", unclassified[2], "--seed", 6, "--out", tmp_path / "unclassified.json"],
     ]
     for argv in commands:
         assert cli.main([str(a) for a in argv]) == 0, argv

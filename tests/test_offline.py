@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,7 @@ from cascaudit.markov import (
     SpreadModel,
     Trace,
     TraceEvent,
-    reference_model,
     sample_trace,
-    save_model,
 )
 from cascaudit.offline import (
     EdgeClassifier,
@@ -163,23 +159,6 @@ def test_training_determinism():
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert (a.cal_low, a.cal_high) == (b.cal_low, b.cal_high)
-
-
-def test_classifier_round_trip(tmp_path):
-    # the model file's classifier section holds every field of the
-    # classifier exactly
-    traces, _, features = featured_corpus(n_per_label=10, seed=4)
-    clf = train_classifier(traces, features, TrainingConfig(seed=2, standardize=True), 4)
-    path = tmp_path / "model.json"
-    save_model(reference_model(), path, classifier=clf.to_dict())
-    section = json.loads(path.read_text(encoding="utf-8"))["classifier"]
-    assert section == clf.to_dict()
-    assert set(section) == set(EdgeClassifier._fields)
-    for field, value in zip(EdgeClassifier._fields, clf):
-        assert section[field] == (value.tolist() if isinstance(value, np.ndarray) else value)
-
-
-# ---- score binning ----
 
 
 def test_calibration_percentiles_equal_numpy_bit_for_bit():
