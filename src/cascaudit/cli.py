@@ -28,7 +28,7 @@ from cascaudit.errors import (
     TraceError,
 )
 from cascaudit.graph import PathEnumConfig, load_graph, read_node_features, save_graph
-from cascaudit.inference import BeliefState, ChainTables, write_trajectory
+from cascaudit.inference import ChainTables, write_trajectory
 from cascaudit.markov import (
     FAKE,
     GENUINE,
@@ -124,7 +124,11 @@ def _enum_cfg(args) -> PathEnumConfig:
 
 
 def _make_policy(args, model: SpreadModel, costs: CostSpec):
-    """Build the stopping policy; returns (policy, exit_code_or_None)."""
+    """Build the stopping policy; returns (policy, exit_code_or_None).
+
+    A ``--threshold-table`` must have been solved for the costs of the
+    flags: its stopping rule and horizon verdicts would use its own costs,
+    and ``eval``'s accuracy curve those of the flags."""
     if args.policy == "convergence":
         threshold = args.decision_threshold
         if threshold is None:
@@ -134,6 +138,12 @@ def _make_policy(args, model: SpreadModel, costs: CostSpec):
         return SprtPolicy(*wald_bounds(args.wald_p, args.wald_q), costs), None
     if args.threshold_table:
         table = ThresholdTable.load(args.threshold_table)
+        if table.costs != costs:
+            solved = table.costs
+            raise CascauditError(
+                f"{args.threshold_table}: table solved for --ci {solved.false_alarm!r} "
+                f"--cii {solved.miss!r} --c {solved.per_step!r}, but the flags give "
+                f"--ci {costs.false_alarm!r} --cii {costs.miss!r} --c {costs.per_step!r}")
     else:
         table = solve_thresholds(costs, single_step_outcomes(model))
         if not table.converged:
@@ -164,12 +174,13 @@ def simulate_corpus(model: SpreadModel, n: int, seed: int, growth: GrowthConfig,
 
 
 class TraceResult(NamedTuple):
-    """One trace's detection: its label, the stopping decision, and the belief
-    at the stopping step."""
+    """One trace's detection: its label, the stopping decision, and the
+    posterior trajectory up to the stopping step (index 0 the prior, index l
+    the posterior after observation l; see :meth:`BeliefState.trajectory`)."""
 
     label: int
     outcome: DecisionOutcome
-    belief: BeliefState
+    trajectory: list
 
 
 def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, graph,
@@ -177,9 +188,11 @@ def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, gra
     """One :class:`TraceResult` per trace.  Trace ``i`` is subsampled to keep
     ``rho`` of its events with seed ``derive_seed(seed, i, 2)`` and detected
     on ``graph``, or on its own implied graph when ``graph`` is None; every
-    run shares one set of chain tables.  A package error that subsampling
-    or detection raises on trace ``i`` keeps its type, its message prefixed
-    ``trace i: ``."""
+    run shares one set of chain tables.  A result keeps the posterior
+    trajectory of its run's belief and not the belief, so the linked states
+    of one run are freed when the next run ends.  A package error that
+    subsampling or detection raises on trace ``i`` keeps its type, its
+    message prefixed ``trace i: ``."""
     tables = ChainTables(model)
     results = []
     for index, trace in enumerate(traces):
@@ -192,7 +205,7 @@ def detect_corpus(model: SpreadModel, traces, policy, rho: float, seed: int, gra
         except CascauditError as exc:
             exc.args = (f"trace {index}: {exc}",)
             raise
-        results.append(TraceResult(trace.label, outcome, belief))
+        results.append(TraceResult(trace.label, outcome, belief.trajectory()))
     return results
 
 
@@ -360,7 +373,7 @@ def cmd_eval(args) -> int:
             outcome = result.outcome
             fh.write(
                 f"{index},{result.label},{outcome.verdict},{outcome.step},"
-                f"{outcome.rule},{result.belief.posterior!r}\n"
+                f"{outcome.rule},{result.trajectory[-1]!r}\n"
             )
     _write_accuracy_curve(results, costs, out_dir / "accuracy_curve.csv")
     print(json.dumps(report, sort_keys=True))
@@ -374,16 +387,15 @@ def _write_accuracy_curve(results, costs, path) -> None:
     decide with the cost-optimal verdict at their current posterior.
     """
     horizon = max(result.outcome.step for result in results)
-    trajectories = [result.belief.trajectory() for result in results]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("events,accuracy\n")
         for ell in range(1, horizon + 1):
             correct = 0
-            for result, trajectory in zip(results, trajectories):
+            for result in results:
                 if result.outcome.step <= ell:
                     verdict = result.outcome.verdict
                 else:
-                    verdict = bayes_verdict(trajectory[ell], costs)
+                    verdict = bayes_verdict(result.trajectory[ell], costs)
                 correct += verdict == result.label
             fh.write(f"{ell},{correct / len(results)!r}\n")
 
@@ -533,12 +545,15 @@ def _check_flags(args) -> None:
     ``--max-events`` that would run one simulated trace into the next one's
     ids; a ``--zclasses`` outside ``2..MAX_CLASSES``, whose count tables are
     allocated first; ``train`` settings that leave the classifier untrained
-    or its weights not finite; and an ``eval --rho`` outside ``(0, 1]``,
-    which only the first trace's subsample would refuse."""
+    or its weights not finite; an ``eval --rho`` outside ``(0, 1]``, which
+    only the first trace's subsample would refuse; and a
+    ``--threshold-table`` with a policy other than ``dp``, which reads none."""
     for flag, test, requirement in _FLAG_RULES:
         value = getattr(args, flag, None)
         if value is not None and not test(value):
             raise CascauditError(f"--{flag.replace('_', '-')} must be {requirement}, got {value}")
+    if getattr(args, "threshold_table", None) and args.policy != "dp":
+        raise CascauditError(f"--threshold-table is read only by --policy dp, not {args.policy}")
 
 
 def main(argv=None) -> int:

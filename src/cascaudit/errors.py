@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, the base of its validated
-records, the one text reader that turns undecodable input into one of its
+records, the two text readers that turn undecodable input into one of its
 errors, and the one log call."""
 
 import sys
@@ -100,6 +100,23 @@ def read_text(path, error: type) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def read_lines(path, error: type):
+    """The lines of ``path`` as text mode reads them, without their ends.
+
+    The file is read and decoded as UTF-8 one line at a time.  A line whose
+    bytes are not UTF-8 raises ``error``, naming the file as
+    :func:`read_text` does, once every line before it has been read.
+    """
+    with open(path, "rb") as fh:
+        for raw in fh:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}: not UTF-8 text: {exc}") from None
+            line = line.replace("\r\n", "\n").replace("\r", "\n")  # text mode's line ends
+            yield from line.removesuffix("\n").split("\n")
 
 
 def log(name: str, level: int, msg: str, *args) -> None:

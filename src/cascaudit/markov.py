@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from cascaudit.errors import INFO, ModelError, Record, TraceError, log, read_text
+from cascaudit.errors import INFO, ModelError, Record, TraceError, log, read_lines, read_text
 from cascaudit.graph import SocialGraph
 from cascaudit.rng import derive_rng
 
@@ -208,7 +208,8 @@ class TraceEvent(NamedTuple):
 class Trace(Record):
     """A full cascade in generation order, labeled 0, 1 or None.  As read from
     a file, an event names no parent exactly when its tail is the source, and
-    any other event's parent is an earlier event's edge ending at its tail."""
+    any other event's parent is the edge, the same tuple, of the earlier event
+    that infected its tail."""
 
     _fields = ("label", "source", "events")
 
@@ -426,37 +427,48 @@ def _label_from_json(label):
 _new_event = partial(tuple.__new__, TraceEvent)  # TraceEvent(*fields), minus a Python call
 
 
-def _event_from_json(record) -> TraceEvent:
-    """An event's ends are node ids, its class an integer or null, and its
-    parent edge null or a ``[u, v]`` pair of node ids."""
-    u, v, cls, parent = record["u"], record["v"], record.get("class"), record.get("parent")
-    if parent is not None:
-        if not (type(parent) is list and len(parent) == 2
-                and type(parent[0]) in _ID_TYPES and type(parent[1]) in _ID_TYPES):
-            raise ValueError(f"parent edge {parent!r} is not a [u, v] pair of node ids")
-        parent = tuple(parent)
-    if type(u) not in _ID_TYPES or type(v) not in _ID_TYPES:
-        raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer or string")
-    if cls is not None and type(cls) is not int:
-        raise ValueError(f"event class {cls!r} is not an integer or null")
-    return _new_event(((u, v), cls, parent))
+def _events_from_json(records, source) -> tuple:
+    """The events of a trace record, each checked as it is read, and the
+    :class:`ValueError` of the first lineage fault among them, or None.
 
-
-def _check_lineage(source, events) -> None:
-    """Each node is infected once: an event names no parent exactly when its
-    tail is the source, and otherwise the earlier event that infected its
-    tail; its head is neither the source nor a node infected before."""
-    infecting = {source: None}  # infected node -> the edge that infected it
-    for edge, _, parent in events:
-        tail, head = edge
-        if tail not in infecting or infecting[tail] != parent:
-            if tail == source:
-                raise ValueError(f"edge {edge!r} leaves the source but names parent {parent!r}")
-            raise ValueError(f"edge {edge!r} does not leave source {source!r}, and its parent "
-                             f"{parent!r} is not an earlier event's edge ending at {tail!r}")
-        if head in infecting:
-            raise ValueError(f"edge {edge!r} enters {head!r}, which is already infected")
-        infecting[head] = edge
+    An event's ends are node ids, its class an integer or null, and its
+    parent edge null or a ``[u, v]`` pair of node ids.  Its lineage holds
+    when each node is infected once: an event names no parent exactly when
+    its tail is ``source``, and otherwise the earlier event that infected its
+    tail; its head is neither the source nor a node infected before.  Its
+    ``parent_edge`` is then that earlier event's edge, the same tuple.  A
+    lineage fault is returned, not raised, so that a field fault of a later
+    event, of the label or of the source is named first.
+    """
+    # infected node -> the edge that infected it; a source that is not a node
+    # id is refused before a lineage fault is raised
+    infecting = {source: None} if type(source) in _ID_TYPES else {}
+    events, fault = [], None
+    for record in records:
+        u, v, cls, parent = record["u"], record["v"], record.get("class"), record.get("parent")
+        if parent is not None:
+            if not (type(parent) is list and len(parent) == 2
+                    and type(parent[0]) in _ID_TYPES and type(parent[1]) in _ID_TYPES):
+                raise ValueError(f"parent edge {parent!r} is not a [u, v] pair of node ids")
+            parent = tuple(parent)
+        if type(u) not in _ID_TYPES or type(v) not in _ID_TYPES:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a node id that is not an integer or string")
+        if cls is not None and type(cls) is not int:
+            raise ValueError(f"event class {cls!r} is not an integer or null")
+        if fault is not None:
+            continue
+        edge = (u, v)
+        if u not in infecting or infecting[u] != parent:
+            fault = ValueError(
+                f"edge {edge!r} leaves the source but names parent {parent!r}" if u == source
+                else f"edge {edge!r} does not leave source {source!r}, and its parent "
+                     f"{parent!r} is not an earlier event's edge ending at {u!r}")
+        elif v in infecting:
+            fault = ValueError(f"edge {edge!r} enters {v!r}, which is already infected")
+        else:
+            infecting[v] = edge
+            events.append(_new_event((edge, cls, infecting[u])))
+    return tuple(events), fault
 
 
 def write_traces(traces: Sequence[Trace], path) -> None:
@@ -480,7 +492,9 @@ def write_traces(traces: Sequence[Trace], path) -> None:
 
 
 def read_traces(path) -> list:
-    """The traces of a JSONL file, one record per nonblank line.
+    """The traces of a JSONL file, one record per nonblank line, read one
+    line at a time, so the first faulty line raises :class:`TraceError`,
+    whether its fault is in its bytes or in its record.
 
     The cyclic garbage collector is paused while the records are parsed (and
     restored as it was): they hold no reference cycles, and the collections
@@ -500,16 +514,17 @@ def read_traces(path) -> list:
 
 def _parse_traces(path) -> list:
     traces = []
-    for lineno, line in enumerate(read_text(path, TraceError).split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path, TraceError), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-            events = tuple(map(_event_from_json, record["events"]))
+            record = json.loads(line)  # faults named in the order events, label, source, lineage
+            events, lineage_fault = _events_from_json(record["events"], record.get("source"))
             label = _label_from_json(record.get("label"))
             source = _node_from_json(record["source"])
-            _check_lineage(source, events)
+            if lineage_fault is not None:
+                raise lineage_fault
             traces.append(Trace(label=label, source=source, events=events))
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise TraceError(f"{path}:{lineno}: bad trace record: {exc}") from exc

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import cascaudit
 from cascaudit import cli
 from cascaudit.cli import TraceResult, count_errors, main
-from cascaudit.graph import SocialGraph, save_graph
+from cascaudit.graph import PathEnumConfig, SocialGraph, save_graph
 from cascaudit.inference import BeliefState
 from cascaudit.offline import classify_graph_edges, train_classifier
 from cascaudit.markov import (
@@ -38,7 +39,8 @@ from cascaudit.markov import (
     write_stream,
     write_traces,
 )
-from cascaudit.policy import DecisionOutcome
+from cascaudit.policy import ConvergencePolicy, DecisionOutcome, run_detection
+from cascaudit.rng import derive_seed
 
 WIDE = GrowthConfig(max_events=20, min_children=2, mean_children=3.0)
 
@@ -1098,6 +1100,54 @@ def test_detect_deterministic_output(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def _solved_table(tmp_path, *cost_flags):
+    table_path = tmp_path / "table.csv"
+    assert main(["thresholds", *map(str, cost_flags), "--out", str(table_path)]) == 0
+    return table_path
+
+
+def _eval_or_detect_argv(tmp_path, command) -> list:
+    if command == "detect":
+        graph_path, stream_path = write_detect_inputs(tmp_path, FAKE, seed=2)
+        return ["detect", "--graph", graph_path, "--stream", stream_path]
+    return ["eval", "--traces", make_eval_corpus(tmp_path, n=6), "--seed", 1,
+            "--out", tmp_path / "eval"]
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_a_threshold_table_solved_for_other_costs_exits_2_before_detection(
+        tmp_path, capsys, command):
+    # the table's costs ran the stopping rule while accuracy_curve.csv scored
+    # its forced decisions with the flags' costs
+    table_path = _solved_table(tmp_path, "--ci", 1, "--cii", 30)
+    argv = _eval_or_detect_argv(tmp_path, command) + [
+        "--policy", "dp", "--threshold-table", table_path]
+    capsys.readouterr()
+    assert run_cli(*argv, "--ci", 1, "--cii", 30) == 0
+    assert capsys.readouterr().err == ""
+    for flags in ([], ["--ci", 1], ["--ci", 1, "--cii", 30, "--c", 0.1]):
+        shutil.rmtree(tmp_path / "eval", ignore_errors=True)
+        assert run_cli(*argv, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "eval").exists()
+        assert captured.err.startswith(f"cascaudit: error: {table_path}: table solved for "
+                                       "--ci 1.0 --cii 30.0 --c 0.05, but the flags give --ci ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+@pytest.mark.parametrize("policy", ["sprt", "convergence"])
+def test_a_threshold_table_with_a_policy_other_than_dp_exits_2_reading_no_file(
+        tmp_path, capsys, command, policy):
+    argv = _eval_or_detect_argv(tmp_path, command)
+    capsys.readouterr()
+    code = run_cli(*argv, "--policy", policy, "--threshold-table", tmp_path / "missing.csv")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not (tmp_path / "eval").exists()
+    assert captured.err == ("cascaudit: error: --threshold-table is read only by --policy dp, "
+                            f"not {policy}\n")
+
+
 # ---- eval ----
 
 
@@ -1124,6 +1174,32 @@ def test_eval_report_identity_and_files(tmp_path, capsys):
     curve = (out_dir / "accuracy_curve.csv").read_text(encoding="utf-8").splitlines()
     assert curve[0] == "events,accuracy"
     assert len(curve) >= 2
+
+
+def test_detect_corpus_keeps_the_trajectory_of_each_run_and_no_belief(tmp_path):
+    model, traces = reference_model(), read_traces(make_eval_corpus(tmp_path, n=12))
+    policy = ConvergencePolicy(epsilon=0.001, threshold=0.5)
+    results = cli.detect_corpus(model, traces, policy, 0.5, 4, None, PathEnumConfig(), "skip")
+    assert len(results) == len(traces)
+    for index, (trace, result) in enumerate(zip(traces, results)):
+        stream = subsample(trace, 0.5, derive_seed(4, index, 2))
+        outcome, belief = run_detection(model, trace.implied_graph(), stream, policy)
+        assert result == (trace.label, outcome, belief.trajectory())
+        assert result.trajectory[-1] == belief.posterior
+        assert all(type(p) is float for p in result.trajectory)
+        assert not any(isinstance(field, BeliefState) for field in result)
+
+
+def test_eval_names_a_trace_file_whose_first_line_is_not_utf8(tmp_path, capsys):
+    traces = make_eval_corpus(tmp_path, n=4)
+    lines = traces.read_bytes().split(b"\n")
+    traces.write_bytes(b"\n".join([b"\xff" + lines[0], b"{}", *lines[1:]]))
+    capsys.readouterr()
+    code = run_cli("eval", "--traces", traces, "--seed", 1, "--out", tmp_path / "eval")
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"cascaudit: error: {traces}: not UTF-8 text: ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cls", ["x", None])
@@ -1440,7 +1516,7 @@ def test_tighter_boundaries_do_not_increase_errors(tmp_path):
 def test_count_errors_of_an_errorless_policy():
     results = [
         TraceResult(label=lab, outcome=DecisionOutcome(step=3, verdict=lab, rule="sprt"),
-                    belief=BeliefState(prior=float(lab)))
+                    trajectory=[0.5, 0.5, 0.5, float(lab)])
         for lab in (0, 1, 0, 1, 1)
     ]
     count = count_errors(results)
@@ -1451,9 +1527,9 @@ def test_count_errors_of_an_errorless_policy():
 
 def test_count_errors_counts_errors():
     results = [
-        TraceResult(0, DecisionOutcome(step=2, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
-        TraceResult(0, DecisionOutcome(step=2, verdict=0, rule="sprt"), BeliefState(prior=0.1)),
-        TraceResult(1, DecisionOutcome(step=4, verdict=1, rule="sprt"), BeliefState(prior=0.9)),
+        TraceResult(0, DecisionOutcome(step=2, verdict=1, rule="sprt"), [0.5, 0.7, 0.9]),
+        TraceResult(0, DecisionOutcome(step=2, verdict=0, rule="sprt"), [0.5, 0.3, 0.1]),
+        TraceResult(1, DecisionOutcome(step=4, verdict=1, rule="sprt"), [0.5, 0.6, 0.7, 0.8, 0.9]),
     ]
     count = count_errors(results)
     assert (count["fp"], count["fn"]) == (0.5, 0.0)
@@ -1695,8 +1771,9 @@ def _parser_run(parsed, data, tmp):
                 "--out", Path(tmp, "m.json")]
     argv = ["detect", "--graph", paths["graph"], "--stream", paths["stream"],
             "--model", paths["model"]]
-    if parsed == "table":
-        argv += ["--policy", "dp", "--threshold-table", paths["table"]]
+    if parsed == "table":  # with the costs FUZZ_TABLE was solved for
+        argv += ["--policy", "dp", "--threshold-table", paths["table"],
+                 "--ci", 1.0, "--cii", 1.0, "--c", 0.01]
     return argv
 
 

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cascaudit.errors import ModelError, TraceError
+from cascaudit.errors import ModelError, TraceError, read_lines
 from cascaudit.graph import SocialGraph
 from cascaudit.inference import ChainTables
 from cascaudit.markov import (
@@ -556,6 +556,65 @@ def test_read_traces_builds_the_records_of_the_per_event_parser(tmp_path):
     for event in trace.events:
         assert type(event) is TraceEvent and type(event.edge) is tuple
         assert event.parent_edge is None or type(event.parent_edge) is tuple
+
+
+def test_read_traces_shares_each_parent_edge(tmp_path, ref_model):
+    # a parent edge is the very tuple of the event that infected the tail,
+    # not an equal copy of it; source-adjacent events keep None
+    traces = [sample_trace(None, ref_model, label, seed=seed, growth=GrowthConfig(max_events=40))
+              for seed, label in enumerate([GENUINE, FAKE] * 3)]
+    path = tmp_path / "traces.jsonl"
+    write_traces(traces, path)
+    with open(path, "a", encoding="utf-8") as fh:  # string ids too
+        fh.write(json.dumps({"label": 1, "source": "s", "events": [
+            {"u": "s", "v": 1}, {"u": 1, "v": "b", "parent": ["s", 1]},
+            {"u": "b", "v": 3, "parent": [1, "b"]}, {"u": 1, "v": 4, "parent": ["s", 1]}]}) + "\n")
+    loaded = read_traces(path)
+    assert loaded[:len(traces)] == traces
+    with_parent = 0
+    for trace in loaded:
+        infecting = {}
+        for event in trace.events:
+            if event.edge[0] == trace.source:
+                assert event.parent_edge is None
+            else:
+                assert event.parent_edge is infecting[event.edge[0]]
+                with_parent += 1
+            infecting[event.edge[1]] = event.edge
+    assert with_parent > len(loaded)
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"a", b"a\n", b"a\r\nb\rc\n\nd", b"a\r", b"\r\r\n\n\r", b"a\rb\r\n",
+    "x\u2028y\x85z\x0cw\n".encode("utf-8"), b"\xef\xbb\xbfbom\r\n",
+])
+def test_read_lines_splits_where_text_mode_does(tmp_path, data):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh:
+        assert list(read_lines(path, TraceError)) == [line.removesuffix("\n") for line in fh]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_read_traces_numbers_lines_as_text_mode_does(tmp_path, ending):
+    good = json.dumps({"label": 0, "source": 0, "events": [_GOOD_EVENT]})
+    path = tmp_path / "traces.jsonl"
+    path.write_bytes(ending.join([good, "", good, '{"label": 0}', good]).encode("utf-8"))
+    with pytest.raises(TraceError) as info:
+        read_traces(path)
+    assert str(info.value) == f"{path}:4: bad trace record: 'events'"
+    path.write_bytes(ending.join([good, "", good, ""]).encode("utf-8"))
+    assert len(read_traces(path)) == 2
+
+
+def test_read_traces_names_the_first_faulty_line_in_file_order(tmp_path):
+    good = json.dumps({"label": 0, "source": 0, "events": [_GOOD_EVENT]}).encode("utf-8")
+    path = tmp_path / "traces.jsonl"
+    # the bad record on line 2 is named, not the undecodable bytes on line 3
+    path.write_bytes(b"\n".join([good, b'{"label": 0}', good + b"\xff", good]))
+    with pytest.raises(TraceError) as info:
+        read_traces(path)
+    assert str(info.value) == f"{path}:2: bad trace record: 'events'"
 
 
 @pytest.mark.parametrize("collecting", [True, False])
